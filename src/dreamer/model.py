@@ -45,7 +45,7 @@ from .routing import (
     RouterState,
     bank_apply,
     depth_router_logits,
-    fold_shared,
+    gated_experts,
     select_topk,
     update_balance,
 )
@@ -174,15 +174,14 @@ class DreamerModel:
         for state in self.routers.values():
             update_balance(state)
 
-    def fold_banks(self):
-        """Bake shared experts into the routable banks (inference only)."""
-        for bank in self.banks.values():
-            fold_shared(bank)
-
     # -- routed projections ---------------------------------------------------
 
     def _route(self, flat: Tensor, module: str, depth: int):
-        """Tied top-1 selection for one attention module's two banks."""
+        """Depth-encoded top-k selection: (idx [n, k], gates [n, k]).
+
+        For an attention module this is the tied top-1 selection shared by
+        its two banks; for EA it picks the active SwiGLU experts.
+        """
         state = self.routers[module]
         logits = depth_router_logits(
             flat, self.params[f"{module}.router.query.weight"],
@@ -190,13 +189,12 @@ class DreamerModel:
         idx, gates = select_topk(logits, state)
         if self.telemetry is not None:
             self.telemetry.add_routing(module, depth, idx, gates.data)
-        return idx[:, 0], gates.reshape(idx.shape[0])
+        return idx, gates
 
     def _project(self, flat: Tensor, module: str, which: str, selection):
         if selection is None:
             return T.matmul(flat, self.params[f"{module}.{which}.weight"])
-        idx, gates = selection
-        return bank_apply(flat, idx, gates, self.banks[f"{module}.{which}_bank"])
+        return bank_apply(flat, *selection, self.banks[f"{module}.{which}_bank"])
 
     def _split_heads(self, qkv: Tensor, prefix: str, query_heads: int,
                      kv_heads: int, head_dim: int):
@@ -250,7 +248,7 @@ class DreamerModel:
         rows = b * s
         normed = rms_norm(x, self.params[f"{p}.da.in_norm.gain"], cfg.rms_eps)
         flat = normed.reshape(rows, h)
-        selection = None if cfg.layered else self._route(flat, f"{p}.da", depth)
+        selection = self._route(flat, f"{p}.da", depth)
         qkv = self._project(flat, f"{p}.da", "qkv", selection)
 
         q, k, v = self._split_heads(qkv, f"{p}.da", cfg.da_query_heads,
@@ -274,38 +272,17 @@ class DreamerModel:
 
     def ea_forward(self, x: Tensor, p: str, depth: int) -> Tensor:
         """Sparse mixture of SwiGLU experts with depth-encoded routing."""
-        cfg = self.cfg
         b, s, h = x.shape
-        rows = b * s
-        normed = rms_norm(x, self.params[f"{p}.ea.in_norm.gain"], cfg.rms_eps)
-        flat = normed.reshape(rows, h)
-        state = self.routers[f"{p}.ea"]
-        logits = depth_router_logits(
-            flat, self.params[f"{p}.ea.router.query.weight"],
-            self.params[f"{p}.ea.router.keys"], depth, self.router_rope)
-        idx, gates = select_topk(logits, state)
-        if self.telemetry is not None:
-            self.telemetry.add_routing(f"{p}.ea", depth, idx, gates.data)
+        normed = rms_norm(x, self.params[f"{p}.ea.in_norm.gain"], self.cfg.rms_eps)
+        flat = normed.reshape(b * s, h)
+        gate_w, up_w, down_w = [self.params[f"{p}.ea.experts.{w}"]
+                                for w in ("gate", "up", "down")]
 
-        # Each active expert runs over all rows and is masked by a gate
-        # column that is zero off its own rows; see bank_apply for why the
-        # shapes must not depend on the routing outcome.
-        top_k = state.top_k
-        pair_rows = np.repeat(np.arange(rows), top_k)
-        pair_experts = idx.reshape(-1)
-        flat_gates = gates.reshape(rows * top_k, 1)
-        gate_w = self.params[f"{p}.ea.experts.gate"]
-        up_w = self.params[f"{p}.ea.experts.up"]
-        down_w = self.params[f"{p}.ea.experts.down"]
+        def expert(u, e):
+            hidden = T.silu(T.matmul(u, gate_w[e])) * T.matmul(u, up_w[e])
+            return T.matmul(hidden, down_w[e])
 
-        out = None
-        for e in np.unique(pair_experts):
-            pairs = np.nonzero(pair_experts == e)[0]
-            mask = T.scatter_rows(T.take_rows(flat_gates, pairs),
-                                  pair_rows[pairs], rows)
-            hidden = T.silu(T.matmul(flat, gate_w[int(e)])) * T.matmul(flat, up_w[int(e)])
-            ye = T.matmul(hidden, down_w[int(e)]) * mask
-            out = ye if out is None else out + ye
+        out = gated_experts(flat, *self._route(flat, f"{p}.ea", depth), expert)
         return out.reshape(b, s, h)
 
     # -- one depth step and the full stack --------------------------------------

@@ -24,7 +24,9 @@ transient and never persisted.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,19 +168,26 @@ def init_parameters(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterS
 # -- checkpoint container ------------------------------------------------------
 
 def save_checkpoint(path, cfg: ModelConfig, store: ParameterStore) -> None:
+    """Write the container atomically: a failed write leaves `path` as it was."""
     config_bytes = cfg.to_json().encode()
-    with open(path, "wb") as f:
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, ENDIAN_PROBE))
-        f.write(struct.pack("<Q", len(config_bytes)))
-        f.write(config_bytes)
-        f.write(struct.pack("<Q", len(store.names())))
-        for name, t in store.items():
-            raw = name.encode()
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<I", t.ndim))
-            f.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-            f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, ENDIAN_PROBE))
+            f.write(struct.pack("<Q", len(config_bytes)))
+            f.write(config_bytes)
+            f.write(struct.pack("<Q", len(store.names())))
+            for name, t in store.items():
+                raw = name.encode()
+                f.write(struct.pack("<I", len(raw)))
+                f.write(raw)
+                f.write(struct.pack("<I", t.ndim))
+                f.write(struct.pack(f"<{t.ndim}Q", *t.shape))
+                f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path, dtype=np.float32):

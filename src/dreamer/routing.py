@@ -1,4 +1,4 @@
-"""Expert routing: gated top-k selection, usage balancing, linear expert banks.
+"""Expert routing: gated top-k selection, usage balancing, gated expert mixtures.
 
 Selection and gating are deliberately decoupled:
   * which experts fire is decided by logits + balancing bias (top-k,
@@ -105,7 +105,7 @@ def depth_router_logits(x: Tensor, query_weight: Tensor, keys: Tensor, depth: in
     return T.matmul(q, T.transpose(keys, (1, 0))) * scale
 
 
-# -- linear expert banks -------------------------------------------------------
+# -- gated experts and linear expert banks ------------------------------------
 
 @dataclass
 class LinearExpertBank:
@@ -146,22 +146,36 @@ def moe_linear_forward(x: Tensor, sigma: Tensor, bank: LinearExpertBank) -> Tens
     return out.reshape(out.shape[1])
 
 
+def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
+    """Routed mixture: x [n, din], idx [n, k], gates [n, k] -> [n, dout].
+
+    Row r gets sum_j gates[r, j] * expert(x, idx[r, j])[r]. Each selected
+    expert runs over all n rows and is masked by a gate column that is zero
+    off its own rows. The matmul shapes therefore never depend on how
+    tokens are distributed over experts, which keeps every row's result
+    bit-identical when only other rows' routing changes.
+    """
+    n, top_k = idx.shape
+    flat_gates = gates.reshape(n * top_k, 1)
+    out = None
+    for e in np.unique(idx):
+        rows, slots = np.nonzero(idx == e)
+        mask = T.scatter_rows(T.take_rows(flat_gates, rows * top_k + slots), rows, n)
+        ye = expert(x, int(e)) * mask
+        out = ye if out is None else out + ye
+    return out
+
+
 def bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, bank: LinearExpertBank) -> Tensor:
     """Batched top-1 bank forward: x [n, din], idx [n], gates [n] -> [n, dout].
 
-    Each active expert runs over all n rows and is masked by a gate column
-    that is zero off its own rows. The matmul shapes therefore never depend
-    on how tokens are distributed over experts, which keeps every row's
-    result bit-identical when only other rows' routing changes.
+    Also takes `select_topk`'s [n, 1] pair. The shared expert is scaled by
+    the same gate with its gradient stopped.
     """
     n = x.shape[0]
     gcol = gates.reshape(n, 1)
-    out = None
-    for e in np.unique(idx):
-        rows = np.nonzero(idx == e)[0]
-        mask = T.scatter_rows(T.take_rows(gcol, rows), rows, n)
-        ye = T.matmul(x, bank.experts[int(e)]) * mask
-        out = ye if out is None else out + ye
+    out = gated_experts(x, idx.reshape(n, 1), gcol,
+                        lambda u, e: T.matmul(u, bank.experts[e]))
     if bank.shared is not None and not bank.folded:
         out = out + T.stop_gradient(gcol) * T.matmul(x, bank.shared)
     return out

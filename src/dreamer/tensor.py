@@ -16,6 +16,7 @@ Numerics contract:
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 from dataclasses import dataclass, field
 
@@ -24,7 +25,8 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError
 
 _NODE_IDS = itertools.count()
-_GRAD_ENABLED = True
+# One flag per thread (and asyncio task): a no_grad never stops another's tape.
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 
 # Additive mask value for disallowed attention slots. Finite on purpose:
 # exp(-1e30 - max) underflows to exactly 0.0 while the masked scores
@@ -36,19 +38,16 @@ class no_grad:
     """Context manager that suspends graph recording."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_ENABLED.reset(self._token)
         return False
 
 
 def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 class Tensor:
@@ -158,7 +157,7 @@ def _as_tensor(x, dtype) -> Tensor:
 
 def _node(data, parents, vjp, op) -> Tensor:
     """Create an op result, recording the tape edge only when it matters."""
-    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    req = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     if req:
         return Tensor(data, True, op=op, parents=parents, vjp=vjp)
     return Tensor(data, False, op=op)

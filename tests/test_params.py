@@ -264,6 +264,22 @@ def test_checkpoint_tensor_set_must_match_config(tmp_path):
         load_checkpoint(path)
 
 
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
+    cfg = desk_config("DR", 2, hidden_size=16, ea_num_experts=4,
+                      ea_active_experts=2, ea_intermediate_size=8)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, init_parameters(cfg, seed=0))
+    before = path.read_bytes()
+    store = init_parameters(cfg, seed=1)
+    second = store[store.names()[1]]
+    # the second tensor cannot become float32, so the write fails partway
+    second.data = np.full(second.shape, "x", dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, cfg, store)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(InputError, match="cannot read"):
         load_checkpoint(tmp_path / "absent.ckpt")

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from dreamer import tensor as T
 from dreamer.routing import (LinearExpertBank, RouterState, bank_apply,
                              depth_router_logits, ea_select, fold_shared,
-                             moe_linear_forward, select_topk, simulate_balancing,
-                             update_balance)
+                             gated_experts, moe_linear_forward, select_topk,
+                             simulate_balancing, update_balance)
 from dreamer.attention import RopeSpec
 from dreamer.errors import ConfigError, ContractError
 from dreamer.tensor import Tensor
@@ -227,6 +227,48 @@ def test_routable_term_gate_gradient_is_nonzero():
     out = bank_apply(x, np.array([1, 0]), gate, bank)
     (out * out).sum().backward()
     assert np.all(np.abs(gate.grad) > 1e-8)
+
+
+def silu_experts(rng, E=4, din=3, dout=5):
+    weights = rng.normal(0, 1, (E, din, dout)).astype(np.float32)
+    return weights, lambda u, e: T.silu(T.matmul(u, Tensor(weights[e])))
+
+
+def distinct_choices(rng, n, E, k):
+    return np.stack([rng.permutation(E)[:k] for _ in range(n)])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_gated_experts_matches_per_row_oracle(k):
+    rng = np.random.default_rng(20 + k)
+    weights, expert = silu_experts(rng)
+    for _ in range(10):
+        x = rng.normal(0, 1, (6, 3)).astype(np.float32)
+        idx = distinct_choices(rng, 6, 4, k)
+        gates = rng.uniform(0.1, 1.0, (6, k)).astype(np.float32)
+        out = gated_experts(Tensor(x), idx, Tensor(gates), expert).data
+        assert out.dtype == np.float32
+        for r in range(6):
+            ref = np.zeros(5, dtype=np.float64)
+            for j in range(k):
+                pre = x[r].astype(np.float64) @ weights[idx[r, j]]
+                ref += gates[r, j] * pre / (1.0 + np.exp(-pre))
+            np.testing.assert_allclose(out[r], ref, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_gated_experts_row_ignores_other_rows_routing(k):
+    # wide enough that a 1-row product (BLAS gemv) can round differently from
+    # the batched one, so an expert run on its own rows only would show here
+    rng = np.random.default_rng(30 + k)
+    _, expert = silu_experts(rng, din=32, dout=24)
+    x = Tensor(rng.normal(0, 1, (6, 32)).astype(np.float32))
+    gates = Tensor(rng.uniform(0.1, 1.0, (6, k)).astype(np.float32))
+    idx = distinct_choices(rng, 6, 4, k)
+    row0 = gated_experts(x, idx, gates, expert).data[0].copy()
+    for _ in range(20):
+        idx[1:] = distinct_choices(rng, 5, 4, k)
+        assert gated_experts(x, idx, gates, expert).data[0].tobytes() == row0.tobytes()
 
 
 def test_bank_apply_matches_dense_oracle():

@@ -1,5 +1,7 @@
 """Engine-level tests: forward values, backward vs finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,23 @@ def test_no_grad_suppresses_tape():
     with T.no_grad():
         y = (x * 2.0).sum()
     assert not y.requires_grad and y.parents == ()
+
+
+def test_no_grad_in_another_thread_keeps_this_threads_tape():
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_no_grad():
+        with T.no_grad():
+            entered.set()
+            release.wait(10)
+
+    other = threading.Thread(target=hold_no_grad)
+    other.start()
+    try:
+        assert entered.wait(10)
+        y = T.Tensor(np.ones(3), requires_grad=True) * 2.0
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert y.requires_grad and T.grad_enabled()
