@@ -55,7 +55,8 @@ def select_topk(logits: Tensor, state: RouterState):
     Indices are chosen by logits + bias (descending, stable so equal
     values resolve to the lowest index). Gate values are sigmoid(logit)
     gathered at those indices; with `normalize`, each row is divided by
-    its selected-set sum. Usage counts accumulate per selected expert.
+    its selected-set sum. Usage counts accumulate per selected expert, but
+    only while gradients are recorded: inference never moves balancing.
     """
     if logits.ndim != 2 or logits.shape[1] != state.num_experts:
         raise ConfigError(
@@ -63,7 +64,8 @@ def select_topk(logits: Tensor, state: RouterState):
     keyed = logits.data + state.bias[None, :]
     order = np.argsort(-keyed, axis=-1, kind="stable")
     idx = np.ascontiguousarray(order[:, :state.top_k])
-    np.add.at(state.counts, idx.reshape(-1), 1)
+    if T.grad_enabled():
+        np.add.at(state.counts, idx.reshape(-1), 1)
     gates = T.gather_last(T.sigmoid(logits), idx)
     if state.normalize:
         gates = gates / gates.sum(axis=-1, keepdims=True)
@@ -149,21 +151,39 @@ def moe_linear_forward(x: Tensor, sigma: Tensor, bank: LinearExpertBank) -> Tens
 def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
     """Routed mixture: x [n, din], idx [n, k], gates [n, k] -> [n, dout].
 
-    Row r gets sum_j gates[r, j] * expert(x, idx[r, j])[r]. Each selected
-    expert runs over all n rows and is masked by a gate column that is zero
-    off its own rows. The matmul shapes therefore never depend on how
-    tokens are distributed over experts, which keeps every row's result
-    bit-identical when only other rows' routing changes.
+    Row r gets sum_j gates[r, j] * expert(x, idx[r, j])[r], summed in
+    ascending expert id. The (row, slot) pairs are grouped by expert
+    (dropless, as in MegaBlocks) and each expert runs once, on its own
+    rows only.
+
+    No product ever has one row. BLAS computes a 1-row product on its gemv
+    path, which can round differently from the same row inside a larger
+    product; with m >= 2 rows, `x[rows] @ W` equals `(x @ W)[rows]`
+    bitwise. So an expert picked by a single row runs on that row twice,
+    and the copy is never read. A row's result then never depends on how
+    other rows are routed.
     """
     n, top_k = idx.shape
-    flat_gates = gates.reshape(n * top_k, 1)
-    out = None
-    for e in np.unique(idx):
-        rows, slots = np.nonzero(idx == e)
-        mask = T.scatter_rows(T.take_rows(flat_gates, rows * top_k + slots), rows, n)
-        ye = expert(x, int(e)) * mask
-        out = ye if out is None else out + ye
-    return out
+    flat = idx.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat)
+    experts = np.flatnonzero(counts)
+    counts = counts[experts]
+    reps = np.ones(order.size, dtype=np.intp)
+    reps[np.cumsum(counts)[counts == 1] - 1] = 2
+    pairs = np.repeat(order, reps)              # grouped pairs, singletons twice
+    pos = np.empty_like(order)
+    pos[order] = np.cumsum(reps) - reps         # where each pair's output lands
+    sizes = np.maximum(counts, 2)
+    ends = np.cumsum(sizes)
+    parts = [expert(T.take_rows(x, pairs[end - size:end] // top_k), int(e))
+             for e, size, end in zip(experts, sizes, ends)]
+    y = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+    y = y * T.take_rows(gates.reshape(n * top_k, 1), pairs)
+    # sorted positions put each row's slots in ascending expert id, so the
+    # summation order depends on which experts a row picked, not their rank
+    out = T.take_rows(y, np.sort(pos.reshape(n, top_k), axis=1).reshape(-1))
+    return out if top_k == 1 else out.reshape(n, top_k, -1).sum(axis=1)
 
 
 def bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, bank: LinearExpertBank) -> Tensor:
@@ -213,11 +233,10 @@ def simulate_balancing(num_experts: int, top_k: int, update_rate: float,
     state = RouterState("sim", num_experts, top_k, update_rate, normalize=True)
     offsets = np.linspace(0.0, skew, num_experts)
     tail = np.zeros(num_experts, dtype=np.int64)
-    with T.no_grad():
-        for step in range(updates):
-            logits = Tensor(rng.normal(0.0, 1.0, (draws_per_update, num_experts)) + offsets)
-            idx, _ = select_topk(logits, state)
-            if step >= updates // 2:
-                np.add.at(tail, idx.reshape(-1), 1)
-            update_balance(state)
+    for step in range(updates):
+        logits = Tensor(rng.normal(0.0, 1.0, (draws_per_update, num_experts)) + offsets)
+        idx, _ = select_topk(logits, state)
+        if step >= updates // 2:
+            np.add.at(tail, idx.reshape(-1), 1)
+        update_balance(state)
     return tail

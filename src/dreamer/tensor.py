@@ -278,6 +278,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
+    if shape == a.shape:
+        return a
     out = a.data.reshape(shape)
     orig = a.shape
 
@@ -445,22 +447,13 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def vjp(g):
         full = np.zeros(shape, dtype=dt)
-        np.add.at(full, idx, g)
+        if np.bincount(idx.reshape(-1), minlength=shape[0]).max() == 1:
+            full[idx] = g  # no repeated row: plain assignment, no np.add.at
+        else:
+            np.add.at(full, idx, g)
         return (full,)
 
     return _node(out, (a,), vjp, "take_rows")
-
-
-def scatter_rows(values: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
-    """Place `values[i]` at row `idx[i]` of a zero tensor (duplicates add)."""
-    idx = np.asarray(idx)
-    out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
-    np.add.at(out, idx, values.data)
-
-    def vjp(g):
-        return (g[idx],)
-
-    return _node(out, (values,), vjp, "scatter_rows")
 
 
 def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:

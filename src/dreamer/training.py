@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -267,12 +268,11 @@ class TrainResult:
     optimizer: OptimizerState = None
 
 
-def _write_metrics(path, history):
-    if path is None:
-        return
-    with open(path, "w") as fh:
-        for record in history:
-            fh.write(json.dumps(record) + "\n")
+def _emit(metrics, record):
+    """Append one JSON line and flush it, so an interrupted run keeps it."""
+    if metrics is not None:
+        metrics.write(json.dumps(record) + "\n")
+        metrics.flush()
 
 
 def _checkpoint(sinks, cfg, store, label):
@@ -311,43 +311,43 @@ def train(cfg: ModelConfig, task: TaskSpec, steps: int,
     _checkpoint(sinks, cfg, model.params, "step_000000")
 
     learnable = model.params.learnable()
-    for step in range(steps):
-        tokens, targets = make_batch(task, step, cfg.batch_size)
-        graph = T.Graph(lambda _inputs: masked_cross_entropy(
-            model.model_forward(tokens), targets))
-        try:
-            loss = T.eval(graph, learnable)
-        except NumericError as exc:
-            _abort(sinks, result, step, None, str(exc))
-        loss_value = float(loss.data)
-        if not np.isfinite(loss_value):
-            _abort(sinks, result, step, loss_value, "non-finite loss")
-        grads = {name: g.data for name, g in T.backward(graph).items()}
-        usage = {name: state.counts.tolist()
-                 for name, state in sorted(model.routers.items())}
-        try:
-            grad_norm = clip_grad_norm(grads, optimizer.grad_clip)
-        except NumericError as exc:
-            _abort(sinks, result, step, loss_value, str(exc))
-        lr = adamw_step(model.params, grads, optimizer)
-        model.update_balancing()
-        result.history.append({"step": step, "loss": loss_value,
-                               "grad_norm": grad_norm, "lr": lr,
-                               "usage": usage})
-        if sinks.checkpoint_every and (step + 1) % sinks.checkpoint_every == 0:
-            _checkpoint(sinks, cfg, model.params, f"step_{step + 1:06d}")
-        if stop_when is not None and stop_when(result.history[-1], result.history):
-            break
+    with (open(sinks.metrics_path, "w") if sinks.metrics_path
+          else contextlib.nullcontext()) as metrics:
+        for step in range(steps):
+            tokens, targets = make_batch(task, step, cfg.batch_size)
+            graph = T.Graph(lambda _inputs: masked_cross_entropy(
+                model.model_forward(tokens), targets))
+            try:
+                loss = T.eval(graph, learnable)
+            except NumericError as exc:
+                _abort(metrics, step, None, str(exc))
+            loss_value = float(loss.data)
+            if not np.isfinite(loss_value):
+                _abort(metrics, step, loss_value, "non-finite loss")
+            grads = {name: g.data for name, g in T.backward(graph).items()}
+            usage = {name: state.counts.tolist()
+                     for name, state in sorted(model.routers.items())}
+            try:
+                grad_norm = clip_grad_norm(grads, optimizer.grad_clip)
+            except NumericError as exc:
+                _abort(metrics, step, loss_value, str(exc))
+            lr = adamw_step(model.params, grads, optimizer)
+            model.update_balancing()
+            result.history.append({"step": step, "loss": loss_value,
+                                   "grad_norm": grad_norm, "lr": lr,
+                                   "usage": usage})
+            _emit(metrics, result.history[-1])
+            if sinks.checkpoint_every and (step + 1) % sinks.checkpoint_every == 0:
+                _checkpoint(sinks, cfg, model.params, f"step_{step + 1:06d}")
+            if stop_when is not None and stop_when(result.history[-1], result.history):
+                break
 
     if steps > 0:
         _checkpoint(sinks, cfg, model.params, "final")
-    _write_metrics(sinks.metrics_path, result.history)
     return result
 
 
-def _abort(sinks, result, step, loss_value, reason):
-    detail = {"step": step, "loss": loss_value, "reason": reason}
-    if sinks.metrics_path:
-        _write_metrics(sinks.metrics_path, result.history + [
-            {"step": step, "abort": detail}])
+def _abort(metrics, step, loss_value, reason):
+    _emit(metrics, {"step": step, "abort": {"step": step, "loss": loss_value,
+                                            "reason": reason}})
     raise NumericError(f"training aborted at step {step}: {reason}")

@@ -452,3 +452,13 @@ def test_attention_moe_scores_are_tied():
     assert all(ev.expert_ids.shape == (4, 1) for ev in per_router["layer.sa"])
     assert all(ev.expert_ids.shape == (4, cfg.ea_active_experts)
                for ev in per_router["layer.ea"])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_inference_leaves_balancing_counts_untouched(variant):
+    model = DreamerModel(tiny_config(variant), seed=19)
+    model.decode(np.array([[3, 1, 4, 1, 5]]), 4)
+    with T.no_grad():
+        model.model_forward(np.array([[2, 7, 1, 8]]))
+    for name, state in model.routers.items():
+        assert not state.counts.any(), name

@@ -271,6 +271,75 @@ def test_gated_experts_row_ignores_other_rows_routing(k):
         assert gated_experts(x, idx, gates, expert).data[0].tobytes() == row0.tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gated_experts_is_the_dense_ascending_sum_bitwise(k):
+    # each row adds its gated outputs in ascending expert id, and an expert
+    # run on a subset of rows matches its full-batch product row for row
+    rng = np.random.default_rng(50 + k)
+    _, expert = silu_experts(rng, din=32, dout=24)
+    x = Tensor(rng.normal(0, 1, (7, 32)).astype(np.float32))
+    gates = rng.uniform(0.1, 1.0, (7, k)).astype(np.float32)
+    dense = [expert(x, e).data for e in range(4)]
+    for _ in range(10):
+        idx = distinct_choices(rng, 7, 4, k)
+        out = gated_experts(x, idx, Tensor(gates), expert).data
+        for r in range(7):
+            terms = [gates[r, j] * dense[idx[r, j]][r] for j in np.argsort(idx[r])]
+            ref = terms[0]
+            for t in terms[1:]:
+                ref = ref + t
+            assert out[r].tobytes() == ref.tobytes()
+
+
+def recording_experts(rng, E=4, din=3, dout=5):
+    """SiLU experts over float64 weights [E, din, dout] that log each call's rows."""
+    weights, seen = Tensor(rng.uniform(-1, 1, (E, din, dout)), requires_grad=True), []
+
+    def expert(u, e):
+        seen.append(u.shape[0])
+        return T.silu(T.matmul(u, weights[e]))
+
+    return weights, expert, seen
+
+
+@pytest.mark.parametrize("n, k, idx", [
+    (1, 1, [[2]]),
+    (1, 2, [[3, 0]]),
+    (5, 2, [[0, 1], [1, 0], [0, 2], [1, 0], [0, 1]]),  # expert 2 has one row
+    (4, 1, [[1], [3], [1], [1]]),                      # expert 3 has one row
+])
+def test_gated_experts_never_issues_a_one_row_product(n, k, idx):
+    rng = np.random.default_rng(40 + n + k)
+    _, expert, seen = recording_experts(rng)
+    idx = np.array(idx)
+    gated_experts(Tensor(rng.normal(0, 1, (n, 3))), idx,
+                  Tensor(rng.uniform(0.1, 1.0, (n, k))), expert)
+    counts = np.bincount(idx.reshape(-1))
+    assert min(seen) >= 2
+    assert len(seen) == np.count_nonzero(counts)
+    assert sum(seen) == n * k + np.count_nonzero(counts == 1)
+
+
+def test_gated_experts_gradcheck_singleton_and_unused_expert():
+    # expert 2 is picked by one row only, expert 3 by none
+    rng = np.random.default_rng(41)
+    weights, expert, _ = recording_experts(rng)
+    idx = np.array([[0, 1], [1, 0], [0, 2], [1, 0]])
+
+    def fn(inp):
+        out = gated_experts(inp["x"], idx, inp["gates"], expert)
+        return (out * out).sum()
+
+    inputs = {
+        "x": Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True),
+        "gates": Tensor(rng.uniform(0.1, 1.0, (4, 2)), requires_grad=True),
+        "w": weights,
+    }
+    report = T.grad_check(T.Graph(fn), inputs)
+    assert report.passed, str(report)
+    assert not weights.grad[3].any()
+
+
 def test_bank_apply_matches_dense_oracle():
     rng = np.random.default_rng(9)
     bank = rand_bank(rng, E=4, din=3, dout=2)

@@ -124,9 +124,6 @@ def test_gather_scatter_ops_match_finite_differences():
     graph = T.Graph(lambda inp: (T.take_rows(inp["w"], idx) * 2.0).sum())
     assert T.grad_check(graph, {"w": t64(w0)}).passed
 
-    graph = T.Graph(lambda inp: T.scatter_rows(inp["v"], idx, 6).sum())
-    assert T.grad_check(graph, {"v": t64(rng.uniform(-1, 1, (3, 4)))}).passed
-
     gidx = np.array([[0, 3], [2, 2], [1, 0]])
     graph = T.Graph(lambda inp: (T.gather_last(inp["x"], gidx) ** 2.0).sum())
     assert T.grad_check(graph, {"x": t64(rng.uniform(0.1, 1, (3, 4)))}).passed
@@ -248,3 +245,24 @@ def test_no_grad_in_another_thread_keeps_this_threads_tape():
         other.join(10)
     assert not other.is_alive()
     assert y.requires_grad and T.grad_enabled()
+
+
+def test_reshape_to_same_shape_records_nothing():
+    t = t64(np.arange(6.0).reshape(2, 3))
+    assert t.reshape(t.shape) is t
+    assert t.reshape(2, 3) is t
+    w0 = np.random.default_rng(8).uniform(-1, 1, (2, 3))
+    graph = T.Graph(lambda inp: (inp["w"].reshape(3, 2) * T.Tensor(np.arange(6.0).reshape(3, 2))
+                                 ).reshape(2, 3).reshape(6).sum())
+    assert T.grad_check(graph, {"w": t64(w0)}).passed
+
+
+def test_take_rows_unique_index_gradient_matches_add_at():
+    rng = np.random.default_rng(9)
+    w = t64(rng.uniform(-1, 1, (7, 3)))
+    idx = np.array([5, 0, 3, 6])
+    g = rng.uniform(-1, 1, (4, 3))
+    (T.take_rows(w, idx) * T.Tensor(g)).sum().backward()
+    want = np.zeros((7, 3))
+    np.add.at(want, idx, g)
+    assert w.grad.tobytes() == want.tobytes()

@@ -291,3 +291,21 @@ def test_train_aborts_on_nonfinite_loss(tmp_path):
         train(cfg, spec, steps=50, sinks=sinks, seed=0)
     lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert "abort" in lines[-1]
+
+
+def test_metrics_stream_survives_an_exception_mid_run(tmp_path):
+    cfg = tiny_config()
+    spec = TaskSpec("copy", seq_len=9, vocab_size=16, seed=0)
+    sinks = TrainSinks(metrics_path=str(tmp_path / "metrics.jsonl"))
+
+    def stop_when(record, history):
+        if len(history) == 3:
+            raise KeyboardInterrupt
+        return False
+
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg, spec, steps=10, sinks=sinks, seed=0, stop_when=stop_when)
+    lines = [json.loads(line) for line in
+             (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert [r["step"] for r in lines] == [0, 1, 2]
+    assert all(np.isfinite(r["loss"]) for r in lines)
