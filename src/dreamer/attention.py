@@ -129,31 +129,6 @@ def causal_mask(m: int, n: int, offset: int, dtype) -> np.ndarray:
     return np.where(k <= q, 0.0, MASK_VALUE).astype(dtype)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, *, causal: bool = True,
-              pos_offset: int = 0, return_weights: bool = False):
-    """softmax(q k^T / sqrt(dim)) v over the last two axes.
-
-    Shapes: q [..., m, d], k [..., n, d], v [..., n, dv] with equal leading
-    dims. With `causal`, query row i sees key rows j <= i + pos_offset;
-    masked slots get an additive -1e30, which underflows to an exactly-zero
-    weight, so masked values cannot influence the output even bitwise.
-    """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention: q dim {q.shape[-1]} != k dim {k.shape[-1]}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention: k rows {k.shape[-2]} != v rows {v.shape[-2]}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = T.matmul(q, T.transpose(k, _swap_last(k.ndim))) * scale
-    if causal:
-        mask = causal_mask(q.shape[-2], k.shape[-2], pos_offset, q.dtype)
-        scores = scores + Tensor(mask)
-    weights = T.softmax(scores)
-    out = T.matmul(weights, v)
-    if return_weights:
-        return out, weights
-    return out
-
-
 def _swap_last(ndim: int) -> tuple:
     axes = list(range(ndim))
     axes[-1], axes[-2] = axes[-2], axes[-1]

@@ -14,7 +14,7 @@ the sigmoid gate values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,15 +72,6 @@ def select_topk(logits: Tensor, state: RouterState):
     return idx, gates
 
 
-def ea_select(logits: Tensor, state: RouterState) -> Tensor:
-    """Sparse gate vector for one token: [E] logits -> [E] gates, k nonzero."""
-    if logits.ndim != 1:
-        raise ConfigError(f"ea_select expects a logit vector, got {logits.shape}")
-    idx, gates = select_topk(logits.reshape(1, logits.shape[0]), state)
-    dense = T.scatter_last(gates, idx, state.num_experts)
-    return dense.reshape(state.num_experts)
-
-
 def update_balance(state: RouterState) -> RouterState:
     """Move biases one step toward the median usage count, then reset counts.
 
@@ -133,19 +124,6 @@ class LinearExpertBank:
     @property
     def num_experts(self) -> int:
         return self.experts.shape[0]
-
-
-def moe_linear_forward(x: Tensor, sigma: Tensor, bank: LinearExpertBank) -> Tensor:
-    """Single-vector forward: gate * (x W_e) + stopgrad(gate) * (x W_shared)."""
-    if x.ndim != 1:
-        raise ContractError(f"moe_linear_forward expects a vector, got {x.shape}")
-    nz = np.nonzero(sigma.data)[0]
-    if nz.size != 1:
-        raise ContractError(f"sigma must have exactly one nonzero, got {nz.size}")
-    e = int(nz[0])
-    gate = sigma[e]
-    out = bank_apply(x.reshape(1, x.shape[0]), np.array([e]), gate.reshape(1), bank)
-    return out.reshape(out.shape[1])
 
 
 def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
@@ -205,38 +183,16 @@ def fold_shared(bank: LinearExpertBank) -> LinearExpertBank:
     """Add the shared matrix into every expert; forward drops the shared term.
 
     Value-preserving because the shared scale equals the gate numerically.
-    In-place on the bank's tensors; folding twice is an error.
+    The bank's `experts` is rebound to a new tensor, so the parameter store
+    it came from keeps the unfolded weights and saves as before. The new
+    tensor has requires_grad False: a folded bank is for inference only.
+    Folding twice is an error.
     """
     if bank.folded:
         raise ContractError("bank is already folded")
     if bank.shared is None:
         bank.folded = True
         return bank
-    bank.experts.data = bank.experts.data + bank.shared.data[None, :, :]
+    bank.experts = Tensor(bank.experts.data + bank.shared.data[None, :, :])
     bank.folded = True
     return bank
-
-
-# -- balancing simulation (used by tests and the acceptance suite) ---------------
-
-def simulate_balancing(num_experts: int, top_k: int, update_rate: float,
-                       updates: int, draws_per_update: int, skew: float,
-                       seed: int) -> np.ndarray:
-    """Drive a fixed skewed logit distribution through select + balance.
-
-    Per-expert logit means are linearly spaced over [0, skew]; each update
-    processes a batch of gaussian draws. Returns the usage histogram
-    accumulated over the trailing half of the updates (the converged
-    regime the biases settle into).
-    """
-    rng = np.random.default_rng(seed)
-    state = RouterState("sim", num_experts, top_k, update_rate, normalize=True)
-    offsets = np.linspace(0.0, skew, num_experts)
-    tail = np.zeros(num_experts, dtype=np.int64)
-    for step in range(updates):
-        logits = Tensor(rng.normal(0.0, 1.0, (draws_per_update, num_experts)) + offsets)
-        idx, _ = select_topk(logits, state)
-        if step >= updates // 2:
-            np.add.at(tail, idx.reshape(-1), 1)
-        update_balance(state)
-    return tail

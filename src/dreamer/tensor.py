@@ -12,6 +12,22 @@ Numerics contract:
   * training runs in float32, gradient checking in float64,
   * `eval` surfaces any non-finite intermediate as a NumericError instead
     of letting NaN/Inf propagate silently.
+
+Accumulation contract (what `backward_from` relies on):
+  * a vjp returns, per parent, a dense array, None (no gradient), or an
+    indexed `_Scatter` record: `getitem` and `take_rows` say "g belongs at
+    parent[key]" instead of building a zero array the size of the parent,
+  * the binary ops (add, sub, mul, div, matmul) return None for an operand
+    with requires_grad False, so constants (RoPE tables, masks, scales)
+    cost no gradient work,
+  * only an indexed record is added in place, and only into an accumulator
+    the walk allocated itself ("owned"); an array a vjp handed over may be
+    shared (`add` gives the same g to both parents, `reshape` a view) and
+    is copied before its first indexed write. Dense gradients are summed
+    out of place. Indexed records need at most one full-size buffer,
+  * sums keep the topological order of the walk, and zero plus g is
+    exact, so gradients are bitwise those of dense out-of-place sums,
+  * every leaf `.grad` owns its memory; no two leaves share an array.
 """
 
 from __future__ import annotations
@@ -19,6 +35,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,7 +211,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), vjp, "add")
 
@@ -206,7 +224,8 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), vjp, "sub")
 
@@ -219,7 +238,8 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return (_unbroadcast(g * bd, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * ad, b.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), vjp, "mul")
 
@@ -232,8 +252,8 @@ def div(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return (_unbroadcast(g / bd, a.shape),
-                _unbroadcast(-g * ad / (bd * bd), b.shape))
+        return (_unbroadcast(g / bd, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), vjp, "div")
 
@@ -267,9 +287,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        ga = g @ np.swapaxes(bd, -1, -2)
-        gb = np.swapaxes(ad, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _node(out, (a, b), vjp, "matmul")
 
@@ -300,15 +320,25 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _node(out, (a,), vjp, "transpose")
 
 
+class _Scatter(NamedTuple):
+    """An indexed gradient: `g` at `key` of a zero array of `shape`.
+
+    `key` never names an element twice, so `acc[key] += g` is its sum.
+    """
+
+    key: object
+    g: np.ndarray
+    shape: tuple
+    dtype: np.dtype
+
+
 def getitem(a: Tensor, key) -> Tensor:
-    """Basic (non-fancy) indexing; gradient scatters back into zeros."""
+    """Basic (non-fancy) indexing; gradient scatters back into the parent."""
     out = a.data[key]
     shape, dt = a.shape, a.dtype
 
     def vjp(g):
-        full = np.zeros(shape, dtype=dt)
-        full[key] += g
-        return (full,)
+        return (_Scatter(key, g, shape, dt),)
 
     return _node(out, (a,), vjp, "getitem")
 
@@ -325,16 +355,6 @@ def concat(tensors, axis: int) -> Tensor:
         return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _node(out, tuple(tensors), vjp, "concat")
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def vjp(g):
-        parts = np.split(g, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in parts)
-
-    return _node(out, tuple(tensors), vjp, "stack")
 
 
 # -- reductions ---------------------------------------------------------------
@@ -446,12 +466,15 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     shape, dt = a.shape, a.dtype
 
     def vjp(g):
-        full = np.zeros(shape, dtype=dt)
-        if np.bincount(idx.reshape(-1), minlength=shape[0]).max() == 1:
-            full[idx] = g  # no repeated row: plain assignment, no np.add.at
-        else:
-            np.add.at(full, idx, g)
-        return (full,)
+        flat = idx.reshape(-1)
+        if np.bincount(flat, minlength=shape[0]).max(initial=0) <= 1:
+            return (_Scatter(idx, g, shape, dt),)
+        # Sum each repeated row's copies in index order, from zero, exactly
+        # as np.add.at into a zero array would, so the record's key is unique.
+        rows, inv = np.unique(flat, return_inverse=True)
+        part = np.zeros((rows.size,) + shape[1:], dtype=dt)
+        np.add.at(part, inv, g.reshape((flat.size,) + shape[1:]))
+        return (_Scatter(rows, part, shape, dt),)
 
     return _node(out, (a,), vjp, "take_rows")
 
@@ -470,19 +493,6 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
         return (full,)
 
     return _node(out, (a,), vjp, "gather_last")
-
-
-def scatter_last(values: Tensor, idx: np.ndarray, size: int) -> Tensor:
-    """Inverse of gather_last: spread values into a zero last axis of `size`."""
-    idx = np.asarray(idx)
-    shape = values.shape[:-1] + (size,)
-    out = np.zeros(shape, dtype=values.dtype)
-    np.put_along_axis(out, idx, values.data, axis=-1)
-
-    def vjp(g):
-        return (np.take_along_axis(g, idx, axis=-1),)
-
-    return _node(out, (values,), vjp, "scatter_last")
 
 
 def stop_gradient(a: Tensor) -> Tensor:
@@ -509,26 +519,47 @@ def _topo(root: Tensor) -> list:
     return order
 
 
+def _accumulate(grads: dict, owned: set, pid: int, pg) -> None:
+    """Add one vjp output into parent `pid`'s gradient (see the contract above)."""
+    acc = grads.get(pid)
+    if not isinstance(pg, _Scatter):
+        if acc is None:
+            grads[pid] = pg
+        else:
+            # numpy sums two 0-d arrays into a scalar; asarray keeps the
+            # result writable for an indexed record that may follow.
+            grads[pid] = np.asarray(acc + pg)
+            owned.add(pid)
+        return
+    if acc is None:
+        acc = np.zeros(pg.shape, dtype=pg.dtype)
+    elif pid not in owned:
+        acc = np.array(acc)  # a copy, and an array even if acc is a numpy scalar
+    acc[pg.key] += pg.g
+    grads[pid] = acc
+    owned.add(pid)
+
+
 def backward_from(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into `.grad` of reachable requires-grad leaves."""
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     grads = {loss.node_id: np.ones_like(loss.data)}
+    owned = {loss.node_id}  # accumulators this walk allocated; only these are written in place
     for node in reversed(_topo(loss)):
         g = grads.pop(node.node_id, None)
         if g is None:
             continue
         if node.vjp is None:
             if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
+                if node.grad is not None:
+                    node.grad = node.grad + g
+                else:
+                    node.grad = g if node.node_id in owned else g.copy()
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            if parent.node_id in grads:
-                grads[parent.node_id] = grads[parent.node_id] + pg
-            else:
-                grads[parent.node_id] = pg
+            if pg is not None and parent.requires_grad:
+                _accumulate(grads, owned, parent.node_id, pg)
 
 
 # -- graph surface -------------------------------------------------------------------

@@ -18,13 +18,13 @@ from dreamer.costs import (count_flops, count_params, match_model,
                            _nearest_monotone)
 from dreamer.model import DepthCache, DreamerModel
 from dreamer.params import init_parameters
-from dreamer.routing import (LinearExpertBank, RouterState, bank_apply,
-                             ea_select, fold_shared, simulate_balancing)
+from dreamer.routing import LinearExpertBank, RouterState, bank_apply, fold_shared
 from dreamer.telemetry import (TelemetryLog, da_score_map, gini,
                                joint_to_conditionals, lorenz, support_size)
 from dreamer.tensor import Graph, Tensor, grad_check
 from dreamer.training import TaskSpec, train
 from dreamer import tensor as T
+from reference import ea_select, simulate_balancing
 
 
 def small_config(variant, depth, **overrides):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dreamer import tensor as T
-from dreamer.attention import (AttentionSpec, RopeSpec, attention, causal_mask,
+from dreamer.attention import (AttentionSpec, RopeSpec, causal_mask,
                                grouped_query_attention, rms_norm, rope_apply,
                                rope_depth_apply)
 from dreamer.errors import ConfigError, ContractError
 from dreamer.tensor import Tensor
+from reference import attention
 
 
 def np_softmax(x):

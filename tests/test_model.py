@@ -8,9 +8,10 @@ from dreamer.config import desk_config
 from dreamer.errors import ContractError, InputError
 from dreamer.model import CacheSet, DepthCache, DreamerModel, SeqCache
 from dreamer.params import init_parameters
-from dreamer.routing import RouterState, ea_select
+from dreamer.routing import RouterState
 from dreamer.tensor import Graph, Tensor, grad_check
 from dreamer.telemetry import TelemetryLog
+from reference import dense_backward, ea_select
 
 VARIANTS = ("LA", "DR", "DR_DA")
 
@@ -462,3 +463,23 @@ def test_inference_leaves_balancing_counts_untouched(variant):
         model.model_forward(np.array([[2, 7, 1, 8]]))
     for name, state in model.routers.items():
         assert not state.counts.any(), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("depth,seq,batch", [(4, 64, 8), (2, 8, 2)])
+def test_parameter_gradients_equal_dense_accumulation_bitwise(variant, depth, seq, batch):
+    # 8 x 64 is the benchmark's train step; 2 x 8 routes single rows to
+    # experts, so take_rows sees repeated indices.
+    from dreamer.training import TaskSpec, make_batch, masked_cross_entropy
+
+    cfg = desk_config(variant, depth, batch_size=batch)
+    model = DreamerModel(cfg, seed=0)
+    tokens, targets = make_batch(TaskSpec("copy", seq, 16), 0, batch)
+    learnable = model.params.learnable()
+    graph = Graph(lambda _inp: masked_cross_entropy(model.model_forward(tokens), targets))
+    want = dense_backward(T.eval(graph, learnable))
+    got = T.backward(graph)
+    assert got.keys() == {n for n, t in learnable.items() if t.requires_grad}
+    for name, g in got.items():
+        ref = want.get(learnable[name].node_id, np.zeros_like(g.data))
+        assert g.dtype == ref.dtype and g.data.tobytes() == ref.tobytes(), name

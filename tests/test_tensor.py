@@ -1,12 +1,15 @@
 """Engine-level tests: forward values, backward vs finite differences."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dreamer import tensor as T
 from dreamer.errors import ContractError, NumericError, ShapeError
+from dreamer.training import clip_grad_norm
+from reference import scatter_last, stack
 
 
 def t64(x, req=True):
@@ -99,7 +102,7 @@ def test_softmax_cross_entropy_grad_matches_finite_differences():
     lambda x: T.matmul(x, T.transpose(x, (1, 0))).sum(),
     lambda x: x[1:, :2].sum(),
     lambda x: T.concat([x, x * 2.0], axis=1).mean(),
-    lambda x: T.stack([x, x * x], axis=0).sum(),
+    lambda x: stack([x, x * x], axis=0).sum(),
     lambda x: (-T.transpose(x, (1, 0)) / 2.0).sum(),
     lambda x: T.reduce_mean(x, axis=1).sum(),
     lambda x: T.reduce_sum(x, axis=0, keepdims=True).mean(),
@@ -129,7 +132,7 @@ def test_gather_scatter_ops_match_finite_differences():
     assert T.grad_check(graph, {"x": t64(rng.uniform(0.1, 1, (3, 4)))}).passed
 
     sidx = np.array([[0, 3], [2, 1], [1, 0]])
-    graph = T.Graph(lambda inp: (T.scatter_last(inp["v"], sidx, 6) * 1.5).sum())
+    graph = T.Graph(lambda inp: (scatter_last(inp["v"], sidx, 6) * 1.5).sum())
     assert T.grad_check(graph, {"v": t64(rng.uniform(-1, 1, (3, 2)))}).passed
 
 
@@ -266,3 +269,105 @@ def test_take_rows_unique_index_gradient_matches_add_at():
     want = np.zeros((7, 3))
     np.add.at(want, idx, g)
     assert w.grad.tobytes() == want.tobytes()
+
+
+# -- gradient accumulation ------------------------------------------------------
+
+def feed_order(loss, parent):
+    """Ops that hand `parent` a gradient, in the order backward visits them."""
+    return [n.op for n in reversed(T._topo(loss)) if any(p is parent for p in n.parents)]
+
+
+@pytest.mark.parametrize("dense_first", [True, False])
+def test_dense_and_indexed_gradients_into_one_parent_match_finite_differences(dense_first):
+    rng = np.random.default_rng(21)
+    x0 = rng.uniform(-1, 1, (4, 3))
+
+    def build(x):
+        p = x * 1.5
+        dense = T.sigmoid(p).sum()
+        indexed = (p[1:3] ** 2.0).sum() + (T.take_rows(p, np.array([2, 0, 2])) * 0.5).sum()
+        return (dense + indexed if dense_first else indexed + dense), p
+
+    loss, p = build(t64(x0))
+    want = ["sigmoid", "getitem", "take_rows"] if dense_first else ["getitem", "take_rows", "sigmoid"]
+    assert feed_order(loss, p) == want
+    report = T.grad_check(T.Graph(lambda inp: build(inp["x"])[0]), {"x": t64(x0)})
+    assert report.passed, str(report)
+
+
+def test_scalar_used_three_times_sums_every_gradient():
+    # s*s + s hands s three gradients; numpy sums two 0-d arrays into a
+    # scalar, so an accumulator that only grows in place would drop one
+    graph = T.Graph(lambda inp: (lambda s: s * s + s)(inp["x"].sum()))
+    x0 = np.array([1.0, 2.0])
+    T.eval(graph, {"x": t64(x0)})
+    np.testing.assert_array_equal(T.backward(graph)["x"].data, np.full(2, 7.0))
+    assert T.grad_check(graph, {"x": t64(x0)}).passed
+
+
+def test_indexed_write_leaves_a_gradient_shared_through_add_unchanged():
+    rng = np.random.default_rng(22)
+    x0, y0, c = (rng.uniform(-1, 1, (4, 3)) for _ in range(3))
+    x, y = t64(x0), t64(y0)
+    p = x * 1.5
+    sibling = y * 2.0
+    loss = ((p + sibling) * T.Tensor(c)).sum() + (p[1:3] * sibling[1:3]).sum()
+    # add hands the same array to p and to the sibling; p's next gradient is indexed
+    assert feed_order(loss, p)[:2] == ["add", "getitem"]
+    assert feed_order(loss, sibling)[0] == "add"
+    loss.backward()
+    d_sibling = c.copy()
+    d_sibling[1:3] += p.data[1:3]
+    d_p = c.copy()
+    d_p[1:3] += sibling.data[1:3]
+    np.testing.assert_array_equal(y.grad, d_sibling * 2.0)
+    np.testing.assert_array_equal(x.grad, d_p * 1.5)
+
+
+def test_take_rows_repeated_indices_sum_like_add_at():
+    rng = np.random.default_rng(23)
+    idx = np.array([3, 1, 3, 3, 0])
+    g, c = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (6, 3))
+    full = np.zeros((6, 3))
+    np.add.at(full, idx, g)
+
+    w = t64(rng.uniform(-1, 1, (6, 3)))
+    (T.take_rows(w, idx) * T.Tensor(g)).sum().backward()
+    assert w.grad.tobytes() == full.tobytes()
+
+    w = t64(rng.uniform(-1, 1, (6, 3)))
+    ((w * T.Tensor(c)).sum() + (T.take_rows(w, idx) * T.Tensor(g)).sum()).backward()
+    assert w.grad.tobytes() == (c + full).tobytes()
+
+
+def test_leaf_gradients_never_share_memory():
+    graph = T.Graph(lambda inp: (inp["a"] + inp["b"]).sum())
+    inputs = {"a": t64(np.ones(4)), "b": t64(np.ones(4))}
+    T.eval(graph, inputs)
+    grads = {name: g.data for name, g in T.backward(graph).items()}
+    assert not np.shares_memory(grads["a"], grads["b"])
+    norm = clip_grad_norm(grads, 0.1)
+    assert norm == np.sqrt(8.0)
+    for g in grads.values():
+        np.testing.assert_array_equal(g, np.full(4, 0.1 / np.sqrt(8.0)))
+
+
+def test_stacked_weight_slices_allocate_one_gradient_buffer():
+    E, din, dout = 8, 64, 64
+    rng = np.random.default_rng(24)
+    w = t64(rng.uniform(-1, 1, (E, din, dout)))
+    x = T.Tensor(rng.uniform(-1, 1, (6, din)))
+    terms = [T.matmul(x, w[e]).sum() for _depth in range(4) for e in range(E)]
+    loss = terms[0]
+    for t in terms[1:]:
+        loss = loss + t
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(w.grad, np.broadcast_to(4.0 * x.data.sum(0)[:, None],
+                                                       (E, din, dout)))
+    assert peak < 3 * w.data.nbytes, f"backward peaked at {peak / w.data.nbytes:.2f}x the weight"
