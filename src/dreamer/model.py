@@ -373,6 +373,8 @@ class DreamerModel:
             prompt = prompt[None, :]
         if prompt.ndim != 2 or prompt.shape[1] == 0:
             raise InputError(f"prompt must be [batch, seq], got shape {prompt.shape}")
+        if not np.issubdtype(prompt.dtype, np.integer):
+            raise InputError(f"prompt must be integer token ids, got dtype {prompt.dtype}")
         if n_new < 0:
             raise InputError(f"n_new must be >= 0, got {n_new}")
         total = prompt.shape[1] + n_new

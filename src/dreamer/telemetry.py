@@ -56,6 +56,14 @@ class DepthScoreRow:
                 f"got {self.scores.shape}")
 
 
+# Field name -> JSON type of each saved record kind, in the order the
+# matching `TelemetryLog.add_*` method takes them.
+_RECORD_FIELDS = {
+    "route": {"router": str, "depth": int, "experts": list, "gates": list},
+    "depth_scores": {"depth": int, "tokens": int, "scores": list},
+}
+
+
 @dataclass
 class TelemetryLog:
     events: list = field(default_factory=list)
@@ -88,17 +96,28 @@ class TelemetryLog:
                 line = line.strip()
                 if not line:
                     continue
+                where = f"{path}:{line_no}"
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as e:
-                    raise InputError(f"{path}:{line_no}: bad telemetry record: {e}") from None
-                if rec.get("kind") == "route":
-                    log.add_routing(rec["router"], rec["depth"],
-                                    rec["experts"], rec["gates"])
-                elif rec.get("kind") == "depth_scores":
-                    log.add_depth_scores(rec["depth"], rec["tokens"], rec["scores"])
-                else:
-                    raise InputError(f"{path}:{line_no}: unknown record kind")
+                    raise InputError(f"{where}: bad telemetry record: {e}") from None
+                if not isinstance(rec, dict):
+                    raise InputError(f"{where}: telemetry record must be a JSON object")
+                kind = rec.get("kind")
+                fields = _RECORD_FIELDS.get(kind) if type(kind) is str else None
+                if fields is None:
+                    raise InputError(f"{where}: unknown record kind")
+                for name, want in fields.items():
+                    if name not in rec:
+                        raise InputError(f"{where}: {kind} record is missing {name!r}")
+                    if type(rec[name]) is not want:
+                        raise InputError(f"{where}: {name!r} must be {want.__name__}, "
+                                         f"got {type(rec[name]).__name__}")
+                add = log.add_routing if kind == "route" else log.add_depth_scores
+                try:
+                    add(*(rec[name] for name in fields))
+                except (ContractError, TypeError, ValueError) as e:
+                    raise InputError(f"{where}: bad {kind} record: {e}") from None
         return log
 
 

@@ -6,6 +6,11 @@ recorded graph in reverse topological order and accumulates gradients on
 the leaves. Only float32/float64 arrays participate; integer index arrays
 (token ids, routing selections) stay outside the graph as plain numpy.
 
+A step calls `eval(loss)`, which checks every node of the loss's tape and
+returns `loss`, then `backward(loss, inputs)`, which returns `{name:
+ndarray}`, the gradient for each requires-grad leaf in `inputs`. The tape
+lives exactly as long as the caller holds `loss`.
+
 Numerics contract:
   * forward values are a pure function of the inputs, bit-identical across
     repeated calls (numpy's reduction order is fixed),
@@ -333,7 +338,10 @@ class _Scatter(NamedTuple):
 
 
 def getitem(a: Tensor, key) -> Tensor:
-    """Basic (non-fancy) indexing; gradient scatters back into the parent."""
+    """Basic indexing (ints, slices, None, ...); gradient scatters back into the parent."""
+    parts = key if isinstance(key, tuple) else (key,)
+    if any(isinstance(k, (np.ndarray, list)) for k in parts):
+        raise ContractError("getitem: an index array may repeat an element; use take_rows")
     out = a.data[key]
     shape, dt = a.shape, a.dtype
 
@@ -562,58 +570,26 @@ def backward_from(loss: Tensor) -> None:
                 _accumulate(grads, owned, parent.node_id, pg)
 
 
-# -- graph surface -------------------------------------------------------------------
+# -- eval / backward ---------------------------------------------------------------
 
-class Graph:
-    """A computation defined as a function of named input tensors.
-
-    `eval` records the tape for one set of inputs; `nodes()` exposes the
-    recorded op list in topological order for inspection.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.inputs: dict[str, Tensor] | None = None
-        self.output: Tensor | None = None
-
-    def nodes(self) -> list[tuple[int, str, tuple[int, ...]]]:
-        if self.output is None:
-            raise ContractError("graph has not been evaluated")
-        return [(n.node_id, n.op, tuple(p.node_id for p in n.parents))
-                for n in _topo(self.output)]
-
-
-def eval(graph: Graph, inputs: dict[str, Tensor]) -> Tensor:
-    """Run the graph on named inputs; raise NumericError on any non-finite node."""
-    out = graph.fn(inputs)
-    if not isinstance(out, Tensor):
-        raise ContractError("graph function must return a Tensor")
-    graph.inputs = inputs
-    graph.output = out
-    for node in _topo(out):
+def eval(loss: Tensor) -> Tensor:
+    """Return `loss`; raise NumericError if any node of its tape is non-finite."""
+    for node in _topo(loss):
         if not np.all(np.isfinite(node.data)):
             raise NumericError(f"non-finite values produced by op '{node.op}'")
-    return out
+    return loss
 
 
-def backward(graph: Graph, loss: Tensor | None = None) -> dict[str, Tensor]:
-    """Gradients of the (scalar) output w.r.t. every requires-grad input.
+def backward(loss: Tensor, inputs: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """d(loss)/d(input) for every requires-grad input, as plain arrays.
 
-    Inputs the output does not depend on get explicit zero gradients.
+    Inputs the loss does not depend on get explicit zero gradients.
     """
-    if graph.output is None or graph.inputs is None:
-        raise ContractError("eval the graph before calling backward")
-    root = loss if loss is not None else graph.output
-    for t in graph.inputs.values():
+    for t in inputs.values():
         t.grad = None
-    backward_from(root)
-    out = {}
-    for name, t in graph.inputs.items():
-        if not t.requires_grad:
-            continue
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        out[name] = Tensor(g)
-    return out
+    backward_from(loss)
+    return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
+            for name, t in inputs.items() if t.requires_grad}
 
 
 @dataclass
@@ -633,9 +609,9 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def grad_check(graph: Graph, inputs: dict[str, Tensor], tolerance: float = 1e-4,
+def grad_check(fn, inputs: dict[str, Tensor], tolerance: float = 1e-4,
                step: float = 1e-5) -> GradCheckReport:
-    """Compare backward against central finite differences, input by input.
+    """Compare backward of `fn(inputs)` against central finite differences.
 
     Requires float64 inputs. The relative error for an input is
     max|g_ad - g_fd| / max(max|g_fd|, max|g_ad|, 1e-6); the floor keeps
@@ -644,8 +620,7 @@ def grad_check(graph: Graph, inputs: dict[str, Tensor], tolerance: float = 1e-4,
     for name, t in inputs.items():
         if t.requires_grad and t.dtype != np.float64:
             raise ContractError(f"grad_check requires float64 inputs ({name} is {t.dtype.name})")
-    eval(graph, inputs)
-    analytic = backward(graph)
+    analytic = backward(eval(fn(inputs)), inputs)
 
     report = GradCheckReport(tolerance=tolerance)
     for name, t in inputs.items():
@@ -658,12 +633,12 @@ def grad_check(graph: Graph, inputs: dict[str, Tensor], tolerance: float = 1e-4,
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                hi = float(graph.fn(inputs).data)
+                hi = float(fn(inputs).data)
                 flat[i] = orig - step
-                lo = float(graph.fn(inputs).data)
+                lo = float(fn(inputs).data)
                 flat[i] = orig
                 fd_flat[i] = (hi - lo) / (2.0 * step)
-        ga = analytic[name].data
+        ga = analytic[name]
         denom = max(float(np.max(np.abs(fd))), float(np.max(np.abs(ga))), 1e-6)
         err = float(np.max(np.abs(ga - fd))) / denom
         report.per_input[name] = err

@@ -315,16 +315,15 @@ def train(cfg: ModelConfig, task: TaskSpec, steps: int,
           else contextlib.nullcontext()) as metrics:
         for step in range(steps):
             tokens, targets = make_batch(task, step, cfg.batch_size)
-            graph = T.Graph(lambda _inputs: masked_cross_entropy(
-                model.model_forward(tokens), targets))
             try:
-                loss = T.eval(graph, learnable)
+                loss = T.eval(masked_cross_entropy(model.model_forward(tokens), targets))
             except NumericError as exc:
                 _abort(metrics, step, None, str(exc))
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 _abort(metrics, step, loss_value, "non-finite loss")
-            grads = {name: g.data for name, g in T.backward(graph).items()}
+            grads = T.backward(loss, learnable)
+            del loss  # the step's tape dies here, before the next forward builds one
             usage = {name: state.counts.tolist()
                      for name, state in sorted(model.routers.items())}
             try:

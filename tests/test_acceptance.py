@@ -21,7 +21,7 @@ from dreamer.params import init_parameters
 from dreamer.routing import LinearExpertBank, RouterState, bank_apply, fold_shared
 from dreamer.telemetry import (TelemetryLog, da_score_map, gini,
                                joint_to_conditionals, lorenz, support_size)
-from dreamer.tensor import Graph, Tensor, grad_check
+from dreamer.tensor import Tensor, grad_check
 from dreamer.training import TaskSpec, train
 from dreamer import tensor as T
 from reference import ea_select, simulate_balancing
@@ -62,7 +62,7 @@ def test_01_full_step_gradients_match_finite_differences():
         return (lse - picked).mean()
 
     start = time.monotonic()
-    report = grad_check(Graph(fn), model.params.learnable(),
+    report = grad_check(fn, model.params.learnable(),
                         tolerance=1e-4, step=1e-5)
     elapsed = time.monotonic() - start
     assert report.passed, str(report)

@@ -228,10 +228,9 @@ def test_rms_norm_gradcheck():
     def fn(inp):
         return (rms_norm(inp["x"], inp["g"]) * T.sigmoid(inp["x"])).sum()
 
-    graph = T.Graph(fn)
     inputs = {"x": Tensor(rng.uniform(-1, 1, (2, 6)), requires_grad=True),
               "g": Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True)}
-    assert T.grad_check(graph, inputs).passed
+    assert T.grad_check(fn, inputs).passed
 
 
 def test_attention_gradcheck():
@@ -243,7 +242,7 @@ def test_attention_gradcheck():
 
     inputs = {k: Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
               for k in ("q", "k", "v")}
-    assert T.grad_check(T.Graph(fn), inputs).passed
+    assert T.grad_check(fn, inputs).passed
 
 
 def test_causal_mask_offset():

@@ -195,6 +195,22 @@ def test_analyze_telemetry_file_matches_oracles(tmp_path):
     assert summary["routers"]["ea"]["unique_experts_per_depth"] == [3, 2]
 
 
+@pytest.mark.parametrize("record,message", [
+    ({"kind": "route", "router": "layer.ea"}, "missing 'depth'"),
+    ({"kind": "route", "router": "layer.ea", "depth": "0", "experts": [[0]], "gates": [[1.0]]},
+     "'depth' must be int"),
+    ([{"kind": "route"}], "must be a JSON object"),
+])
+def test_analyze_rejects_malformed_telemetry_records(tmp_path, capsys, record, message):
+    good = {"kind": "route", "router": "layer.ea", "depth": 0, "experts": [[0]], "gates": [[1.0]]}
+    tele = tmp_path / "tele.jsonl"
+    tele.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    code = main(["analyze", "--telemetry", str(tele), "--out", str(tmp_path / "a")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{tele}:2: " in err and message in err
+
+
 def test_analyze_rejects_overlong_sequences(tmp_path):
     ckpt, _ = checkpoint_from_train(tmp_path)
     code = main(["analyze", "--checkpoint", str(ckpt), "--seq-len", "64",

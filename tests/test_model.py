@@ -9,7 +9,7 @@ from dreamer.errors import ContractError, InputError
 from dreamer.model import CacheSet, DepthCache, DreamerModel, SeqCache
 from dreamer.params import init_parameters
 from dreamer.routing import RouterState
-from dreamer.tensor import Graph, Tensor, grad_check
+from dreamer.tensor import Tensor, grad_check
 from dreamer.telemetry import TelemetryLog
 from reference import dense_backward, ea_select
 
@@ -304,7 +304,7 @@ def test_step_gradient_check_tiny():
               "layer.sa.router.query.weight", "layer.da.out_bank.shared",
               "layer.ea.experts.gate", "layer.ea.router.keys"]
     inputs = {name: model.params[name] for name in subset}
-    report = grad_check(Graph(fn), inputs, tolerance=1e-4, step=1e-5)
+    report = grad_check(fn, inputs, tolerance=1e-4, step=1e-5)
     assert report.passed, str(report)
 
 
@@ -465,6 +465,13 @@ def test_inference_leaves_balancing_counts_untouched(variant):
         assert not state.counts.any(), name
 
 
+def test_decode_rejects_non_integer_prompts():
+    model = DreamerModel(tiny_config(), seed=0)
+    for n_new in (0, 2):
+        with pytest.raises(InputError, match="integer"):
+            model.decode(np.array([[1.7, 2.2, 3.9]]), n_new)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("depth,seq,batch", [(4, 64, 8), (2, 8, 2)])
 def test_parameter_gradients_equal_dense_accumulation_bitwise(variant, depth, seq, batch):
@@ -476,10 +483,10 @@ def test_parameter_gradients_equal_dense_accumulation_bitwise(variant, depth, se
     model = DreamerModel(cfg, seed=0)
     tokens, targets = make_batch(TaskSpec("copy", seq, 16), 0, batch)
     learnable = model.params.learnable()
-    graph = Graph(lambda _inp: masked_cross_entropy(model.model_forward(tokens), targets))
-    want = dense_backward(T.eval(graph, learnable))
-    got = T.backward(graph)
+    loss = T.eval(masked_cross_entropy(model.model_forward(tokens), targets))
+    want = dense_backward(loss)
+    got = T.backward(loss, learnable)
     assert got.keys() == {n for n, t in learnable.items() if t.requires_grad}
     for name, g in got.items():
-        ref = want.get(learnable[name].node_id, np.zeros_like(g.data))
-        assert g.dtype == ref.dtype and g.data.tobytes() == ref.tobytes(), name
+        ref = want.get(learnable[name].node_id, np.zeros_like(g))
+        assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name

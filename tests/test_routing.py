@@ -336,7 +336,7 @@ def test_gated_experts_gradcheck_singleton_and_unused_expert():
         "gates": Tensor(rng.uniform(0.1, 1.0, (4, 2)), requires_grad=True),
         "w": weights,
     }
-    report = T.grad_check(T.Graph(fn), inputs)
+    report = T.grad_check(fn, inputs)
     assert report.passed, str(report)
     assert not weights.grad[3].any()
 
@@ -374,7 +374,7 @@ def test_bank_gradcheck():
         "router": Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True),
         "x": Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True),
     }
-    assert T.grad_check(T.Graph(fn), inputs).passed
+    assert T.grad_check(fn, inputs).passed
 
 
 def test_depth_router_logits_scale_and_static_keys():

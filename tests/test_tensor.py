@@ -110,8 +110,7 @@ def test_softmax_cross_entropy_grad_matches_finite_differences():
 def test_every_op_matches_finite_differences(build):
     rng = np.random.default_rng(11)
     x0 = rng.uniform(-1, 1, (3, 3))
-    graph = T.Graph(lambda inp: build(inp["x"]))
-    report = T.grad_check(graph, {"x": t64(x0)}, tolerance=1e-4)
+    report = T.grad_check(lambda inp: build(inp["x"]), {"x": t64(x0)}, tolerance=1e-4)
     assert report.passed, str(report)
 
 
@@ -120,20 +119,20 @@ def test_gather_scatter_ops_match_finite_differences():
     w0 = rng.uniform(-1, 1, (5, 4))
     ids = np.array([[0, 2], [4, 4]])
 
-    graph = T.Graph(lambda inp: T.embedding(inp["w"], ids).sum())
-    assert T.grad_check(graph, {"w": t64(w0)}).passed
+    assert T.grad_check(lambda inp: T.embedding(inp["w"], ids).sum(),
+                        {"w": t64(w0)}).passed
 
     idx = np.array([1, 3, 3])
-    graph = T.Graph(lambda inp: (T.take_rows(inp["w"], idx) * 2.0).sum())
-    assert T.grad_check(graph, {"w": t64(w0)}).passed
+    assert T.grad_check(lambda inp: (T.take_rows(inp["w"], idx) * 2.0).sum(),
+                        {"w": t64(w0)}).passed
 
     gidx = np.array([[0, 3], [2, 2], [1, 0]])
-    graph = T.Graph(lambda inp: (T.gather_last(inp["x"], gidx) ** 2.0).sum())
-    assert T.grad_check(graph, {"x": t64(rng.uniform(0.1, 1, (3, 4)))}).passed
+    assert T.grad_check(lambda inp: (T.gather_last(inp["x"], gidx) ** 2.0).sum(),
+                        {"x": t64(rng.uniform(0.1, 1, (3, 4)))}).passed
 
     sidx = np.array([[0, 3], [2, 1], [1, 0]])
-    graph = T.Graph(lambda inp: (scatter_last(inp["v"], sidx, 6) * 1.5).sum())
-    assert T.grad_check(graph, {"v": t64(rng.uniform(-1, 1, (3, 2)))}).passed
+    assert T.grad_check(lambda inp: (scatter_last(inp["v"], sidx, 6) * 1.5).sum(),
+                        {"v": t64(rng.uniform(-1, 1, (3, 2)))}).passed
 
 
 def test_grad_check_passes_linear_layer():
@@ -143,9 +142,8 @@ def test_grad_check_passes_linear_layer():
     def fn(inp):
         return (T.matmul(T.Tensor(x), inp["w"]) + inp["b"]).sum()
 
-    graph = T.Graph(fn)
     inputs = {"w": t64(rng.uniform(-1, 1, (3, 2))), "b": t64(rng.uniform(-1, 1, 2))}
-    report = T.grad_check(graph, inputs)
+    report = T.grad_check(fn, inputs)
     assert report.passed and report.max_rel_error < 1e-6
 
 
@@ -155,36 +153,32 @@ def test_grad_check_flags_corrupted_gradient():
         out = a.data * a.data
         return T._node(out, (a,), lambda g: (g * (2.0 * a.data + 0.1),), "bad_square")
 
-    graph = T.Graph(lambda inp: bad_square(inp["x"]).sum())
-    report = T.grad_check(graph, {"x": t64(np.array([0.3, -0.7]))})
+    report = T.grad_check(lambda inp: bad_square(inp["x"]).sum(),
+                          {"x": t64(np.array([0.3, -0.7]))})
     assert not report.passed
 
 
 def test_unused_input_gets_zero_gradient():
-    graph = T.Graph(lambda inp: (inp["a"] * 2.0).sum())
     inputs = {"a": t64(np.ones(3)), "b": t64(np.ones(4))}
-    T.eval(graph, inputs)
-    grads = T.backward(graph)
-    np.testing.assert_array_equal(grads["b"].data, np.zeros(4))
-    np.testing.assert_array_equal(grads["a"].data, 2 * np.ones(3))
+    grads = T.backward(T.eval((inputs["a"] * 2.0).sum()), inputs)
+    np.testing.assert_array_equal(grads["b"], np.zeros(4))
+    np.testing.assert_array_equal(grads["a"], 2 * np.ones(3))
 
 
 def test_eval_is_deterministic_bitwise():
     rng = np.random.default_rng(9)
     x = T.Tensor(rng.uniform(-1, 1, (16, 16)).astype(np.float32), requires_grad=True)
     w = T.Tensor(rng.uniform(-1, 1, (16, 16)).astype(np.float32), requires_grad=True)
-    graph = T.Graph(lambda inp: T.softmax(T.matmul(inp["x"], inp["w"])).sum())
-    a = T.eval(graph, {"x": x, "w": w}).data.copy()
-    b = T.eval(graph, {"x": x, "w": w}).data.copy()
+    a = T.eval(T.softmax(T.matmul(x, w)).sum()).data.copy()
+    b = T.eval(T.softmax(T.matmul(x, w)).sum()).data.copy()
     assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_nonfinite_intermediate_raises():
     x = T.Tensor(np.array([1000.0], dtype=np.float32), requires_grad=True)
-    graph = T.Graph(lambda inp: (T.sigmoid(inp["x"] * inp["x"]) / (inp["x"] - 1000.0)).sum())
     with pytest.raises(NumericError):
-        T.eval(graph, {"x": x})
+        T.eval((T.sigmoid(x * x) / (x - 1000.0)).sum())
 
 
 def test_shape_mismatch_raises_shape_error():
@@ -205,15 +199,13 @@ def test_backward_requires_scalar():
 
 
 def test_graph_nodes_expose_topological_order():
-    graph = T.Graph(lambda inp: (inp["x"] * inp["x"]).sum())
-    T.eval(graph, {"x": t64(np.ones(2))})
-    nodes = graph.nodes()
-    ops = [op for _, op, _ in nodes]
+    x = t64(np.ones(2))
+    nodes = T._topo(T.eval((x * x).sum()))
+    ops = [n.op for n in nodes]
     assert ops[-1] == "sum" and "mul" in ops
-    ids = [i for i, _, _ in nodes]
-    pos = {i: n for n, i in enumerate(ids)}
-    for i, _, parents in nodes:
-        assert all(pos[p] < pos[i] for p in parents if p in pos)
+    pos = {n.node_id: i for i, n in enumerate(nodes)}
+    for n in nodes:
+        assert all(pos[p.node_id] < pos[n.node_id] for p in n.parents if p.node_id in pos)
 
 
 def test_stop_gradient_blocks_backward():
@@ -255,9 +247,27 @@ def test_reshape_to_same_shape_records_nothing():
     assert t.reshape(t.shape) is t
     assert t.reshape(2, 3) is t
     w0 = np.random.default_rng(8).uniform(-1, 1, (2, 3))
-    graph = T.Graph(lambda inp: (inp["w"].reshape(3, 2) * T.Tensor(np.arange(6.0).reshape(3, 2))
-                                 ).reshape(2, 3).reshape(6).sum())
-    assert T.grad_check(graph, {"w": t64(w0)}).passed
+
+    def fn(inp):
+        scaled = inp["w"].reshape(3, 2) * T.Tensor(np.arange(6.0).reshape(3, 2))
+        return scaled.reshape(2, 3).reshape(6).sum()
+
+    assert T.grad_check(fn, {"w": t64(w0)}).passed
+
+
+def test_getitem_rejects_index_arrays():
+    # an index array may name an element twice, and the indexed gradient
+    # would then keep only one of its writes; take_rows sums them
+    x = t64(np.arange(12.0).reshape(3, 4))
+    for key in (np.array([0, 0, 2]), [0, 0, 2], (slice(None), np.array([1, 1])), (1, [0, 0])):
+        with pytest.raises(ContractError, match="take_rows"):
+            x[key]
+    (x[1].sum() + x[np.int64(2), 1:3].sum() + x[None, ..., 0].sum()).backward()
+    want = np.zeros((3, 4))
+    want[1] += 1.0
+    want[2, 1:3] += 1.0
+    want[:, 0] += 1.0
+    np.testing.assert_array_equal(x.grad, want)
 
 
 def test_take_rows_unique_index_gradient_matches_add_at():
@@ -292,18 +302,21 @@ def test_dense_and_indexed_gradients_into_one_parent_match_finite_differences(de
     loss, p = build(t64(x0))
     want = ["sigmoid", "getitem", "take_rows"] if dense_first else ["getitem", "take_rows", "sigmoid"]
     assert feed_order(loss, p) == want
-    report = T.grad_check(T.Graph(lambda inp: build(inp["x"])[0]), {"x": t64(x0)})
+    report = T.grad_check(lambda inp: build(inp["x"])[0], {"x": t64(x0)})
     assert report.passed, str(report)
 
 
 def test_scalar_used_three_times_sums_every_gradient():
     # s*s + s hands s three gradients; numpy sums two 0-d arrays into a
     # scalar, so an accumulator that only grows in place would drop one
-    graph = T.Graph(lambda inp: (lambda s: s * s + s)(inp["x"].sum()))
+    def fn(inp):
+        s = inp["x"].sum()
+        return s * s + s
+
     x0 = np.array([1.0, 2.0])
-    T.eval(graph, {"x": t64(x0)})
-    np.testing.assert_array_equal(T.backward(graph)["x"].data, np.full(2, 7.0))
-    assert T.grad_check(graph, {"x": t64(x0)}).passed
+    inputs = {"x": t64(x0)}
+    np.testing.assert_array_equal(T.backward(T.eval(fn(inputs)), inputs)["x"], np.full(2, 7.0))
+    assert T.grad_check(fn, {"x": t64(x0)}).passed
 
 
 def test_indexed_write_leaves_a_gradient_shared_through_add_unchanged():
@@ -342,10 +355,8 @@ def test_take_rows_repeated_indices_sum_like_add_at():
 
 
 def test_leaf_gradients_never_share_memory():
-    graph = T.Graph(lambda inp: (inp["a"] + inp["b"]).sum())
     inputs = {"a": t64(np.ones(4)), "b": t64(np.ones(4))}
-    T.eval(graph, inputs)
-    grads = {name: g.data for name, g in T.backward(graph).items()}
+    grads = T.backward(T.eval((inputs["a"] + inputs["b"]).sum()), inputs)
     assert not np.shares_memory(grads["a"], grads["b"])
     norm = clip_grad_norm(grads, 0.1)
     assert norm == np.sqrt(8.0)

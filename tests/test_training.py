@@ -1,6 +1,7 @@
 """Optimizer math, task generation, and training-loop mechanics."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -309,3 +310,25 @@ def test_metrics_stream_survives_an_exception_mid_run(tmp_path):
              (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert [r["step"] for r in lines] == [0, 1, 2]
     assert all(np.isfinite(r["loss"]) for r in lines)
+
+
+def test_step_tape_is_freed_before_stop_when(monkeypatch):
+    # Tensor has no __weakref__ slot, so the reference is to the loss's
+    # array, which only the loss tensor holds
+    refs = []
+    real_eval = T.eval
+
+    def recording_eval(loss):
+        refs.append(weakref.ref(loss.data))
+        return real_eval(loss)
+
+    monkeypatch.setattr(T, "eval", recording_eval)
+    alive = []
+
+    def stop_when(record, history):
+        alive.append(refs[-1]() is not None)
+        return False
+
+    spec = TaskSpec("copy", seq_len=9, vocab_size=16, seed=0)
+    train(tiny_config(), spec, steps=3, seed=0, stop_when=stop_when)
+    assert alive == [False, False, False]
