@@ -7,8 +7,7 @@ experts with static routing keys), applied repeatedly across depth.
 
 from .config import ModelConfig, desk_config, load_config, published_config
 from .costs import (CostReport, MatchResult, cost_report, count_flops,
-                    count_memory, count_params, match_flops, match_model,
-                    match_params)
+                    count_memory, count_params, match_model)
 from .errors import (ConfigError, ContractError, DreamerError, EmptyDataError,
                      InputError, NumericError, ShapeError)
 from .model import CacheSet, DepthCache, DreamerModel, SeqCache
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelConfig", "desk_config", "published_config", "load_config",
     "CostReport", "MatchResult", "cost_report", "count_params", "count_flops",
-    "count_memory", "match_flops", "match_params", "match_model",
+    "count_memory", "match_model",
     "DreamerError", "ShapeError", "NumericError", "ConfigError", "InputError",
     "ContractError", "EmptyDataError",
     "DreamerModel", "CacheSet", "SeqCache", "DepthCache",

@@ -4,64 +4,28 @@ All functions take and return engine Tensors and are dtype-agnostic
 (float32 for training, float64 for gradient checks). Rotary embeddings use
 the split-half pair layout: channel pair i is (x[i], x[i + dim/2]).
 
+Head counts and widths are read from the arrays; the scalars (rotary
+base, depth count) come from the model config, which validates them.
+
 Two position encodings are supported:
-  * sequence mode: every pair rotates by position * theta_i,
-  * depth mode: pairs are split again; the first half of the pairs rotates
-    forward with the depth index, the second half rotates with the reversed
-    index (max_depth - 1 - depth). At max_depth == 1 both halves sit at
+  * `rope_apply`: every pair rotates by sequence position * theta_i,
+  * `rope_depth_apply`: pairs are split again; the first half of the pairs
+    rotates forward with the depth index, the second half rotates with the
+    reversed index (depths - 1 - depth). At depths == 1 both halves sit at
     position 0, so the encoding is the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 from .tensor import MASK_VALUE, Tensor
 
 
-@dataclass(frozen=True)
-class AttentionSpec:
-    """Head geometry for one attention module."""
-
-    query_heads: int
-    kv_heads: int
-    head_dim: int
-    causal: bool = True
-
-    def __post_init__(self):
-        if self.query_heads % self.kv_heads != 0:
-            raise ConfigError(
-                f"query_heads={self.query_heads} not divisible by kv_heads={self.kv_heads}")
-        if self.head_dim <= 0:
-            raise ConfigError("head_dim must be positive")
-
-
-@dataclass(frozen=True)
-class RopeSpec:
-    """Rotary embedding parameters."""
-
-    dim: int
-    base: float = 10000.0
-    depth_mode: bool = False
-    max_depth: int = 0  # required in depth mode
-
-    def __post_init__(self):
-        if self.dim % 2 != 0:
-            raise ConfigError(f"rope dim must be even, got {self.dim}")
-        if self.depth_mode:
-            if self.dim % 4 != 0:
-                raise ConfigError(f"depth rope dim must be divisible by 4, got {self.dim}")
-            if self.max_depth < 1:
-                raise ConfigError("depth rope requires max_depth >= 1")
-
-
-def _pair_freqs(spec: RopeSpec) -> np.ndarray:
-    half = spec.dim // 2
-    return spec.base ** (-np.arange(half, dtype=np.float64) * 2.0 / spec.dim)
+def _pair_freqs(dim: int, base: float) -> np.ndarray:
+    return base ** (-np.arange(dim // 2, dtype=np.float64) * 2.0 / dim)
 
 
 def _apply_rotation(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -73,43 +37,44 @@ def _apply_rotation(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     return T.concat([x1 * cos_t - x2 * sin_t, x1 * sin_t + x2 * cos_t], axis=-1)
 
 
-def rope_apply(x: Tensor, positions: np.ndarray, spec: RopeSpec) -> Tensor:
+def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     """Rotate `x[..., m, dim]` by per-row sequence positions.
 
     Rotation preserves pair norms, and scores between rotated vectors
     depend on position differences only.
     """
-    if spec.depth_mode:
-        raise ContractError("rope_apply is for sequence positions; use rope_depth_apply")
-    if x.shape[-1] != spec.dim:
-        raise ShapeError(f"rope_apply: last dim {x.shape[-1]} != spec dim {spec.dim}")
+    dim = x.shape[-1]
+    if dim % 2 != 0:
+        raise ShapeError(f"rope_apply: last dim {dim} must be even")
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 1 or positions.shape[0] != x.shape[-2]:
         raise ShapeError(
             f"rope_apply: need one position per row, got {positions.shape} for {x.shape}")
-    angles = positions[:, None] * _pair_freqs(spec)[None, :]
+    angles = positions[:, None] * _pair_freqs(dim, base)[None, :]
     return _apply_rotation(x, np.cos(angles), np.sin(angles))
 
 
-def depth_rope_angles(depth: int, spec: RopeSpec) -> np.ndarray:
-    """Per-pair rotation angles for one depth index (half forward, half reversed)."""
-    if not spec.depth_mode:
-        raise ContractError("spec is not in depth mode")
-    if not 0 <= depth < spec.max_depth:
-        raise ContractError(f"depth {depth} outside [0, {spec.max_depth})")
-    freqs = _pair_freqs(spec)
-    quarter = spec.dim // 4
-    pos = np.empty(spec.dim // 2, dtype=np.float64)
+def depth_rope_angles(depth: int, depths: int, dim: int, base: float) -> np.ndarray:
+    """Per-pair rotation angles for one of `depths` depth indices.
+
+    The first half of the pairs sits at `depth`, the second half at the
+    reversed index `depths - 1 - depth`.
+    """
+    if dim % 4 != 0:
+        raise ShapeError(f"depth rope: dim {dim} must be divisible by 4")
+    if not 0 <= depth < depths:
+        raise ContractError(f"depth {depth} outside [0, {depths})")
+    freqs = _pair_freqs(dim, base)
+    quarter = dim // 4
+    pos = np.empty(dim // 2, dtype=np.float64)
     pos[:quarter] = float(depth)
-    pos[quarter:] = float(spec.max_depth - 1 - depth)
+    pos[quarter:] = float(depths - 1 - depth)
     return pos * freqs
 
 
-def rope_depth_apply(x: Tensor, depth: int, spec: RopeSpec) -> Tensor:
+def rope_depth_apply(x: Tensor, depth: int, depths: int, base: float) -> Tensor:
     """Rotate `x[..., dim]` by a depth index instead of a sequence position."""
-    if x.shape[-1] != spec.dim:
-        raise ShapeError(f"rope_depth_apply: last dim {x.shape[-1]} != spec dim {spec.dim}")
-    angles = depth_rope_angles(depth, spec)
+    angles = depth_rope_angles(depth, depths, x.shape[-1], base)
     return _apply_rotation(x, np.cos(angles), np.sin(angles))
 
 
@@ -135,28 +100,28 @@ def _swap_last(ndim: int) -> tuple:
     return tuple(axes)
 
 
-def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, spec: AttentionSpec,
-                            *, pos_offset: int = 0, return_weights: bool = False):
-    """Attention where groups of query heads share one key/value head.
+def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int = 0,
+                            return_weights: bool = False):
+    """Causal attention where groups of query heads share one key/value head.
 
-    Shapes: q [b, query_heads, m, d], k/v [b, kv_heads, n, d]. Equal head
-    counts reduce to plain per-head attention. The group axis is folded
-    into the row axis so each kv head attends all of its query heads in
-    one batched product; the causal mask is tiled to match.
+    Shapes: q [b, query_heads, m, d], k/v [b, kv_heads, n, d]; query row i
+    sees key rows j <= i + pos_offset. Equal head counts reduce to plain
+    per-head attention. The group axis is merged into the row axis so each
+    kv head attends all of its query heads in one batched product; the
+    mask is tiled to match.
     """
     b, qh, m, d = q.shape
-    if qh != spec.query_heads or d != spec.head_dim:
-        raise ShapeError(f"gqa: q shape {q.shape} inconsistent with spec {spec}")
-    if k.shape[1] != spec.kv_heads or v.shape[1] != spec.kv_heads:
-        raise ShapeError(f"gqa: kv heads {k.shape[1]} != spec kv_heads {spec.kv_heads}")
-    n = k.shape[-2]
-    group = spec.query_heads // spec.kv_heads
-    qg = q.reshape(b, spec.kv_heads, group * m, d)
+    if k.shape != v.shape:
+        raise ShapeError(f"gqa: k shape {k.shape} != v shape {v.shape}")
+    kv_heads, n = k.shape[1], k.shape[-2]
+    if qh % kv_heads != 0:
+        raise ShapeError(f"gqa: {qh} query heads not a multiple of {kv_heads} kv heads")
+    group = qh // kv_heads
+    qg = q.reshape(b, kv_heads, group * m, d)
     scale = 1.0 / np.sqrt(d)
     scores = T.matmul(qg, T.transpose(k, _swap_last(k.ndim))) * scale
-    if spec.causal:
-        mask = np.tile(causal_mask(m, n, pos_offset, q.dtype), (group, 1))
-        scores = scores + Tensor(mask)
+    mask = np.tile(causal_mask(m, n, pos_offset, q.dtype), (group, 1))
+    scores = scores + Tensor(mask)  # rebinding frees the unmasked scores under no_grad
     weights = T.softmax(scores)
     out = T.matmul(weights, v).reshape(b, qh, m, d)
     if return_weights:

@@ -18,7 +18,7 @@ from .costs import DFF_RANGE, EXPERTS_RANGE_MAX, cost_report, match_model
 from .errors import ConfigError, DreamerError, InputError, NumericError
 from .model import DreamerModel
 from .params import load_checkpoint
-from .telemetry import (TelemetryLog, da_score_map, gini,
+from .telemetry import (TelemetryLog, da_score_map, depth_unique_expert_profile, gini,
                         generalization_order, joint_to_conditionals, lorenz,
                         support_size, usage_matrix)
 from .training import TaskSpec, TrainSinks, make_task, train
@@ -201,7 +201,7 @@ def _analysis_artifacts(out: Path, log: TelemetryLog):
         totals = counts.sum(axis=0)
         entry = {
             "gini": gini(totals),
-            "unique_experts_per_depth": (counts > 0).sum(axis=1).tolist(),
+            "unique_experts_per_depth": depth_unique_expert_profile(counts)[0].tolist(),
         }
         if suffix_name == "ea":
             ea_counts = counts

@@ -4,7 +4,7 @@ The layer mixes three attention modules over a shared residual stream:
 
   * sequence attention (SA): causal grouped-query attention over tokens,
   * depth attention (DA): attention over the depth history of each token,
-    run with the sequence folded into the batch axis,
+    run with the sequence moved into the batch axis,
   * expert attention (EA): a sparse mixture of SwiGLU experts whose routing
     logits are computed like depth-attention scores.
 
@@ -29,19 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    AttentionSpec,
-    RopeSpec,
-    grouped_query_attention,
-    rms_norm,
-    rope_apply,
-    rope_depth_apply,
-)
+from .attention import grouped_query_attention, rms_norm, rope_apply, rope_depth_apply
 from .config import ModelConfig
 from .errors import ContractError, InputError
 from .params import ParameterStore, init_parameters
 from .routing import (
-    LinearExpertBank,
     RouterState,
     bank_apply,
     depth_router_logits,
@@ -135,19 +127,7 @@ class DreamerModel:
         self.params = params if params is not None else init_parameters(cfg, seed)
         self.telemetry = telemetry
 
-        self.sa_spec = AttentionSpec(cfg.sa_query_heads, cfg.sa_kv_heads,
-                                     cfg.sa_head_dim, causal=True)
-        self.sa_rope = RopeSpec(cfg.sa_head_dim, cfg.sa_rope_base)
-        if cfg.has_da:
-            self.da_spec = AttentionSpec(cfg.da_query_heads, cfg.da_kv_heads,
-                                         cfg.da_head_dim, causal=True)
-            self.da_rope = RopeSpec(cfg.da_head_dim, cfg.da_rope_base,
-                                    depth_mode=True, max_depth=cfg.depth)
-        self.router_rope = RopeSpec(cfg.ea_qk_dim, cfg.da_rope_base,
-                                    depth_mode=True, max_depth=cfg.depth)
-
         self.routers: dict[str, RouterState] = {}
-        self.banks: dict[str, LinearExpertBank] = {}
         for i in range(cfg.param_sets):
             p = cfg.set_name(i)
             self.routers[f"{p}.ea"] = RouterState(
@@ -161,11 +141,6 @@ class DreamerModel:
                     f"{p}.{mod}", cfg.attn_experts, 1,
                     cfg.attn_moe_bias_update_rate, normalize=False,
                     bias=self.params[f"{p}.{mod}.router.bias"].data)
-                for which in ("qkv", "out"):
-                    name = f"{p}.{mod}.{which}_bank"
-                    self.banks[name] = LinearExpertBank(
-                        self.params[f"{name}.experts"],
-                        self.params[f"{name}.shared"])
 
     def new_caches(self) -> CacheSet:
         return CacheSet(self.cfg)
@@ -185,7 +160,8 @@ class DreamerModel:
         state = self.routers[module]
         logits = depth_router_logits(
             flat, self.params[f"{module}.router.query.weight"],
-            self.params[f"{module}.router.keys"], depth, self.router_rope)
+            self.params[f"{module}.router.keys"], depth, self.cfg.depth,
+            self.cfg.da_rope_base)
         idx, gates = select_topk(logits, state)
         if self.telemetry is not None:
             self.telemetry.add_routing(module, depth, idx, gates.data)
@@ -194,7 +170,9 @@ class DreamerModel:
     def _project(self, flat: Tensor, module: str, which: str, selection):
         if selection is None:
             return T.matmul(flat, self.params[f"{module}.{which}.weight"])
-        return bank_apply(flat, *selection, self.banks[f"{module}.{which}_bank"])
+        bank = f"{module}.{which}_bank"
+        return bank_apply(flat, *selection, self.params[f"{bank}.experts"],
+                          self.params[f"{bank}.shared"])
 
     def _split_heads(self, qkv: Tensor, prefix: str, query_heads: int,
                      kv_heads: int, head_dim: int):
@@ -228,12 +206,12 @@ class DreamerModel:
         k = k.reshape(b, s, cfg.sa_kv_heads, cfg.sa_head_dim).transpose((0, 2, 1, 3))
         v = v.reshape(b, s, cfg.sa_kv_heads, cfg.sa_head_dim).transpose((0, 2, 1, 3))
         positions = np.arange(offset, offset + s)
-        q = rope_apply(q, positions, self.sa_rope)
-        k = rope_apply(k, positions, self.sa_rope)
+        q = rope_apply(q, positions, cfg.sa_rope_base)
+        k = rope_apply(k, positions, cfg.sa_rope_base)
         if seq_cache is not None:
             k, v = seq_cache.append(k, v)
 
-        out = grouped_query_attention(q, k, v, self.sa_spec, pos_offset=offset)
+        out = grouped_query_attention(q, k, v, pos_offset=offset)
         merged = out.transpose((0, 2, 1, 3)).reshape(b * s, cfg.sa_out_dim)
         y = self._project(merged, f"{p}.sa", "out", selection)
         return y.reshape(b, s, h)
@@ -253,15 +231,14 @@ class DreamerModel:
 
         q, k, v = self._split_heads(qkv, f"{p}.da", cfg.da_query_heads,
                                     cfg.da_kv_heads, cfg.da_head_dim)
-        q = rope_depth_apply(q, depth, self.da_rope)
-        k = rope_depth_apply(k, depth, self.da_rope)
+        q = rope_depth_apply(q, depth, cfg.depth, cfg.da_rope_base)
+        k = rope_depth_apply(k, depth, cfg.depth, cfg.da_rope_base)
         q = q.reshape(rows, cfg.da_query_heads, 1, cfg.da_head_dim)
         k = k.reshape(rows, cfg.da_kv_heads, 1, cfg.da_head_dim)
         v = v.reshape(rows, cfg.da_kv_heads, 1, cfg.da_head_dim)
         k, v = depth_cache.append(k, v)
 
-        out, weights = grouped_query_attention(q, k, v, self.da_spec,
-                                               pos_offset=depth,
+        out, weights = grouped_query_attention(q, k, v, pos_offset=depth,
                                                return_weights=True)
         if self.telemetry is not None:
             scores = weights.data.mean(axis=(0, 1, 2)).astype(np.float64)

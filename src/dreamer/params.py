@@ -223,6 +223,9 @@ def _parse_checkpoint(blob: bytes, dtype):
     cfg = ModelConfig.from_json(take(config_len).decode())
     (count,) = struct.unpack("<Q", take(8))
 
+    # the config's specs decide each tensor's shape, dtype and learnability,
+    # exactly as `init_parameters` does for a fresh store
+    expected = {s.name: s for s in iter_parameter_specs(cfg)}
     store = ParameterStore()
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
@@ -231,17 +234,16 @@ def _parse_checkpoint(blob: bytes, dtype):
         shape = struct.unpack(f"<{rank}Q", take(8 * rank))
         size = int(np.prod(shape, dtype=np.int64)) if rank else 1
         data = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape)
-        is_bias = name.endswith(".router.bias")
-        store.add(name, data.astype(np.float64 if is_bias else dtype),
-                  "loaded", learnable=not is_bias)
+        spec = expected.get(name)
+        if spec is None or name in store:
+            raise InputError(f"checkpoint tensors do not match its config: {name!r}")
+        if shape != spec.shape:
+            raise InputError(f"checkpoint tensor {name} has shape {shape}, "
+                             f"config implies {spec.shape}")
+        store.add(name, data.astype(dtype if spec.learnable else np.float64),
+                  "loaded", learnable=spec.learnable)
     if off != len(blob):
         raise InputError("trailing bytes after checkpoint payload")
-
-    expected = {s.name: s for s in iter_parameter_specs(cfg)}
     if list(expected) != store.names():
         raise InputError("checkpoint tensors do not match its config")
-    for name, t in store.items():
-        if t.shape != expected[name].shape:
-            raise InputError(f"checkpoint tensor {name} has shape {t.shape}, "
-                             f"config implies {expected[name].shape}")
     return cfg, store

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import RopeSpec, rope_depth_apply
-from .errors import ConfigError, ContractError
+from .attention import rope_depth_apply
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -87,44 +87,19 @@ def update_balance(state: RouterState) -> RouterState:
 
 
 def depth_router_logits(x: Tensor, query_weight: Tensor, keys: Tensor, depth: int,
-                        rope: RopeSpec) -> Tensor:
+                        depths: int, base: float) -> Tensor:
     """Routing logits <rotate(x W_q, depth), key_e> / sqrt(qk_dim).
 
-    Queries are depth-position-encoded; the learnable keys are static and
-    deliberately not encoded.
+    Queries are depth-position-encoded (`rope_depth_apply` with `depths`
+    and `base`); the learnable keys are static and deliberately not
+    encoded.
     """
-    q = rope_depth_apply(T.matmul(x, query_weight), depth, rope)
+    q = rope_depth_apply(T.matmul(x, query_weight), depth, depths, base)
     scale = 1.0 / np.sqrt(q.shape[-1])
     return T.matmul(q, T.transpose(keys, (1, 0))) * scale
 
 
 # -- gated experts and linear expert banks ------------------------------------
-
-@dataclass
-class LinearExpertBank:
-    """E linear experts [E, din, dout] plus one always-on shared expert.
-
-    The routed expert is scaled by the gate; the shared expert is scaled by
-    the same value with its gradient stopped, so the router learns only
-    from the routable term. `fold_shared` bakes the shared matrix into
-    every expert for single-matmul inference.
-    """
-
-    experts: Tensor
-    shared: Tensor | None = None
-    folded: bool = False
-
-    def __post_init__(self):
-        if self.experts.ndim != 3:
-            raise ConfigError(f"expert bank must be [E, din, dout], got {self.experts.shape}")
-        if self.shared is not None and self.shared.shape != self.experts.shape[1:]:
-            raise ConfigError(
-                f"shared expert shape {self.shared.shape} != {self.experts.shape[1:]}")
-
-    @property
-    def num_experts(self) -> int:
-        return self.experts.shape[0]
-
 
 def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
     """Routed mixture: x [n, din], idx [n, k], gates [n, k] -> [n, dout].
@@ -164,35 +139,17 @@ def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
     return out if top_k == 1 else out.reshape(n, top_k, -1).sum(axis=1)
 
 
-def bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, bank: LinearExpertBank) -> Tensor:
+def bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, experts: Tensor,
+               shared: Tensor) -> Tensor:
     """Batched top-1 bank forward: x [n, din], idx [n], gates [n] -> [n, dout].
 
-    Also takes `select_topk`'s [n, 1] pair. The shared expert is scaled by
-    the same gate with its gradient stopped.
+    A bank is E routed experts [E, din, dout] plus one always-on shared
+    expert [din, dout]. Also takes `select_topk`'s [n, 1] pair. The routed
+    expert is scaled by the gate; the shared expert is scaled by the same
+    value with its gradient stopped, so the router learns only from the
+    routable term.
     """
     n = x.shape[0]
     gcol = gates.reshape(n, 1)
-    out = gated_experts(x, idx.reshape(n, 1), gcol,
-                        lambda u, e: T.matmul(u, bank.experts[e]))
-    if bank.shared is not None and not bank.folded:
-        out = out + T.stop_gradient(gcol) * T.matmul(x, bank.shared)
-    return out
-
-
-def fold_shared(bank: LinearExpertBank) -> LinearExpertBank:
-    """Add the shared matrix into every expert; forward drops the shared term.
-
-    Value-preserving because the shared scale equals the gate numerically.
-    The bank's `experts` is rebound to a new tensor, so the parameter store
-    it came from keeps the unfolded weights and saves as before. The new
-    tensor has requires_grad False: a folded bank is for inference only.
-    Folding twice is an error.
-    """
-    if bank.folded:
-        raise ContractError("bank is already folded")
-    if bank.shared is None:
-        bank.folded = True
-        return bank
-    bank.experts = Tensor(bank.experts.data + bank.shared.data[None, :, :])
-    bank.folded = True
-    return bank
+    out = gated_experts(x, idx.reshape(n, 1), gcol, lambda u, e: T.matmul(u, experts[e]))
+    return out + T.stop_gradient(gcol) * T.matmul(x, shared)

@@ -38,6 +38,10 @@ class RoutingEvent:
             raise ContractError(
                 f"routing event wants [tokens, k] ids and gates, got "
                 f"{self.expert_ids.shape} / {self.gates.shape}")
+        if self.depth < 0 or (self.expert_ids < 0).any():
+            raise ContractError(
+                f"routing event depth and expert ids must be >= 0, got depth "
+                f"{self.depth}, smallest id {self.expert_ids.min(initial=0)}")
 
 
 @dataclass
@@ -49,6 +53,9 @@ class DepthScoreRow:
     scores: np.ndarray  # [depth + 1] visible history, sums to ~1
 
     def __post_init__(self):
+        if self.depth < 0 or self.tokens < 0:
+            raise ContractError(
+                f"depth score row wants depth and tokens >= 0, got {self.depth}, {self.tokens}")
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != (self.depth + 1,):
             raise ContractError(

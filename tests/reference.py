@@ -10,7 +10,8 @@ import numpy as np
 from dreamer import tensor as T
 from dreamer.attention import causal_mask
 from dreamer.errors import ConfigError, ContractError, ShapeError
-from dreamer.routing import RouterState, bank_apply, select_topk, update_balance
+from dreamer.routing import (RouterState, bank_apply, gated_experts, select_topk,
+                             update_balance)
 from dreamer.tensor import Tensor
 
 
@@ -107,7 +108,7 @@ def ea_select(logits: Tensor, state: RouterState) -> Tensor:
     return dense.reshape(state.num_experts)
 
 
-def moe_linear_forward(x: Tensor, sigma: Tensor, bank) -> Tensor:
+def moe_linear_forward(x: Tensor, sigma: Tensor, experts: Tensor, shared: Tensor) -> Tensor:
     """Single-vector forward: gate * (x W_e) + stopgrad(gate) * (x W_shared)."""
     if x.ndim != 1:
         raise ContractError(f"moe_linear_forward expects a vector, got {x.shape}")
@@ -116,8 +117,27 @@ def moe_linear_forward(x: Tensor, sigma: Tensor, bank) -> Tensor:
         raise ContractError(f"sigma must have exactly one nonzero, got {nz.size}")
     e = int(nz[0])
     gate = sigma[e]
-    out = bank_apply(x.reshape(1, x.shape[0]), np.array([e]), gate.reshape(1), bank)
+    out = bank_apply(x.reshape(1, x.shape[0]), np.array([e]), gate.reshape(1),
+                     experts, shared)
     return out.reshape(out.shape[1])
+
+
+def fold_shared(experts: Tensor, shared: Tensor) -> Tensor:
+    """A bank's folded weights: the shared matrix added into every expert.
+
+    `folded_bank_apply` on them equals `bank_apply` on the unfolded pair up
+    to rounding, because the shared scale equals the gate numerically. This
+    is the generation cost `costs.count_flops` charges a bank. The result
+    has requires_grad False: folded weights are for inference only.
+    """
+    return Tensor(experts.data + shared.data[None, :, :])
+
+
+def folded_bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, folded: Tensor) -> Tensor:
+    """Bank forward on folded weights: one expert matmul per row, no shared term."""
+    n = x.shape[0]
+    return gated_experts(x, idx.reshape(n, 1), gates.reshape(n, 1),
+                         lambda u, e: T.matmul(u, folded[e]))
 
 
 def simulate_balancing(num_experts: int, top_k: int, update_rate: float,

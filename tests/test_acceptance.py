@@ -18,13 +18,13 @@ from dreamer.costs import (count_flops, count_params, match_model,
                            _nearest_monotone)
 from dreamer.model import DepthCache, DreamerModel
 from dreamer.params import init_parameters
-from dreamer.routing import LinearExpertBank, RouterState, bank_apply, fold_shared
+from dreamer.routing import RouterState, bank_apply
 from dreamer.telemetry import (TelemetryLog, da_score_map, gini,
                                joint_to_conditionals, lorenz, support_size)
 from dreamer.tensor import Tensor, grad_check
 from dreamer.training import TaskSpec, train
 from dreamer import tensor as T
-from reference import ea_select, simulate_balancing
+from reference import ea_select, fold_shared, folded_bank_apply, simulate_balancing
 
 
 def small_config(variant, depth, **overrides):
@@ -148,20 +148,17 @@ def test_05_shared_expert_folding():
         idx = rng.integers(0, E, n)
         gates = Tensor(rng.uniform(0.1, 1.0, n))
         with T.no_grad():
-            plain = LinearExpertBank(Tensor(experts.copy()), Tensor(shared.copy()))
-            unfolded = bank_apply(x, idx, gates, plain).data
-            folded_bank = fold_shared(
-                LinearExpertBank(Tensor(experts.copy()), Tensor(shared.copy())))
-            folded = bank_apply(x, idx, gates, folded_bank).data
+            unfolded = bank_apply(x, idx, gates, Tensor(experts), Tensor(shared)).data
+            folded = folded_bank_apply(x, idx, gates,
+                                       fold_shared(Tensor(experts), Tensor(shared))).data
         scale = max(1.0, float(np.max(np.abs(unfolded))))
         assert np.max(np.abs(unfolded - folded)) <= 1e-6 * scale
 
-    bank = LinearExpertBank(
-        Tensor(np.zeros((3, 4, 5)), requires_grad=True),
-        Tensor(rng.normal(0.0, 1.0, (4, 5)), requires_grad=True))
+    experts = Tensor(np.zeros((3, 4, 5)), requires_grad=True)
+    shared = Tensor(rng.normal(0.0, 1.0, (4, 5)), requires_grad=True)
     x = Tensor(rng.normal(0.0, 1.0, (2, 4)))
     gate = Tensor(np.array([0.6, 0.3]), requires_grad=True)
-    out = bank_apply(x, np.array([1, 0]), gate, bank)
+    out = bank_apply(x, np.array([1, 0]), gate, experts, shared)
     (out * out).sum().backward()
     np.testing.assert_array_equal(gate.grad, np.zeros(2))
 

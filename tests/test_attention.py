@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dreamer import tensor as T
-from dreamer.attention import (AttentionSpec, RopeSpec, causal_mask,
-                               grouped_query_attention, rms_norm, rope_apply,
-                               rope_depth_apply)
-from dreamer.errors import ConfigError, ContractError
+from dreamer.attention import (causal_mask, grouped_query_attention, rms_norm,
+                               rope_apply, rope_depth_apply)
+from dreamer.errors import ContractError, ShapeError
 from dreamer.tensor import Tensor
 from reference import attention
 
@@ -86,11 +85,10 @@ def test_attention_matches_masked_numpy_oracle():
 
 def test_gqa_equal_heads_is_per_head_attention():
     rng = np.random.default_rng(3)
-    spec = AttentionSpec(query_heads=2, kv_heads=2, head_dim=4, causal=True)
     q = rng.uniform(-1, 1, (1, 2, 5, 4))
     k = rng.uniform(-1, 1, (1, 2, 5, 4))
     v = rng.uniform(-1, 1, (1, 2, 5, 4))
-    out = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v), spec).data
+    out = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v)).data
     for h in range(2):
         ref = attention(Tensor(q[0, h]), Tensor(k[0, h]), Tensor(v[0, h]), causal=True).data
         np.testing.assert_allclose(out[0, h], ref, atol=1e-12)
@@ -98,13 +96,11 @@ def test_gqa_equal_heads_is_per_head_attention():
 
 def test_gqa_grouping_matches_loop_oracle():
     rng = np.random.default_rng(4)
-    spec = AttentionSpec(query_heads=4, kv_heads=2, head_dim=3, causal=True)
     b, m, n = 2, 4, 4
     q = rng.uniform(-1, 1, (b, 4, m, 3))
     k = rng.uniform(-1, 1, (b, 2, n, 3))
     v = rng.uniform(-1, 1, (b, 2, n, 3))
-    out, w = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v), spec,
-                                     return_weights=True)
+    out, w = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v), return_weights=True)
     mask = np.where(np.tril(np.ones((m, n), bool)), 0.0, -np.inf)
     for bi in range(b):
         for h in range(4):
@@ -116,8 +112,13 @@ def test_gqa_grouping_matches_loop_oracle():
 
 
 def test_gqa_bad_head_counts_rejected():
-    with pytest.raises(ConfigError):
-        AttentionSpec(query_heads=3, kv_heads=2, head_dim=4)
+    q = Tensor(np.zeros((1, 3, 2, 4)))
+    kv = Tensor(np.zeros((1, 2, 2, 4)))
+    with pytest.raises(ShapeError):
+        grouped_query_attention(q, kv, kv)
+    with pytest.raises(ShapeError):  # k and v must agree
+        grouped_query_attention(Tensor(np.zeros((1, 2, 2, 4))), kv,
+                                Tensor(np.zeros((1, 1, 2, 4))))
 
 
 # -- rotary -----------------------------------------------------------------
@@ -125,8 +126,7 @@ def test_gqa_bad_head_counts_rejected():
 def test_rope_position_zero_is_identity():
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, (1, 8))
-    spec = RopeSpec(dim=8, base=10000.0)
-    out = rope_apply(Tensor(x), np.array([0]), spec)
+    out = rope_apply(Tensor(x), np.array([0]), 10000.0)
     assert out.data.tobytes() == x.astype(out.dtype).tobytes()
 
 
@@ -136,11 +136,9 @@ def test_rope_scores_depend_on_relative_position(m, n, shift):
     rng = np.random.default_rng(17)
     q = rng.uniform(-1, 1, (1, 8))
     k = rng.uniform(-1, 1, (1, 8))
-    spec = RopeSpec(dim=8, base=100.0)
-
     def score(pm, pn):
-        qr = rope_apply(Tensor(q), np.array([pm]), spec).data
-        kr = rope_apply(Tensor(k), np.array([pn]), spec).data
+        qr = rope_apply(Tensor(q), np.array([pm]), 100.0).data
+        kr = rope_apply(Tensor(k), np.array([pn]), 100.0).data
         return float((qr @ kr.T).item())
 
     assert abs(score(m, n) - score(m + shift, n + shift)) < 1e-6
@@ -151,8 +149,7 @@ def test_rope_scores_depend_on_relative_position(m, n, shift):
 def test_rope_preserves_norms(pos):
     rng = np.random.default_rng(23)
     x = rng.uniform(-1, 1, (3, 12))
-    spec = RopeSpec(dim=12, base=10000.0)
-    out = rope_apply(Tensor(x), np.array([pos, pos + 1, 2 * pos]), spec).data
+    out = rope_apply(Tensor(x), np.array([pos, pos + 1, 2 * pos]), 10000.0).data
     np.testing.assert_allclose(np.linalg.norm(out, axis=-1),
                                np.linalg.norm(x, axis=-1), atol=1e-9)
 
@@ -160,8 +157,7 @@ def test_rope_preserves_norms(pos):
 def test_depth_rope_identity_at_single_depth():
     rng = np.random.default_rng(6)
     x = rng.uniform(-1, 1, 8)
-    spec = RopeSpec(dim=8, base=500.0, depth_mode=True, max_depth=1)
-    out = rope_depth_apply(Tensor(x), 0, spec)
+    out = rope_depth_apply(Tensor(x), 0, 1, 500.0)
     np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
@@ -170,12 +166,10 @@ def test_depth_rope_half_reversed_positions():
     rng = np.random.default_rng(7)
     dim, L = 16, 4
     x = rng.uniform(-1, 1, (1, dim))
-    dspec = RopeSpec(dim=dim, base=500.0, depth_mode=True, max_depth=L)
-    sspec = RopeSpec(dim=dim, base=500.0)
     for l in range(L):
-        got = rope_depth_apply(Tensor(x[0]), l, dspec).data
-        fwd = rope_apply(Tensor(x), np.array([l]), sspec).data[0]
-        rev = rope_apply(Tensor(x), np.array([L - 1 - l]), sspec).data[0]
+        got = rope_depth_apply(Tensor(x[0]), l, L, 500.0).data
+        fwd = rope_apply(Tensor(x), np.array([l]), 500.0).data[0]
+        rev = rope_apply(Tensor(x), np.array([L - 1 - l]), 500.0).data[0]
         half, quarter = dim // 2, dim // 4
         fwd_ch = np.r_[0:quarter, half:half + quarter]
         rev_ch = np.r_[quarter:half, half + quarter:dim]
@@ -184,14 +178,15 @@ def test_depth_rope_half_reversed_positions():
 
 
 def test_depth_rope_requires_dim_multiple_of_four():
-    with pytest.raises(ConfigError):
-        RopeSpec(dim=6, base=500.0, depth_mode=True, max_depth=2)
+    with pytest.raises(ShapeError):
+        rope_depth_apply(Tensor(np.zeros(6)), 0, 2, 500.0)
+    with pytest.raises(ShapeError):  # sequence rope needs an even dim
+        rope_apply(Tensor(np.zeros((1, 5))), np.array([0]), 500.0)
 
 
 def test_depth_rope_rejects_out_of_range_depth():
-    spec = RopeSpec(dim=8, base=500.0, depth_mode=True, max_depth=2)
     with pytest.raises(ContractError):
-        rope_depth_apply(Tensor(np.zeros(8)), 2, spec)
+        rope_depth_apply(Tensor(np.zeros(8)), 2, 2, 500.0)
 
 
 # -- rms norm ----------------------------------------------------------------

@@ -200,6 +200,12 @@ def test_analyze_telemetry_file_matches_oracles(tmp_path):
     ({"kind": "route", "router": "layer.ea", "depth": "0", "experts": [[0]], "gates": [[1.0]]},
      "'depth' must be int"),
     ([{"kind": "route"}], "must be a JSON object"),
+    ({"kind": "route", "router": "layer.ea", "depth": -1, "experts": [[2]], "gates": [[1.0]]},
+     "must be >= 0"),
+    ({"kind": "route", "router": "layer.ea", "depth": 0, "experts": [[-1]], "gates": [[1.0]]},
+     "must be >= 0"),
+    ({"kind": "depth_scores", "depth": -1, "tokens": 4, "scores": []}, ">= 0"),
+    ({"kind": "depth_scores", "depth": 0, "tokens": -4, "scores": [1.0]}, ">= 0"),
 ])
 def test_analyze_rejects_malformed_telemetry_records(tmp_path, capsys, record, message):
     good = {"kind": "route", "router": "layer.ea", "depth": 0, "experts": [[0]], "gates": [[1.0]]}

@@ -9,7 +9,7 @@ import pytest
 from dreamer.config import desk_config, published_config
 from dreamer.costs import (CostReport, cost_report, count_flops, count_memory,
                            count_params, linear_flops, linear_params,
-                           match_flops, match_model, match_params,
+                           match_model, _match_flops, _match_params,
                            swiglu_expert_flops, swiglu_expert_params,
                            DFF_RANGE, _nearest_monotone)
 from dreamer.errors import ConfigError
@@ -114,14 +114,14 @@ def test_cost_input_validation():
 
 def test_match_flops_fixed_point():
     cfg = desk_config("DR", 2)
-    matched = match_flops(cfg, count_flops(cfg, 1024))
+    matched, _ = _match_flops(cfg, count_flops(cfg, 1024), 1024)
     assert matched == cfg
 
 
 def test_match_flops_finds_exact_target():
     cfg = desk_config("DR", 2)
     target = count_flops(replace(cfg, ea_intermediate_size=97), 1024)
-    matched = match_flops(cfg, target)
+    matched, _ = _match_flops(cfg, target, 1024)
     assert matched.ea_intermediate_size == 97
     assert count_flops(matched, 1024) == target
 
@@ -131,21 +131,21 @@ def test_match_flops_tie_goes_to_smaller():
     lo = count_flops(replace(cfg, ea_intermediate_size=64), 1024)
     hi = count_flops(replace(cfg, ea_intermediate_size=65), 1024)
     assert lo < hi
-    matched = match_flops(cfg, (lo + hi) / 2.0)
+    matched, _ = _match_flops(cfg, (lo + hi) / 2.0, 1024)
     assert matched.ea_intermediate_size == 64
 
 
 def test_match_flops_clamps_at_bounds():
     cfg = desk_config("DR", 2)
-    assert match_flops(cfg, 0.0).ea_intermediate_size == DFF_RANGE[0]
-    assert match_flops(cfg, 1e18).ea_intermediate_size == DFF_RANGE[1]
+    assert _match_flops(cfg, 0.0, 1024)[0].ea_intermediate_size == DFF_RANGE[0]
+    assert _match_flops(cfg, 1e18, 1024)[0].ea_intermediate_size == DFF_RANGE[1]
 
 
 def test_match_params_fixed_point_and_exact():
     cfg = desk_config("DR", 2)
-    assert match_params(cfg, count_params(cfg)) == cfg
+    assert _match_params(cfg, count_params(cfg))[0] == cfg
     target = count_params(replace(cfg, ea_num_experts=57))
-    matched = match_params(cfg, target)
+    matched, _ = _match_params(cfg, target)
     assert matched.ea_num_experts == 57
     assert count_params(matched) == target
 
@@ -158,7 +158,7 @@ def test_params_strictly_increase_with_experts():
 
 def test_match_params_clamps_at_active_experts():
     cfg = desk_config("DR", 2, ea_active_experts=8)
-    assert match_params(cfg, 1).ea_num_experts == 8
+    assert _match_params(cfg, 1)[0].ea_num_experts == 8
 
 
 def test_binary_search_equals_exhaustive_scan():

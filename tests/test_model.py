@@ -231,7 +231,7 @@ def test_ea_matches_dense_mixture_oracle():
         state = RouterState("oracle", cfg.ea_num_experts, cfg.ea_active_experts, 1e-3)
         logits = depth_router_logits(
             Tensor(flat[row:row + 1]), model.params["layer.ea.router.query.weight"],
-            model.params["layer.ea.router.keys"], depth, model.router_rope)
+            model.params["layer.ea.router.keys"], depth, cfg.depth, cfg.da_rope_base)
         sigma = ea_select(logits.reshape(cfg.ea_num_experts), state).data
         want = np.zeros(h, dtype=np.float64)
         for e in range(cfg.ea_num_experts):

@@ -5,9 +5,6 @@ import pytest
 
 from dreamer.config import ModelConfig, desk_config, load_config, published_config
 from dreamer.errors import ConfigError, ContractError, InputError
-from dreamer import tensor as T
-from dreamer.model import DreamerModel
-from dreamer.routing import fold_shared
 from dreamer.params import (
     ParameterStore,
     init_parameters,
@@ -209,25 +206,6 @@ def test_checkpoint_round_trip(tmp_path):
     assert store2["embed.weight"].requires_grad
 
 
-def test_checkpoint_saved_after_folding_reloads_the_unfolded_model(tmp_path):
-    cfg = desk_config("DR", 2)
-    model = DreamerModel(cfg, seed=0)
-    tokens = np.arange(24).reshape(2, 12) % cfg.vocab_size
-    with T.no_grad():
-        unfolded = model.model_forward(tokens).data.copy()
-        for bank in model.banks.values():
-            fold_shared(bank)
-        folded = model.model_forward(tokens).data
-    path = tmp_path / "folded.ckpt"
-    save_checkpoint(path, cfg, model.params)
-
-    cfg2, store2 = load_checkpoint(path)
-    with T.no_grad():
-        reloaded = DreamerModel(cfg2, store2).model_forward(tokens).data
-    assert reloaded.tobytes() == unfolded.tobytes()
-    assert np.max(np.abs(folded - unfolded)) <= 1e-6 * max(1.0, np.max(np.abs(unfolded)))
-
-
 def test_checkpoint_float64_load(tmp_path):
     cfg = desk_config("DR", 2, hidden_size=16, ea_num_experts=4,
                       ea_active_experts=2, ea_intermediate_size=8)
@@ -282,6 +260,17 @@ def test_checkpoint_tensor_set_must_match_config(tmp_path):
             partial.add(name, t.data, "weight")
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, cfg, partial)
+    with pytest.raises(InputError, match="do not match"):
+        load_checkpoint(path)
+
+    class Repeated:  # writes one tensor twice, which a ParameterStore cannot hold
+        def names(self):
+            return full.names() + ["embed.weight"]
+
+        def items(self):
+            return list(full.items()) + [("embed.weight", full["embed.weight"])]
+
+    save_checkpoint(path, cfg, Repeated())
     with pytest.raises(InputError, match="do not match"):
         load_checkpoint(path)
 

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dreamer import tensor as T
-from dreamer.routing import (LinearExpertBank, RouterState, bank_apply,
-                             depth_router_logits, fold_shared, gated_experts,
-                             select_topk, update_balance)
-from dreamer.attention import RopeSpec
+from dreamer.routing import (RouterState, bank_apply, depth_router_logits,
+                             gated_experts, select_topk, update_balance)
 from dreamer.errors import ConfigError, ContractError
 from dreamer.tensor import Tensor
-from reference import ea_select, moe_linear_forward, simulate_balancing
+from reference import (ea_select, fold_shared, folded_bank_apply, moe_linear_forward,
+                       simulate_balancing)
 
 
 def sigmoid(v):
@@ -134,86 +133,75 @@ def test_balancing_converges_on_skewed_distribution():
 
 # -- banks ---------------------------------------------------------------------
 
-def rand_bank(rng, E=3, din=4, dout=5, shared=True):
-    return LinearExpertBank(
-        experts=Tensor(rng.normal(0, 1, (E, din, dout)), requires_grad=True),
-        shared=Tensor(rng.normal(0, 1, (din, dout)), requires_grad=True) if shared else None)
+def rand_bank(rng, E=3, din=4, dout=5):
+    """(experts [E, din, dout], shared [din, dout]) of one bank."""
+    return (Tensor(rng.normal(0, 1, (E, din, dout)), requires_grad=True),
+            Tensor(rng.normal(0, 1, (din, dout)), requires_grad=True))
 
 
 def test_moe_forward_zero_shared_is_gated_expert():
     rng = np.random.default_rng(1)
-    bank = rand_bank(rng)
-    bank.shared.data[:] = 0.0
+    experts, shared = rand_bank(rng)
+    shared.data[:] = 0.0
     x = rng.normal(0, 1, 4)
     sigma = np.zeros(3)
     sigma[1] = 0.7
-    out = moe_linear_forward(Tensor(x), Tensor(sigma), bank).data
-    np.testing.assert_allclose(out, 0.7 * x @ bank.experts.data[1], rtol=1e-6)
+    out = moe_linear_forward(Tensor(x), Tensor(sigma), experts, shared).data
+    np.testing.assert_allclose(out, 0.7 * x @ experts.data[1], rtol=1e-6)
 
 
 def test_moe_forward_gate_one_sums_expert_and_shared():
     rng = np.random.default_rng(2)
-    bank = rand_bank(rng)
+    experts, shared = rand_bank(rng)
     x = rng.normal(0, 1, 4)
     sigma = np.zeros(3)
     sigma[2] = 1.0
-    out = moe_linear_forward(Tensor(x), Tensor(sigma), bank).data
-    np.testing.assert_allclose(out, x @ (bank.experts.data[2] + bank.shared.data),
-                               rtol=1e-6)
+    out = moe_linear_forward(Tensor(x), Tensor(sigma), experts, shared).data
+    np.testing.assert_allclose(out, x @ (experts.data[2] + shared.data), rtol=1e-6)
 
 
 def test_moe_forward_rejects_multi_hot():
     rng = np.random.default_rng(3)
-    bank = rand_bank(rng)
+    experts, shared = rand_bank(rng)
     with pytest.raises(ContractError):
-        moe_linear_forward(Tensor(np.ones(4)), Tensor(np.array([0.5, 0.5, 0.0])), bank)
+        moe_linear_forward(Tensor(np.ones(4)), Tensor(np.array([0.5, 0.5, 0.0])),
+                           experts, shared)
 
 
 def test_fold_preserves_forward_values():
     rng = np.random.default_rng(4)
     for trial in range(100):
-        bank = rand_bank(rng)
+        experts, shared = rand_bank(rng)
         x = rng.normal(0, 1, 4)
         sigma = np.zeros(3)
         e = int(rng.integers(0, 3))
         sigma[e] = rng.uniform(0.1, 1.0)
-        before = moe_linear_forward(Tensor(x), Tensor(sigma), bank).data.copy()
-        fold_shared(bank)
-        after = moe_linear_forward(Tensor(x), Tensor(sigma), bank).data
+        before = moe_linear_forward(Tensor(x), Tensor(sigma), experts, shared).data
+        after = folded_bank_apply(Tensor(x[None, :]), np.array([e]), Tensor(sigma[e:e + 1]),
+                                  fold_shared(experts, shared)).data[0]
         np.testing.assert_allclose(after, before, rtol=1e-6, atol=1e-9)
 
 
 def test_fold_zero_shared_keeps_experts():
     rng = np.random.default_rng(5)
-    bank = rand_bank(rng)
-    bank.shared.data[:] = 0.0
-    before = bank.experts.data.copy()
-    fold_shared(bank)
-    np.testing.assert_array_equal(bank.experts.data, before)
+    experts, shared = rand_bank(rng)
+    shared.data[:] = 0.0
+    np.testing.assert_array_equal(fold_shared(experts, shared).data, experts.data)
 
 
 def test_fold_single_expert_bank():
-    bank = LinearExpertBank(experts=Tensor(np.ones((1, 2, 2)), True),
-                            shared=Tensor(np.full((2, 2), 3.0)))
-    fold_shared(bank)
-    np.testing.assert_array_equal(bank.experts.data[0], np.full((2, 2), 4.0))
-    assert not bank.experts.requires_grad  # folded weights are for inference only
-
-
-def test_double_fold_rejected():
-    bank = rand_bank(np.random.default_rng(6))
-    fold_shared(bank)
-    with pytest.raises(ContractError):
-        fold_shared(bank)
+    folded = fold_shared(Tensor(np.ones((1, 2, 2)), True), Tensor(np.full((2, 2), 3.0)))
+    np.testing.assert_array_equal(folded.data[0], np.full((2, 2), 4.0))
+    assert not folded.requires_grad  # folded weights are for inference only
 
 
 def test_shared_term_gate_gradient_is_exactly_zero():
     rng = np.random.default_rng(7)
-    bank = rand_bank(rng)
-    bank.experts.data[:] = 0.0  # only the shared path contributes
+    experts, shared = rand_bank(rng)
+    experts.data[:] = 0.0  # only the shared path contributes
     x = Tensor(rng.normal(0, 1, (2, 4)))
     gate = Tensor(np.array([0.6, 0.3]), requires_grad=True)
-    out = bank_apply(x, np.array([1, 0]), gate, bank)
+    out = bank_apply(x, np.array([1, 0]), gate, experts, shared)
     (out * out).sum().backward()
     assert gate.grad is not None
     np.testing.assert_array_equal(gate.grad, np.zeros(2))
@@ -221,11 +209,11 @@ def test_shared_term_gate_gradient_is_exactly_zero():
 
 def test_routable_term_gate_gradient_is_nonzero():
     rng = np.random.default_rng(8)
-    bank = rand_bank(rng)
-    bank.shared.data[:] = 0.0
+    experts, shared = rand_bank(rng)
+    shared.data[:] = 0.0
     x = Tensor(rng.normal(0, 1, (2, 4)))
     gate = Tensor(np.array([0.6, 0.3]), requires_grad=True)
-    out = bank_apply(x, np.array([1, 0]), gate, bank)
+    out = bank_apply(x, np.array([1, 0]), gate, experts, shared)
     (out * out).sum().backward()
     assert np.all(np.abs(gate.grad) > 1e-8)
 
@@ -343,13 +331,13 @@ def test_gated_experts_gradcheck_singleton_and_unused_expert():
 
 def test_bank_apply_matches_dense_oracle():
     rng = np.random.default_rng(9)
-    bank = rand_bank(rng, E=4, din=3, dout=2)
+    experts, shared = rand_bank(rng, E=4, din=3, dout=2)
     x = rng.normal(0, 1, (6, 3))
     idx = rng.integers(0, 4, 6)
     gates = rng.uniform(0.1, 1.0, 6)
-    out = bank_apply(Tensor(x), idx, Tensor(gates), bank).data
+    out = bank_apply(Tensor(x), idx, Tensor(gates), experts, shared).data
     for i in range(6):
-        ref = gates[i] * (x[i] @ bank.experts.data[idx[i]]) + gates[i] * (x[i] @ bank.shared.data)
+        ref = gates[i] * (x[i] @ experts.data[idx[i]]) + gates[i] * (x[i] @ shared.data)
         np.testing.assert_allclose(out[i], ref, rtol=1e-6)
 
 
@@ -362,10 +350,9 @@ def test_bank_gradcheck():
     idx = np.array([2, 0, 2])
 
     def fn(inp):
-        bank = LinearExpertBank(experts=inp["experts"], shared=inp["shared"])
         logits = T.matmul(inp["x"], inp["router"])
         gates = T.gather_last(T.sigmoid(logits), idx[:, None]).reshape(3)
-        out = bank_apply(inp["x"], idx, gates, bank)
+        out = bank_apply(inp["x"], idx, gates, inp["experts"], inp["shared"])
         return (out * out).sum()
 
     inputs = {
@@ -382,9 +369,8 @@ def test_depth_router_logits_scale_and_static_keys():
     x = Tensor(rng.normal(0, 1, (5, 6)))
     wq = Tensor(rng.normal(0, 1, (6, 8)))
     keys = Tensor(rng.normal(0, 1, (3, 8)))
-    rope = RopeSpec(dim=8, base=500.0, depth_mode=True, max_depth=4)
-    out = depth_router_logits(x, wq, keys, 0, rope).data
+    out = depth_router_logits(x, wq, keys, 0, 4, 500.0).data
     assert out.shape == (5, 3)
     # depth changes queries (and therefore logits), keys stay fixed
-    out2 = depth_router_logits(x, wq, keys, 2, rope).data
+    out2 = depth_router_logits(x, wq, keys, 2, 4, 500.0).data
     assert not np.allclose(out, out2)

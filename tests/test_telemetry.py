@@ -189,3 +189,12 @@ def test_routing_event_validates_shapes():
         log.add_routing("r", 0, [0, 1], [[0.5, 0.5]])
     with pytest.raises(ContractError):
         log.add_depth_scores(2, 4, [0.5, 0.5])
+    with pytest.raises(ContractError):  # negative depth
+        log.add_routing("r", -1, [[0]], [[1.0]])
+    with pytest.raises(ContractError):  # negative expert id
+        log.add_routing("r", 0, [[0], [-1]], [[1.0], [1.0]])
+    with pytest.raises(ContractError):
+        log.add_depth_scores(-1, 4, [])
+    with pytest.raises(ContractError):
+        log.add_depth_scores(0, -4, [1.0])
+    assert not log.events and not log.depth_rows
