@@ -7,6 +7,12 @@ the split-half pair layout: channel pair i is (x[i], x[i + dim/2]).
 Head counts and widths are read from the arrays; the scalars (rotary
 base, depth count) come from the model config, which validates them.
 
+RMSNorm, the RoPE rotation and the attention core (scale, causal mask and
+softmax, between two engine matmuls) are fused: each records one tape
+node with a closed-form backward via `tensor.node`. RMSNorm keeps its
+input and per-row `inv = 1/rms`; the rotation keeps its angle tables; the
+attention core keeps only the softmax weights.
+
 Two position encodings are supported:
   * `rope_apply`: every pair rotates by sequence position * theta_i,
   * `rope_depth_apply`: pairs are split again; the first half of the pairs
@@ -29,12 +35,17 @@ def _pair_freqs(dim: int, base: float) -> np.ndarray:
 
 
 def _apply_rotation(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotate each channel pair (x1, x2) by its angle; the vjp rotates back."""
     half = x.shape[-1] // 2
-    x1 = x[..., :half]
-    x2 = x[..., half:]
-    cos_t = Tensor(cos.astype(x.dtype))
-    sin_t = Tensor(sin.astype(x.dtype))
-    return T.concat([x1 * cos_t - x2 * sin_t, x1 * sin_t + x2 * cos_t], axis=-1)
+    c, s = cos.astype(x.dtype), sin.astype(x.dtype)
+    x1, x2 = x.data[..., :half], x.data[..., half:]
+    out = np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+
+    def vjp(g):
+        g1, g2 = g[..., :half], g[..., half:]
+        return (np.concatenate([g1 * c + g2 * s, g2 * c - g1 * s], axis=-1),)
+
+    return T.node(out, (x,), vjp, "rope")
 
 
 def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
@@ -79,12 +90,23 @@ def rope_depth_apply(x: Tensor, depth: int, depths: int, base: float) -> Tensor:
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """x / rms(x) * gain over the last axis."""
+    """x / rms(x) * gain over the last axis; one tape node keeping x and inv."""
     if gain.shape != x.shape[-1:]:
         raise ShapeError(f"rms_norm: gain shape {gain.shape} != feature dim {x.shape[-1:]}")
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    inv = (ms + eps) ** -0.5
-    return x * inv * gain
+    xd, gd = x.data, gain.data
+    inv = ((xd * xd).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=xd.dtype)) ** -0.5
+    out = xd * inv * gd
+
+    def vjp(g):
+        gx = ggain = None
+        if x.requires_grad:
+            gg = g * gd
+            gx = gg * inv - xd * inv ** 3 * (gg * xd).mean(axis=-1, keepdims=True)
+        if gain.requires_grad:
+            ggain = (g * (xd * inv)).sum(axis=tuple(range(g.ndim - 1)))
+        return gx, ggain
+
+    return T.node(out, (x, gain), vjp, "rms_norm")
 
 
 def causal_mask(m: int, n: int, offset: int, dtype) -> np.ndarray:
@@ -100,6 +122,25 @@ def _swap_last(ndim: int) -> tuple:
     return tuple(axes)
 
 
+def _masked_softmax(scores: Tensor, scale: float, mask: np.ndarray) -> Tensor:
+    """softmax(scores * scale + mask) over the last axis; the node keeps only it.
+
+    Works in place on one new array: no scaled or masked copy of the scores
+    outlives the call.
+    """
+    scale = np.asarray(scale, dtype=scores.dtype)
+    w = scores.data * scale
+    w += mask
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        return (w * (g - (g * w).sum(axis=-1, keepdims=True)) * scale,)
+
+    return T.node(w, (scores,), vjp, "masked_softmax")
+
+
 def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int = 0,
                             return_weights: bool = False):
     """Causal attention where groups of query heads share one key/value head.
@@ -108,7 +149,8 @@ def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int 
     sees key rows j <= i + pos_offset. Equal head counts reduce to plain
     per-head attention. The group axis is merged into the row axis so each
     kv head attends all of its query heads in one batched product; the
-    mask is tiled to match.
+    mask is tiled to match. The two products are engine matmuls around
+    one fused scale-mask-softmax node.
     """
     b, qh, m, d = q.shape
     if k.shape != v.shape:
@@ -118,11 +160,9 @@ def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int 
         raise ShapeError(f"gqa: {qh} query heads not a multiple of {kv_heads} kv heads")
     group = qh // kv_heads
     qg = q.reshape(b, kv_heads, group * m, d)
-    scale = 1.0 / np.sqrt(d)
-    scores = T.matmul(qg, T.transpose(k, _swap_last(k.ndim))) * scale
+    scores = T.matmul(qg, T.transpose(k, _swap_last(k.ndim)))
     mask = np.tile(causal_mask(m, n, pos_offset, q.dtype), (group, 1))
-    scores = scores + Tensor(mask)  # rebinding frees the unmasked scores under no_grad
-    weights = T.softmax(scores)
+    weights = _masked_softmax(scores, 1.0 / np.sqrt(d), mask)
     out = T.matmul(weights, v).reshape(b, qh, m, d)
     if return_weights:
         return out, weights.reshape(b, qh, m, n)

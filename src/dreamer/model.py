@@ -45,6 +45,21 @@ from .telemetry import TelemetryLog
 from .tensor import Tensor
 
 
+def swiglu(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) * b, the SwiGLU expert's hidden layer, as one tape node."""
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-a.data))
+    ad, bd = a.data, b.data
+    out = ad * sig * bd
+
+    def vjp(g):
+        ga = g * bd * sig * (1.0 + ad * (1.0 - sig)) if a.requires_grad else None
+        gb = g * (ad * sig) if b.requires_grad else None
+        return ga, gb
+
+    return T.node(out, (a, b), vjp, "swiglu")
+
+
 class SeqCache:
     """K/V for one depth over emitted tokens: [b, kv_heads, tokens, d]."""
 
@@ -256,7 +271,7 @@ class DreamerModel:
                                 for w in ("gate", "up", "down")]
 
         def expert(u, e):
-            hidden = T.silu(T.matmul(u, gate_w[e])) * T.matmul(u, up_w[e])
+            hidden = swiglu(T.matmul(u, gate_w[e]), T.matmul(u, up_w[e]))
             return T.matmul(hidden, down_w[e])
 
         out = gated_experts(flat, *self._route(flat, f"{p}.ea", depth), expert)

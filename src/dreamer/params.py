@@ -110,17 +110,15 @@ def iter_parameter_specs(cfg: ModelConfig):
 
 
 class ParameterStore:
-    """Ordered name -> Tensor mapping with per-tensor init metadata."""
+    """Ordered name -> Tensor mapping; non-learnable tensors take no gradient."""
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
-        self._init: dict[str, str] = {}
 
-    def add(self, name: str, array: np.ndarray, init: str, learnable: bool = True):
+    def add(self, name: str, array: np.ndarray, learnable: bool = True):
         if name in self._tensors:
             raise ContractError(f"duplicate parameter name {name!r}")
         self._tensors[name] = Tensor(array, requires_grad=learnable)
-        self._init[name] = init
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -133,9 +131,6 @@ class ParameterStore:
 
     def items(self):
         return self._tensors.items()
-
-    def init_kind(self, name: str) -> str:
-        return self._init[name]
 
     def learnable(self):
         return {n: t for n, t in self._tensors.items() if t.requires_grad}
@@ -161,7 +156,7 @@ def init_parameters(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterS
             arr = np.ones(spec.shape, dtype=dtype)
         else:  # balancing bias: float64 statistic outside the graph
             arr = np.zeros(spec.shape, dtype=np.float64)
-        store.add(spec.name, arr, spec.init, learnable=spec.learnable)
+        store.add(spec.name, arr, learnable=spec.learnable)
     return store
 
 
@@ -241,7 +236,7 @@ def _parse_checkpoint(blob: bytes, dtype):
             raise InputError(f"checkpoint tensor {name} has shape {shape}, "
                              f"config implies {spec.shape}")
         store.add(name, data.astype(dtype if spec.learnable else np.float64),
-                  "loaded", learnable=spec.learnable)
+                  learnable=spec.learnable)
     if off != len(blob):
         raise InputError("trailing bytes after checkpoint payload")
     if list(expected) != store.names():

@@ -11,20 +11,31 @@ returns `loss`, then `backward(loss, inputs)`, which returns `{name:
 ndarray}`, the gradient for each requires-grad leaf in `inputs`. The tape
 lives exactly as long as the caller holds `loss`.
 
+Fused ops: the model's hot composites (RMSNorm and RoPE in `attention`,
+the attention core's scaled, masked softmax, SwiGLU in `model`) compute
+their forward in numpy and record a single node through `node(data,
+parents, vjp, op)`, with a closed-form vjp. The vjp closes over only what
+the backward reads: the parents' arrays, which the tape keeps alive anyway,
+plus RoPE's angle tables or one array of the forward (RMSNorm's per-row
+`inv`, SwiGLU's `sigmoid(a)`, the attention weights, which are the node's
+own output). The scaled, masked or squared copies an op-by-op form would
+leave on the tape do not exist.
+
 Numerics contract:
   * forward values are a pure function of the inputs, bit-identical across
     repeated calls (numpy's reduction order is fixed),
   * training runs in float32, gradient checking in float64,
-  * `eval` surfaces any non-finite intermediate as a NumericError instead
-    of letting NaN/Inf propagate silently.
+  * `eval` surfaces any non-finite node as a NumericError instead of
+    letting NaN/Inf propagate silently. A fused op's internals are not
+    nodes: RMSNorm maps a row whose squares overflow to 0 unflagged.
 
 Accumulation contract (what `backward_from` relies on):
   * a vjp returns, per parent, a dense array, None (no gradient), or an
     indexed `_Scatter` record: `getitem` and `take_rows` say "g belongs at
     parent[key]" instead of building a zero array the size of the parent,
-  * the binary ops (add, sub, mul, div, matmul) return None for an operand
-    with requires_grad False, so constants (RoPE tables, masks, scales)
-    cost no gradient work,
+  * the binary ops (add, sub, mul, div, matmul) and the fused ops return
+    None for an operand with requires_grad False, so constants cost no
+    gradient work,
   * only an indexed record is added in place, and only into an accumulator
     the walk allocated itself ("owned"); an array a vjp handed over may be
     shared (`add` gives the same g to both parents, `reshape` a view) and
@@ -177,8 +188,12 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _node(data, parents, vjp, op) -> Tensor:
-    """Create an op result, recording the tape edge only when it matters."""
+def node(data, parents, vjp, op) -> Tensor:
+    """Create an op result, recording the tape edge only when it matters.
+
+    `vjp(g)` returns one entry per parent under the accumulation contract
+    in the module docstring; it runs only if some parent requires grad.
+    """
     req = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     if req:
         return Tensor(data, True, op=op, parents=parents, vjp=vjp)
@@ -219,7 +234,7 @@ def add(a, b) -> Tensor:
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
 
-    return _node(out, (a, b), vjp, "add")
+    return node(out, (a, b), vjp, "add")
 
 
 def sub(a, b) -> Tensor:
@@ -232,7 +247,7 @@ def sub(a, b) -> Tensor:
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
-    return _node(out, (a, b), vjp, "sub")
+    return node(out, (a, b), vjp, "sub")
 
 
 def mul(a, b) -> Tensor:
@@ -246,7 +261,7 @@ def mul(a, b) -> Tensor:
         return (_unbroadcast(g * bd, a.shape) if a.requires_grad else None,
                 _unbroadcast(g * ad, b.shape) if b.requires_grad else None)
 
-    return _node(out, (a, b), vjp, "mul")
+    return node(out, (a, b), vjp, "mul")
 
 
 def div(a, b) -> Tensor:
@@ -260,11 +275,11 @@ def div(a, b) -> Tensor:
         return (_unbroadcast(g / bd, a.shape) if a.requires_grad else None,
                 _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
 
-    return _node(out, (a, b), vjp, "div")
+    return node(out, (a, b), vjp, "div")
 
 
 def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,), "neg")
+    return node(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -275,7 +290,7 @@ def power(a: Tensor, p: float) -> Tensor:
     def vjp(g):
         return (g * p * ad ** (p - 1.0),)
 
-    return _node(out, (a,), vjp, "power")
+    return node(out, (a,), vjp, "power")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -296,7 +311,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b.shape) if b.requires_grad else None
         return ga, gb
 
-    return _node(out, (a, b), vjp, "matmul")
+    return node(out, (a, b), vjp, "matmul")
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -311,7 +326,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def vjp(g):
         return (g.reshape(orig),)
 
-    return _node(out, (a,), vjp, "reshape")
+    return node(out, (a,), vjp, "reshape")
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -322,7 +337,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     def vjp(g):
         return (g.transpose(inv),)
 
-    return _node(out, (a,), vjp, "transpose")
+    return node(out, (a,), vjp, "transpose")
 
 
 class _Scatter(NamedTuple):
@@ -348,7 +363,7 @@ def getitem(a: Tensor, key) -> Tensor:
     def vjp(g):
         return (_Scatter(key, g, shape, dt),)
 
-    return _node(out, (a,), vjp, "getitem")
+    return node(out, (a,), vjp, "getitem")
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -362,7 +377,7 @@ def concat(tensors, axis: int) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
-    return _node(out, tuple(tensors), vjp, "concat")
+    return node(out, tuple(tensors), vjp, "concat")
 
 
 # -- reductions ---------------------------------------------------------------
@@ -383,7 +398,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
 
-    return _node(out, (a,), vjp, "sum")
+    return node(out, (a,), vjp, "sum")
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -397,7 +412,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape) / n,)
 
-    return _node(out, (a,), vjp, "mean")
+    return node(out, (a,), vjp, "mean")
 
 
 # -- nonlinearities ------------------------------------------------------------
@@ -409,32 +424,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return _node(out, (a,), vjp, "sigmoid")
-
-
-def silu(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = a.data * sig
-    ad = a.data
-
-    def vjp(g):
-        return (g * sig * (1.0 + ad * (1.0 - sig)),)
-
-    return _node(out, (a,), vjp, "silu")
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _node(out, (a,), vjp, "softmax")
+    return node(out, (a,), vjp, "sigmoid")
 
 
 def logsumexp(a: Tensor) -> Tensor:
@@ -448,7 +438,7 @@ def logsumexp(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.expand_dims(g, -1) * soft,)
 
-    return _node(out, (a,), vjp, "logsumexp")
+    return node(out, (a,), vjp, "logsumexp")
 
 
 # -- gather / scatter -----------------------------------------------------------
@@ -464,7 +454,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(full, ids.reshape(-1), g.reshape(-1, vshape[-1]))
         return (full,)
 
-    return _node(out, (weight,), vjp, "embedding")
+    return node(out, (weight,), vjp, "embedding")
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -484,7 +474,7 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         np.add.at(part, inv, g.reshape((flat.size,) + shape[1:]))
         return (_Scatter(rows, part, shape, dt),)
 
-    return _node(out, (a,), vjp, "take_rows")
+    return node(out, (a,), vjp, "take_rows")
 
 
 def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -500,7 +490,7 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
         np.add.at(flat, (rows, idx.reshape(-1)), g.reshape(-1))
         return (full,)
 
-    return _node(out, (a,), vjp, "gather_last")
+    return node(out, (a,), vjp, "gather_last")
 
 
 def stop_gradient(a: Tensor) -> Tensor:

@@ -24,7 +24,7 @@ def stack(tensors, axis: int = 0) -> Tensor:
         parts = np.split(g, len(tensors), axis=axis)
         return tuple(np.squeeze(p, axis=axis) for p in parts)
 
-    return T._node(out, tuple(tensors), vjp, "stack")
+    return T.node(out, tuple(tensors), vjp, "stack")
 
 
 def scatter_last(values: Tensor, idx: np.ndarray, size: int) -> Tensor:
@@ -37,7 +37,32 @@ def scatter_last(values: Tensor, idx: np.ndarray, size: int) -> Tensor:
     def vjp(g):
         return (np.take_along_axis(g, idx, axis=-1),)
 
-    return T._node(out, (values,), vjp, "scatter_last")
+    return T.node(out, (values,), vjp, "scatter_last")
+
+
+def silu(a: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-a.data))
+    out = a.data * sig
+    ad = a.data
+
+    def vjp(g):
+        return (g * sig * (1.0 + ad * (1.0 - sig)),)
+
+    return T.node(out, (a,), vjp, "silu")
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - dot),)
+
+    return T.node(out, (a,), vjp, "softmax")
 
 
 def dense_backward(loss: Tensor) -> dict:
@@ -90,7 +115,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, *, causal: bool = True,
     if causal:
         mask = causal_mask(q.shape[-2], k.shape[-2], pos_offset, q.dtype)
         scores = scores + Tensor(mask)
-    weights = T.softmax(scores)
+    weights = softmax(scores)
     out = T.matmul(weights, v)
     if return_weights:
         return out, weights

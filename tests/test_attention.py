@@ -1,5 +1,8 @@
 """Attention primitive tests against small closed-form and loop oracles."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from dreamer import tensor as T
 from dreamer.attention import (causal_mask, grouped_query_attention, rms_norm,
                                rope_apply, rope_depth_apply)
 from dreamer.errors import ContractError, ShapeError
+from dreamer.model import swiglu
 from dreamer.tensor import Tensor
 from reference import attention
 
@@ -243,3 +247,110 @@ def test_attention_gradcheck():
 def test_causal_mask_offset():
     m = causal_mask(1, 4, 2, np.float64)
     assert (m[0, :3] == 0).all() and m[0, 3] < -1e29
+
+
+# -- fused ops: gradients of the code the model runs, one node each ----------
+
+def param(rng, shape):
+    return Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+
+
+def test_gqa_gradcheck_grouped_with_offset():
+    rng = np.random.default_rng(11)
+    # group 2, m=2 query rows against n=5 keys: row 0 sees keys 0..3 only
+    inputs = {"q": param(rng, (2, 4, 2, 3)), "k": param(rng, (2, 2, 5, 3)),
+              "v": param(rng, (2, 2, 5, 3))}
+
+    def fn(inp):
+        out = grouped_query_attention(inp["q"], inp["k"], inp["v"], pos_offset=3)
+        return (out * out).sum()
+
+    report = T.grad_check(fn, inputs)
+    assert report.passed, str(report)
+
+
+def test_rope_apply_gradcheck():
+    rng = np.random.default_rng(12)
+    c = rng.uniform(-1, 1, (2, 3, 4, 8))
+    inputs = {"x": param(rng, (2, 3, 4, 8))}
+    report = T.grad_check(
+        lambda inp: (rope_apply(inp["x"], np.array([0, 1, 5, 9]), 100.0) * Tensor(c)).sum(),
+        inputs)
+    assert report.passed, str(report)
+
+
+def test_rope_depth_apply_gradcheck():
+    rng = np.random.default_rng(13)
+    c = rng.uniform(-1, 1, (3, 2, 8))
+    inputs = {"x": param(rng, (3, 2, 8))}
+    report = T.grad_check(
+        lambda inp: (rope_depth_apply(inp["x"], 1, 3, 500.0) * Tensor(c)).sum(), inputs)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_and_gain", "gain_only"])
+def test_rms_norm_gradcheck_3d_with_gain(x_grad):
+    rng = np.random.default_rng(14)
+    c = rng.uniform(-1, 1, (2, 3, 6))
+    inputs = {"x": Tensor(rng.uniform(-1, 1, (2, 3, 6)), requires_grad=x_grad),
+              "g": param(rng, 6)}
+    report = T.grad_check(lambda inp: (rms_norm(inp["x"], inp["g"]) * Tensor(c)).sum(), inputs)
+    assert report.passed, str(report)
+
+
+def test_swiglu_gradcheck():
+    rng = np.random.default_rng(15)
+    c = rng.uniform(-1, 1, (4, 5))
+    inputs = {"a": Tensor(rng.uniform(-3, 3, (4, 5)), requires_grad=True),
+              "b": param(rng, (4, 5))}
+    report = T.grad_check(lambda inp: (swiglu(inp["a"], inp["b"]) * Tensor(c)).sum(), inputs)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("build, leaves", [
+    (lambda x, g: rms_norm(x, g), 2),
+    (lambda x, g: rope_apply(x, np.arange(3), 100.0), 1),
+    (lambda x, g: rope_depth_apply(x, 0, 2, 100.0), 1),
+    (lambda x, g: swiglu(x, x * 2.0), 1 + 1),  # x and the mul node
+], ids=["rms_norm", "rope_apply", "rope_depth_apply", "swiglu"])
+def test_fused_op_adds_one_node(build, leaves):
+    rng = np.random.default_rng(16)
+    x, g = param(rng, (2, 3, 8)), param(rng, 8)
+    out = build(x, g)
+    order = T._topo(out)
+    assert len(order) == leaves + 1 and order[-1] is out
+
+
+def test_gqa_core_is_one_node_between_the_products():
+    rng = np.random.default_rng(17)
+    out = grouped_query_attention(param(rng, (1, 4, 3, 4)), param(rng, (1, 2, 3, 4)),
+                                  param(rng, (1, 2, 3, 4)))
+    ops = Counter(n.op for n in T._topo(out) if n.parents)
+    assert ops == {"reshape": 2, "transpose": 1, "matmul": 2, "masked_softmax": 1}
+
+
+def test_gqa_memory_keeps_only_scores_and_weights():
+    # One score array is S bytes. With a tape, only the raw scores (the
+    # first product's output) and the weights may stay alive; under no_grad
+    # the scaled and masked scores must not each take a fresh S.
+    rng = np.random.default_rng(18)
+    b, m, d = 2, 256, 16
+    q, k, v = (Tensor(rng.standard_normal((b, h, m, d)).astype(np.float32),
+                      requires_grad=True) for h in (4, 2, 2))
+    S = b * 4 * m * m * 4
+    tracemalloc.start()
+    try:
+        out = grouped_query_attention(q, k, v)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.5 * S, f"held {held / S:.2f} S with grad"
+    del out
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            grouped_query_attention(q, k, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * S, f"peaked at {peak / S:.2f} S under no_grad"

@@ -165,9 +165,9 @@ def test_output_scale_counts_attention_modules():
 
 def test_store_rejects_duplicates():
     store = ParameterStore()
-    store.add("w", np.zeros((2, 2), dtype=np.float32), "weight")
+    store.add("w", np.zeros((2, 2), dtype=np.float32))
     with pytest.raises(ContractError, match="duplicate"):
-        store.add("w", np.zeros((2, 2), dtype=np.float32), "weight")
+        store.add("w", np.zeros((2, 2), dtype=np.float32))
 
 
 def test_total_size_matches_specs():
