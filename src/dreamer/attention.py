@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 from .tensor import MASK_VALUE, Tensor
 
 
@@ -94,7 +94,11 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     if gain.shape != x.shape[-1:]:
         raise ShapeError(f"rms_norm: gain shape {gain.shape} != feature dim {x.shape[-1:]}")
     xd, gd = x.data, gain.data
-    inv = ((xd * xd).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=xd.dtype)) ** -0.5
+    ms = (xd * xd).mean(axis=-1, keepdims=True)
+    if T.grad_enabled() and not np.all(np.isfinite(ms)):
+        # the squares are not a tape node, so `eval` would not see them overflow
+        raise NumericError("non-finite values produced by op 'rms_norm'")
+    inv = (ms + np.asarray(eps, dtype=xd.dtype)) ** -0.5
     out = xd * inv * gd
 
     def vjp(g):

@@ -324,7 +324,7 @@ class DreamerModel:
             raise InputError(
                 f"token ids must be in [0, {self.cfg.vocab_size}), got "
                 f"[{tokens.min()}, {tokens.max()}]")
-        return T.embedding(self.params["embed.weight"], tokens)
+        return T.take_rows(self.params["embed.weight"], tokens)
 
     def model_forward(self, tokens: np.ndarray,
                       caches: CacheSet | None = None) -> Tensor:

@@ -2,9 +2,10 @@
 
 The engine is a define-by-run tape: every op produces a `Tensor` that
 remembers its parents and a vector-Jacobian closure. `backward` walks the
-recorded graph in reverse topological order and accumulates gradients on
-the leaves. Only float32/float64 arrays participate; integer index arrays
-(token ids, routing selections) stay outside the graph as plain numpy.
+recorded graph in reverse topological order and returns the gradients of
+the leaves it was asked for. Only float32/float64 arrays participate;
+integer index arrays (token ids, routing selections) stay outside the
+graph as plain numpy.
 
 A step calls `eval(loss)`, which checks every node of the loss's tape and
 returns `loss`, then `backward(loss, inputs)`, which returns `{name:
@@ -26,10 +27,9 @@ Numerics contract:
     repeated calls (numpy's reduction order is fixed),
   * training runs in float32, gradient checking in float64,
   * `eval` surfaces any non-finite node as a NumericError instead of
-    letting NaN/Inf propagate silently. A fused op's internals are not
-    nodes: RMSNorm maps a row whose squares overflow to 0 unflagged.
+    letting NaN/Inf propagate silently.
 
-Accumulation contract (what `backward_from` relies on):
+Accumulation contract (what `backward` relies on):
   * a vjp returns, per parent, a dense array, None (no gradient), or an
     indexed `_Scatter` record: `getitem` and `take_rows` say "g belongs at
     parent[key]" instead of building a zero array the size of the parent,
@@ -43,14 +43,13 @@ Accumulation contract (what `backward_from` relies on):
     out of place. Indexed records need at most one full-size buffer,
   * sums keep the topological order of the walk, and zero plus g is
     exact, so gradients are bitwise those of dense out-of-place sums,
-  * every leaf `.grad` owns its memory; no two leaves share an array.
+  * no two returned gradients share an array.
 """
 
 from __future__ import annotations
 
 import contextvars
 import itertools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -91,7 +90,7 @@ class Tensor:
     None) per parent.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "vjp", "node_id")
+    __slots__ = ("data", "requires_grad", "op", "parents", "vjp", "node_id")
 
     def __init__(self, data, requires_grad: bool = False, *, dtype=None,
                  op: str = "leaf", parents: tuple = (), vjp=None):
@@ -100,7 +99,6 @@ class Tensor:
             arr = arr.astype(np.float64 if arr.dtype == np.int64 else np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self.op = op
         self.parents = parents
         self.vjp = vjp
@@ -152,23 +150,14 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_as_tensor(other, self.dtype), self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __getitem__(self, key):
         return getitem(self, key)
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -177,9 +166,6 @@ class Tensor:
 
     def transpose(self, axes):
         return transpose(self, axes)
-
-    def backward(self):
-        backward_from(self)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -276,21 +262,6 @@ def div(a, b) -> Tensor:
                 _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
 
     return node(out, (a, b), vjp, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    return node(-a.data, (a,), lambda g: (-g,), "neg")
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    """Elementwise a**p for a python scalar exponent."""
-    out = a.data ** p
-    ad = a.data
-
-    def vjp(g):
-        return (g * p * ad ** (p - 1.0),)
-
-    return node(out, (a,), vjp, "power")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -401,20 +372,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return node(out, (a,), vjp, "sum")
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    axis = _norm_axis(axis)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    shape = a.shape
-    n = a.size if axis is None else int(np.prod([shape[i] for i in axis]))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape) / n,)
-
-    return node(out, (a,), vjp, "mean")
-
-
 # -- nonlinearities ------------------------------------------------------------
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -442,20 +399,6 @@ def logsumexp(a: Tensor) -> Tensor:
 
 
 # -- gather / scatter -----------------------------------------------------------
-
-def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup `weight[ids]`; gradient scatter-adds into the table."""
-    ids = np.asarray(ids)
-    out = weight.data[ids]
-    vshape, dt = weight.shape, weight.dtype
-
-    def vjp(g):
-        full = np.zeros(vshape, dtype=dt)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, vshape[-1]))
-        return (full,)
-
-    return node(out, (weight,), vjp, "embedding")
-
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows along axis 0 by integer index."""
@@ -538,28 +481,6 @@ def _accumulate(grads: dict, owned: set, pid: int, pg) -> None:
     owned.add(pid)
 
 
-def backward_from(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into `.grad` of reachable requires-grad leaves."""
-    if loss.size != 1:
-        raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    grads = {loss.node_id: np.ones_like(loss.data)}
-    owned = {loss.node_id}  # accumulators this walk allocated; only these are written in place
-    for node in reversed(_topo(loss)):
-        g = grads.pop(node.node_id, None)
-        if g is None:
-            continue
-        if node.vjp is None:
-            if node.requires_grad:
-                if node.grad is not None:
-                    node.grad = node.grad + g
-                else:
-                    node.grad = g if node.node_id in owned else g.copy()
-            continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
-            if pg is not None and parent.requires_grad:
-                _accumulate(grads, owned, parent.node_id, pg)
-
-
 # -- eval / backward ---------------------------------------------------------------
 
 def eval(loss: Tensor) -> Tensor:
@@ -575,63 +496,26 @@ def backward(loss: Tensor, inputs: dict[str, Tensor]) -> dict[str, np.ndarray]:
 
     Inputs the loss does not depend on get explicit zero gradients.
     """
-    for t in inputs.values():
-        t.grad = None
-    backward_from(loss)
-    return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
-            for name, t in inputs.items() if t.requires_grad}
-
-
-@dataclass
-class GradCheckReport:
-    """Per-input max relative error between backward and central differences."""
-
-    per_input: dict = field(default_factory=dict)
-    max_rel_error: float = 0.0
-    tolerance: float = 1e-4
-    passed: bool = True
-
-    def __str__(self):
-        lines = [f"grad_check: max_rel_error={self.max_rel_error:.3e} "
-                 f"tol={self.tolerance:.1e} passed={self.passed}"]
-        for name, err in sorted(self.per_input.items(), key=lambda kv: -kv[1]):
-            lines.append(f"  {name}: {err:.3e}")
-        return "\n".join(lines)
-
-
-def grad_check(fn, inputs: dict[str, Tensor], tolerance: float = 1e-4,
-               step: float = 1e-5) -> GradCheckReport:
-    """Compare backward of `fn(inputs)` against central finite differences.
-
-    Requires float64 inputs. The relative error for an input is
-    max|g_ad - g_fd| / max(max|g_fd|, max|g_ad|, 1e-6); the floor keeps
-    identically-zero gradients from being divided by difference noise.
-    """
-    for name, t in inputs.items():
-        if t.requires_grad and t.dtype != np.float64:
-            raise ContractError(f"grad_check requires float64 inputs ({name} is {t.dtype.name})")
-    analytic = backward(eval(fn(inputs)), inputs)
-
-    report = GradCheckReport(tolerance=tolerance)
-    for name, t in inputs.items():
-        if not t.requires_grad:
+    if loss.size != 1:
+        raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
+    grads = {loss.node_id: np.ones_like(loss.data)}
+    owned = {loss.node_id}  # accumulators this walk allocated; only these are written in place
+    leaves = {}
+    for node in reversed(_topo(loss)):
+        g = grads.pop(node.node_id, None)
+        if g is None:
             continue
-        fd = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        fd_flat = fd.reshape(-1)
-        with no_grad():
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                hi = float(fn(inputs).data)
-                flat[i] = orig - step
-                lo = float(fn(inputs).data)
-                flat[i] = orig
-                fd_flat[i] = (hi - lo) / (2.0 * step)
-        ga = analytic[name]
-        denom = max(float(np.max(np.abs(fd))), float(np.max(np.abs(ga))), 1e-6)
-        err = float(np.max(np.abs(ga - fd))) / denom
-        report.per_input[name] = err
-    report.max_rel_error = max(report.per_input.values(), default=0.0)
-    report.passed = report.max_rel_error < tolerance
-    return report
+        if node.vjp is None:
+            leaves[node.node_id] = g
+            continue
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is not None and parent.requires_grad:
+                _accumulate(grads, owned, parent.node_id, pg)
+
+    def grad_of(t):
+        g = leaves.get(t.node_id)
+        if g is None:
+            return np.zeros_like(t.data)
+        return g if t.node_id in owned else g.copy()  # a vjp's array may be shared
+
+    return {name: grad_of(t) for name, t in inputs.items() if t.requires_grad}

@@ -54,27 +54,18 @@ def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 @dataclass
 class OptimizerState:
-    """AdamW moments plus the schedule and decay hyperparameters."""
+    """AdamW moments; the hyperparameters are read from `cfg`."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    cfg: ModelConfig
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-3
-    max_lr: float = 4e-4
-    warmup_steps: int = 500
-    grad_clip: float = 0.5
 
     @classmethod
     def for_store(cls, store: ParameterStore, cfg: ModelConfig) -> "OptimizerState":
         m = {name: np.zeros_like(t.data) for name, t in store.learnable().items()}
         v = {name: np.zeros_like(t.data) for name, t in store.learnable().items()}
-        return cls(m=m, v=v, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                   eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
-                   max_lr=cfg.max_lr, warmup_steps=cfg.warmup_steps,
-                   grad_clip=cfg.grad_clip)
+        return cls(m=m, v=v, cfg=cfg)
 
 
 def adamw_step(params: ParameterStore, grads: dict[str, np.ndarray],
@@ -84,26 +75,28 @@ def adamw_step(params: ParameterStore, grads: dict[str, np.ndarray],
     Decay is applied after the adaptive update but against the pre-step
     parameter value. Returns the learning rate used.
     """
-    lr = lr_at(state.step, state.max_lr, state.warmup_steps)
+    cfg = state.cfg
+    beta1, beta2 = cfg.adam_beta1, cfg.adam_beta2
+    lr = lr_at(state.step, cfg.max_lr, cfg.warmup_steps)
     state.step += 1
     t = state.step
-    correct1 = 1.0 - state.beta1 ** t
-    correct2 = 1.0 - state.beta2 ** t
+    correct1 = 1.0 - beta1 ** t
+    correct2 = 1.0 - beta2 ** t
     for name, g in grads.items():
         if name not in state.m:
             raise ConfigError(f"gradient for unknown parameter {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
         m_hat = m / correct1
         v_hat = v / correct2
         param = params[name].data
         pre_step = param.copy()
-        param -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        param -= lr * state.weight_decay * pre_step
+        param -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        param -= lr * cfg.weight_decay * pre_step
     return lr
 
 
@@ -327,7 +320,7 @@ def train(cfg: ModelConfig, task: TaskSpec, steps: int,
             usage = {name: state.counts.tolist()
                      for name, state in sorted(model.routers.items())}
             try:
-                grad_norm = clip_grad_norm(grads, optimizer.grad_clip)
+                grad_norm = clip_grad_norm(grads, cfg.grad_clip)
             except NumericError as exc:
                 _abort(metrics, step, loss_value, str(exc))
             lr = adamw_step(model.params, grads, optimizer)

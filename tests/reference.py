@@ -5,6 +5,8 @@ the batched, sparse code in `src/` against them. None of this is part of
 the package.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from dreamer import tensor as T
@@ -40,6 +42,35 @@ def scatter_last(values: Tensor, idx: np.ndarray, size: int) -> Tensor:
     return T.node(out, (values,), vjp, "scatter_last")
 
 
+def neg(a: Tensor) -> Tensor:
+    return T.node(-a.data, (a,), lambda g: (-g,), "neg")
+
+
+def power(a: Tensor, p: float) -> Tensor:
+    """Elementwise a**p for a python scalar exponent."""
+    out = a.data ** p
+    ad = a.data
+
+    def vjp(g):
+        return (g * p * ad ** (p - 1.0),)
+
+    return T.node(out, (a,), vjp, "power")
+
+
+def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    axis = (axis,) if isinstance(axis, int) else axis
+    out = a.data.mean(axis=axis, keepdims=keepdims)
+    shape = a.shape
+    n = a.size if axis is None else int(np.prod([shape[i] for i in axis]))
+
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape) / n,)
+
+    return T.node(out, (a,), vjp, "mean")
+
+
 def silu(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         sig = 1.0 / (1.0 + np.exp(-a.data))
@@ -68,10 +99,10 @@ def softmax(a: Tensor) -> Tensor:
 def dense_backward(loss: Tensor) -> dict:
     """Leaf gradients of `loss` by node id, accumulated densely out of place.
 
-    Walks the same topological order as `T.backward_from`, but turns every
+    Walks the same topological order as `T.backward`, but turns every
     indexed gradient into a full zero array with the slice added in and sums
     with `a + b`, never in place: the engine's arithmetic before indexed
-    gradients and owned accumulators. Leaves' `.grad` are left alone.
+    gradients and owned accumulators.
     """
     grads = {loss.node_id: np.ones_like(loss.data)}
     leaves = {}
@@ -92,6 +123,61 @@ def dense_backward(loss: Tensor) -> dict:
             pid = parent.node_id
             grads[pid] = grads[pid] + pg if pid in grads else pg
     return leaves
+
+
+@dataclass
+class GradCheckReport:
+    """Per-input max relative error between backward and central differences."""
+
+    per_input: dict = field(default_factory=dict)
+    max_rel_error: float = 0.0
+    tolerance: float = 1e-4
+    passed: bool = True
+
+    def __str__(self):
+        lines = [f"grad_check: max_rel_error={self.max_rel_error:.3e} "
+                 f"tol={self.tolerance:.1e} passed={self.passed}"]
+        for name, err in sorted(self.per_input.items(), key=lambda kv: -kv[1]):
+            lines.append(f"  {name}: {err:.3e}")
+        return "\n".join(lines)
+
+
+def grad_check(fn, inputs: dict[str, Tensor], tolerance: float = 1e-4,
+               step: float = 1e-5) -> GradCheckReport:
+    """Compare backward of `fn(inputs)` against central finite differences.
+
+    Requires float64 inputs. The relative error for an input is
+    max|g_ad - g_fd| / max(max|g_fd|, max|g_ad|, 1e-6); the floor keeps
+    identically-zero gradients from being divided by difference noise.
+    """
+    for name, t in inputs.items():
+        if t.requires_grad and t.dtype != np.float64:
+            raise ContractError(f"grad_check requires float64 inputs ({name} is {t.dtype.name})")
+    analytic = T.backward(T.eval(fn(inputs)), inputs)
+
+    report = GradCheckReport(tolerance=tolerance)
+    for name, t in inputs.items():
+        if not t.requires_grad:
+            continue
+        fd = np.zeros_like(t.data)
+        flat = t.data.reshape(-1)
+        fd_flat = fd.reshape(-1)
+        with T.no_grad():
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                hi = float(fn(inputs).data)
+                flat[i] = orig - step
+                lo = float(fn(inputs).data)
+                flat[i] = orig
+                fd_flat[i] = (hi - lo) / (2.0 * step)
+        ga = analytic[name]
+        denom = max(float(np.max(np.abs(fd))), float(np.max(np.abs(ga))), 1e-6)
+        err = float(np.max(np.abs(ga - fd))) / denom
+        report.per_input[name] = err
+    report.max_rel_error = max(report.per_input.values(), default=0.0)
+    report.passed = report.max_rel_error < tolerance
+    return report
 
 
 # -- attention -------------------------------------------------------------------

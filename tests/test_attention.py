@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from dreamer import tensor as T
 from dreamer.attention import (causal_mask, grouped_query_attention, rms_norm,
                                rope_apply, rope_depth_apply)
-from dreamer.errors import ContractError, ShapeError
+from dreamer.errors import ContractError, NumericError, ShapeError
 from dreamer.model import swiglu
 from dreamer.tensor import Tensor
-from reference import attention
+from reference import attention, grad_check
 
 
 def np_softmax(x):
@@ -221,6 +221,19 @@ def test_rms_norm_scale_invariant(alpha):
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
+def test_rms_norm_overflow_raises_under_grad():
+    # 1e20 squared overflows float32: the row's rms is inf and the output 0
+    x = Tensor(np.full((1, 4), 1e20, dtype=np.float32), requires_grad=True)
+    g = Tensor(np.ones(4, dtype=np.float32))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="'rms_norm'"):
+            rms_norm(x, g)
+        with T.no_grad():
+            out = rms_norm(x, g).data
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out, np.zeros((1, 4), dtype=np.float32))
+
+
 def test_rms_norm_gradcheck():
     rng = np.random.default_rng(9)
 
@@ -229,7 +242,7 @@ def test_rms_norm_gradcheck():
 
     inputs = {"x": Tensor(rng.uniform(-1, 1, (2, 6)), requires_grad=True),
               "g": Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True)}
-    assert T.grad_check(fn, inputs).passed
+    assert grad_check(fn, inputs).passed
 
 
 def test_attention_gradcheck():
@@ -241,7 +254,7 @@ def test_attention_gradcheck():
 
     inputs = {k: Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
               for k in ("q", "k", "v")}
-    assert T.grad_check(fn, inputs).passed
+    assert grad_check(fn, inputs).passed
 
 
 def test_causal_mask_offset():
@@ -265,7 +278,7 @@ def test_gqa_gradcheck_grouped_with_offset():
         out = grouped_query_attention(inp["q"], inp["k"], inp["v"], pos_offset=3)
         return (out * out).sum()
 
-    report = T.grad_check(fn, inputs)
+    report = grad_check(fn, inputs)
     assert report.passed, str(report)
 
 
@@ -273,7 +286,7 @@ def test_rope_apply_gradcheck():
     rng = np.random.default_rng(12)
     c = rng.uniform(-1, 1, (2, 3, 4, 8))
     inputs = {"x": param(rng, (2, 3, 4, 8))}
-    report = T.grad_check(
+    report = grad_check(
         lambda inp: (rope_apply(inp["x"], np.array([0, 1, 5, 9]), 100.0) * Tensor(c)).sum(),
         inputs)
     assert report.passed, str(report)
@@ -283,7 +296,7 @@ def test_rope_depth_apply_gradcheck():
     rng = np.random.default_rng(13)
     c = rng.uniform(-1, 1, (3, 2, 8))
     inputs = {"x": param(rng, (3, 2, 8))}
-    report = T.grad_check(
+    report = grad_check(
         lambda inp: (rope_depth_apply(inp["x"], 1, 3, 500.0) * Tensor(c)).sum(), inputs)
     assert report.passed, str(report)
 
@@ -294,7 +307,7 @@ def test_rms_norm_gradcheck_3d_with_gain(x_grad):
     c = rng.uniform(-1, 1, (2, 3, 6))
     inputs = {"x": Tensor(rng.uniform(-1, 1, (2, 3, 6)), requires_grad=x_grad),
               "g": param(rng, 6)}
-    report = T.grad_check(lambda inp: (rms_norm(inp["x"], inp["g"]) * Tensor(c)).sum(), inputs)
+    report = grad_check(lambda inp: (rms_norm(inp["x"], inp["g"]) * Tensor(c)).sum(), inputs)
     assert report.passed, str(report)
 
 
@@ -303,7 +316,7 @@ def test_swiglu_gradcheck():
     c = rng.uniform(-1, 1, (4, 5))
     inputs = {"a": Tensor(rng.uniform(-3, 3, (4, 5)), requires_grad=True),
               "b": param(rng, (4, 5))}
-    report = T.grad_check(lambda inp: (swiglu(inp["a"], inp["b"]) * Tensor(c)).sum(), inputs)
+    report = grad_check(lambda inp: (swiglu(inp["a"], inp["b"]) * Tensor(c)).sum(), inputs)
     assert report.passed, str(report)
 
 

@@ -13,8 +13,8 @@ from dreamer.routing import (RouterState, bank_apply, depth_router_logits,
                              gated_experts, select_topk, update_balance)
 from dreamer.errors import ConfigError, ContractError
 from dreamer.tensor import Tensor
-from reference import (ea_select, fold_shared, folded_bank_apply, moe_linear_forward, silu,
-                       simulate_balancing)
+from reference import (ea_select, fold_shared, folded_bank_apply, grad_check,
+                       moe_linear_forward, silu, simulate_balancing)
 
 
 def sigmoid(v):
@@ -86,13 +86,13 @@ def test_gates_renormalize_to_one_and_grad_flows_through_sigmoid_only():
     st_ = state(4, 2)
     gates = ea_select(x, st_)
     assert abs(gates.data.sum() - 1.0) < 1e-12
-    (gates * Tensor(np.arange(4.0))).sum().backward()
+    grad = T.backward((gates * Tensor(np.arange(4.0))).sum(), {"x": x})["x"]
     # unselected logits get zero gradient; bias never enters the graph
     sel = set(np.nonzero(gates.data)[0])
     for e in range(4):
         if e not in sel:
-            assert x.grad[e] == 0.0
-    assert any(x.grad[e] != 0.0 for e in sel)
+            assert grad[e] == 0.0
+    assert any(grad[e] != 0.0 for e in sel)
 
 
 def test_counts_accumulate_and_reset():
@@ -202,9 +202,9 @@ def test_shared_term_gate_gradient_is_exactly_zero():
     x = Tensor(rng.normal(0, 1, (2, 4)))
     gate = Tensor(np.array([0.6, 0.3]), requires_grad=True)
     out = bank_apply(x, np.array([1, 0]), gate, experts, shared)
-    (out * out).sum().backward()
-    assert gate.grad is not None
-    np.testing.assert_array_equal(gate.grad, np.zeros(2))
+    grad = T.backward((out * out).sum(), {"gate": gate})["gate"]
+    assert grad is not None
+    np.testing.assert_array_equal(grad, np.zeros(2))
 
 
 def test_routable_term_gate_gradient_is_nonzero():
@@ -214,8 +214,8 @@ def test_routable_term_gate_gradient_is_nonzero():
     x = Tensor(rng.normal(0, 1, (2, 4)))
     gate = Tensor(np.array([0.6, 0.3]), requires_grad=True)
     out = bank_apply(x, np.array([1, 0]), gate, experts, shared)
-    (out * out).sum().backward()
-    assert np.all(np.abs(gate.grad) > 1e-8)
+    grad = T.backward((out * out).sum(), {"gate": gate})["gate"]
+    assert np.all(np.abs(grad) > 1e-8)
 
 
 def silu_experts(rng, E=4, din=3, dout=5):
@@ -324,9 +324,9 @@ def test_gated_experts_gradcheck_singleton_and_unused_expert():
         "gates": Tensor(rng.uniform(0.1, 1.0, (4, 2)), requires_grad=True),
         "w": weights,
     }
-    report = T.grad_check(fn, inputs)
+    report = grad_check(fn, inputs)
     assert report.passed, str(report)
-    assert not weights.grad[3].any()
+    assert not T.backward(fn(inputs), inputs)["w"][3].any()
 
 
 def test_bank_apply_matches_dense_oracle():
@@ -361,7 +361,7 @@ def test_bank_gradcheck():
         "router": Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True),
         "x": Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True),
     }
-    assert T.grad_check(fn, inputs).passed
+    assert grad_check(fn, inputs).passed
 
 
 def test_depth_router_logits_scale_and_static_keys():

@@ -60,10 +60,10 @@ def test_clip_rejects_nonfinite():
 
 
 def scalar_state(**overrides):
-    fields = dict(m={"p": np.zeros(1)}, v={"p": np.zeros(1)},
-                  weight_decay=0.0, max_lr=0.1, warmup_steps=1)
+    fields = dict(weight_decay=0.0, max_lr=0.1, warmup_steps=1)
     fields.update(overrides)
-    return OptimizerState(**fields)
+    return OptimizerState(m={"p": np.zeros(1)}, v={"p": np.zeros(1)},
+                          cfg=desk_config(**fields))
 
 
 class OneParamStore:
