@@ -95,8 +95,8 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         raise ShapeError(f"rms_norm: gain shape {gain.shape} != feature dim {x.shape[-1:]}")
     xd, gd = x.data, gain.data
     ms = (xd * xd).mean(axis=-1, keepdims=True)
-    if T.grad_enabled() and not np.all(np.isfinite(ms)):
-        # the squares are not a tape node, so `eval` would not see them overflow
+    if not np.isfinite(ms).all():
+        # the squares are no tape node, so `eval` would miss this; inference too
         raise NumericError("non-finite values produced by op 'rms_norm'")
     inv = (ms + np.asarray(eps, dtype=xd.dtype)) ** -0.5
     out = xd * inv * gd

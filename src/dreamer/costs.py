@@ -3,8 +3,9 @@
 Counting conventions (any consistent convention preserves matching
 validity; these are the ones used throughout):
 
+- parameters are counted from `iter_parameter_specs`, the built layout
 - one multiply-add counts as 2 FLOPs, so a linear map din -> dout costs
-  2 * din * dout FLOPs per row and stores din * dout parameters
+  2 * din * dout FLOPs per row
 - RMS normalization costs 4 FLOPs per element
 - rotary encoding costs 3 FLOPs per encoded element (the 1/sqrt(d)
   logit scale is absorbed into the query projection, so it is free)
@@ -31,6 +32,7 @@ from dataclasses import dataclass, replace
 
 from .config import ModelConfig
 from .errors import ConfigError
+from .params import iter_parameter_specs
 
 DFF_RANGE = (8, 8192)
 EXPERTS_RANGE_MAX = 16384
@@ -58,14 +60,8 @@ class MatchResult:
     iterations: int
 
 
-def linear_params(d_in: int, d_out: int) -> int:
-    return d_in * d_out
-
 def linear_flops(d_in: int, d_out: int) -> float:
     return 2.0 * d_in * d_out
-
-def swiglu_expert_params(hidden: int, d_ff: int) -> int:
-    return 3 * hidden * d_ff
 
 def swiglu_expert_flops(hidden: int, d_ff: int) -> float:
     gate_up = 2 * linear_flops(hidden, d_ff)
@@ -73,12 +69,6 @@ def swiglu_expert_flops(hidden: int, d_ff: int) -> float:
     down = linear_flops(d_ff, hidden)
     return gate_up + activation + down
 
-
-def _router_params(cfg: ModelConfig, num_experts: int) -> int:
-    query = linear_params(cfg.hidden_size, cfg.ea_qk_dim)
-    keys = num_experts * cfg.ea_qk_dim
-    bias = num_experts
-    return query + keys + bias
 
 def _router_flops(cfg: ModelConfig, num_experts: int, top_k: int,
                   normalize: bool) -> float:
@@ -96,18 +86,6 @@ def _attention_dims(cfg: ModelConfig, module: str):
                 cfg.sa_qkv_dim, cfg.sa_out_dim)
     return (cfg.da_query_heads, cfg.da_kv_heads, cfg.da_head_dim,
             cfg.da_qkv_dim, cfg.da_out_dim)
-
-
-def _attention_params(cfg: ModelConfig, module: str) -> int:
-    _, _, head_dim, qkv_dim, out_dim = _attention_dims(cfg, module)
-    total = cfg.hidden_size + 2 * head_dim  # input norm + q/k norms
-    in_out = linear_params(cfg.hidden_size, qkv_dim) + linear_params(out_dim, cfg.hidden_size)
-    if cfg.layered:
-        return total + in_out
-    # bank: per-expert plus shared copies of both projections, one router
-    total += (cfg.attn_experts + 1) * in_out
-    total += _router_params(cfg, cfg.attn_experts)
-    return total
 
 
 def _attention_flops(cfg: ModelConfig, module: str, cached_len: float) -> float:
@@ -128,12 +106,6 @@ def _attention_flops(cfg: ModelConfig, module: str, cached_len: float) -> float:
     return f
 
 
-def _ea_params(cfg: ModelConfig) -> int:
-    total = cfg.hidden_size  # input norm
-    total += _router_params(cfg, cfg.ea_num_experts)
-    total += cfg.ea_num_experts * swiglu_expert_params(cfg.hidden_size, cfg.ea_intermediate_size)
-    return total
-
 def _ea_flops(cfg: ModelConfig) -> float:
     f = 4.0 * cfg.hidden_size
     f += _router_flops(cfg, cfg.ea_num_experts, cfg.ea_active_experts, normalize=True)
@@ -144,17 +116,8 @@ def _ea_flops(cfg: ModelConfig) -> float:
 
 
 def count_params(cfg: ModelConfig) -> int:
-    """Exact parameter count, including router biases and static keys."""
-    total = cfg.vocab_size * cfg.hidden_size
-    if not cfg.tie_embeddings:
-        total += cfg.vocab_size * cfg.hidden_size
-    total += cfg.hidden_size  # final norm
-    if not cfg.layered:
-        total += cfg.hidden_size  # recurrent stream norm
-    per_set = _attention_params(cfg, "sa") + _ea_params(cfg)
-    if cfg.has_da:
-        per_set += _attention_params(cfg, "da")
-    return total + cfg.param_sets * per_set
+    """Exact by construction: the sizes of every tensor `init_parameters` builds."""
+    return sum(math.prod(spec.shape) for spec in iter_parameter_specs(cfg))
 
 
 def count_flops(cfg: ModelConfig, seq_len: int = 1024) -> float:

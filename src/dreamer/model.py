@@ -204,10 +204,11 @@ class DreamerModel:
 
     # -- the three attention modules -------------------------------------------
 
-    def sa_forward(self, x: Tensor, p: str, depth: int,
+    def sa_forward(self, x: Tensor, depth: int,
                    seq_cache: SeqCache | None = None) -> Tensor:
         """Causal grouped-query attention over token positions."""
         cfg = self.cfg
+        p = cfg.set_name(depth)
         b, s, h = x.shape
         offset = seq_cache.length if seq_cache is not None else 0
         normed = rms_norm(x, self.params[f"{p}.sa.in_norm.gain"], cfg.rms_eps)
@@ -231,12 +232,10 @@ class DreamerModel:
         y = self._project(merged, f"{p}.sa", "out", selection)
         return y.reshape(b, s, h)
 
-    def da_forward(self, x: Tensor, p: str, depth: int,
-                   depth_cache: DepthCache) -> Tensor:
+    def da_forward(self, x: Tensor, depth: int, depth_cache: DepthCache) -> Tensor:
         """Attention over each token's own depth history (sequence as batch)."""
         cfg = self.cfg
-        if depth >= cfg.depth:
-            raise ContractError(f"depth {depth} outside [0, {cfg.depth})")
+        p = cfg.set_name(depth)
         b, s, h = x.shape
         rows = b * s
         normed = rms_norm(x, self.params[f"{p}.da.in_norm.gain"], cfg.rms_eps)
@@ -262,8 +261,9 @@ class DreamerModel:
         y = self._project(merged, f"{p}.da", "out", selection)
         return y.reshape(b, s, h)
 
-    def ea_forward(self, x: Tensor, p: str, depth: int) -> Tensor:
+    def ea_forward(self, x: Tensor, depth: int) -> Tensor:
         """Sparse mixture of SwiGLU experts with depth-encoded routing."""
+        p = self.cfg.set_name(depth)
         b, s, h = x.shape
         normed = rms_norm(x, self.params[f"{p}.ea.in_norm.gain"], self.cfg.rms_eps)
         flat = normed.reshape(b * s, h)
@@ -287,16 +287,15 @@ class DreamerModel:
             raise ContractError(f"depth {depth} outside [0, {cfg.depth})")
         if cfg.has_da and depth_cache is None:
             raise ContractError("depth-attention variant needs a depth cache")
-        p = cfg.set_name(depth)
 
         def sa(u):
-            return self.sa_forward(u, p, depth, seq_cache)
+            return self.sa_forward(u, depth, seq_cache)
 
         def da(u):
-            return self.da_forward(u, p, depth, depth_cache)
+            return self.da_forward(u, depth, depth_cache)
 
         def ea(u):
-            return self.ea_forward(u, p, depth)
+            return self.ea_forward(u, depth)
 
         if cfg.composition == "sequential":
             y = x + da(x) if cfg.has_da else x

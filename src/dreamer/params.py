@@ -135,9 +135,6 @@ class ParameterStore:
     def learnable(self):
         return {n: t for n, t in self._tensors.items() if t.requires_grad}
 
-    def total_size(self) -> int:
-        return sum(t.size for t in self._tensors.values())
-
 
 def init_parameters(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterStore:
     rng = np.random.default_rng(seed)

@@ -128,11 +128,9 @@ class TelemetryLog:
         return log
 
 
-def usage_matrix(log: TelemetryLog, router_suffix: str = ".ea",
-                 depths: int | None = None, experts: int | None = None) -> np.ndarray:
+def usage_matrix(log: TelemetryLog, router_suffix: str = ".ea") -> np.ndarray:
     """Depth-by-expert selection counts for routers matching the suffix."""
-    rows = depths or 0
-    cols = experts or 0
+    rows = cols = 0
     picked = [ev for ev in log.events if ev.router.endswith(router_suffix)]
     for ev in picked:
         rows = max(rows, ev.depth + 1)

@@ -516,6 +516,9 @@ def backward(loss: Tensor, inputs: dict[str, Tensor]) -> dict[str, np.ndarray]:
         g = leaves.get(t.node_id)
         if g is None:
             return np.zeros_like(t.data)
-        return g if t.node_id in owned else g.copy()  # a vjp's array may be shared
+        if t.node_id in owned:
+            owned.discard(t.node_id)  # handed out once: an input named twice gets a copy
+            return g
+        return g.copy()  # a vjp's array may be shared
 
     return {name: grad_of(t) for name, t in inputs.items() if t.requires_grad}

@@ -20,7 +20,7 @@ IGNORE_TARGET = -1
 TASK_KINDS = ("copy", "reverse", "modular_sum_chain", "token_lm")
 
 
-def lr_at(step: int, max_lr: float = 4e-4, warmup_steps: int = 500) -> float:
+def lr_at(step: int, max_lr: float, warmup_steps: int) -> float:
     """Linear warmup to `max_lr`, constant afterwards; step 0 is nonzero."""
     if step < 0:
         raise ConfigError(f"step must be >= 0, got {step}")
@@ -313,8 +313,6 @@ def train(cfg: ModelConfig, task: TaskSpec, steps: int,
             except NumericError as exc:
                 _abort(metrics, step, None, str(exc))
             loss_value = float(loss.data)
-            if not np.isfinite(loss_value):
-                _abort(metrics, step, loss_value, "non-finite loss")
             grads = T.backward(loss, learnable)
             del loss  # the step's tape dies here, before the next forward builds one
             usage = {name: state.counts.tolist()

@@ -101,12 +101,12 @@ def test_03_depth_attention_batched_equals_per_token_loop():
           for _ in range(cfg.depth)]
     with T.no_grad():
         cache = DepthCache(cfg.depth)
-        batched = [model.da_forward(xs[l], "layer", l, cache).data
+        batched = [model.da_forward(xs[l], l, cache).data
                    for l in range(cfg.depth)]
         for t in range(s):
             tok_cache = DepthCache(cfg.depth)
             for l in range(cfg.depth):
-                ref = model.da_forward(xs[l][:, t:t + 1, :], "layer", l, tok_cache)
+                ref = model.da_forward(xs[l][:, t:t + 1, :], l, tok_cache)
                 diff = np.abs(ref.data[:, 0] - batched[l][:, t])
                 assert np.max(diff) < 1e-6, (t, l)
 
@@ -302,9 +302,9 @@ def test_10_depth_history_is_token_local():
         cache = DepthCache(cfg.depth)
         outs = []
         with T.no_grad():
-            outs.append(model.da_forward(Tensor(x0), "layer", 0, cache).data)
+            outs.append(model.da_forward(Tensor(x0), 0, cache).data)
             for l in range(1, cfg.depth):
-                outs.append(model.da_forward(Tensor(xs[l]), "layer", l, cache).data)
+                outs.append(model.da_forward(Tensor(xs[l]), l, cache).data)
         return outs
 
     base = run(xs[0])

@@ -6,20 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dreamer import tensor as T
 from dreamer.config import desk_config, published_config
 from dreamer.costs import (CostReport, cost_report, count_flops, count_memory,
-                           count_params, linear_flops, linear_params,
-                           match_model, _match_flops, _match_params,
-                           swiglu_expert_flops, swiglu_expert_params,
-                           DFF_RANGE, _nearest_monotone)
+                           count_params, linear_flops, match_model, _match_flops,
+                           _match_params, swiglu_expert_flops, DFF_RANGE,
+                           _nearest_monotone)
 from dreamer.errors import ConfigError
+from dreamer.model import DreamerModel
 from dreamer.params import init_parameters
 
 
 def test_linear_conventions():
-    assert linear_params(4, 8) == 32
     assert linear_flops(4, 8) == 64.0
-    assert swiglu_expert_params(8, 16) == 3 * 8 * 16 == 384
 
 
 @pytest.mark.parametrize("variant", ("LA", "DR", "DR_DA"))
@@ -99,6 +98,23 @@ def test_memory_single_entry_hand_sum():
     want += 1 * cfg.da_kv_heads * cfg.da_head_dim * 2 * unit
     assert count_memory(cfg, 1, "float64") == want
     assert count_memory(cfg, 1, "float64") == 2 * count_memory(cfg, 1, "float32")
+
+
+@pytest.mark.parametrize("variant", ("LA", "DR", "DR_DA"))
+def test_cache_bytes_equal_the_memory_cache_term(variant):
+    # 12 tokens in the SA caches; the DA cache holds the last token's depths
+    cfg = desk_config(variant, 3, hidden_size=16, vocab_size=32, context_length=16)
+    model = DreamerModel(cfg, seed=0)
+    caches = model.new_caches()
+    tokens = np.arange(11)[None, :]
+    with T.no_grad():
+        model.model_forward(tokens, caches)
+        model.model_forward(tokens[:, -1:], caches)
+    arrays = [c.k for c in caches.seq] + [c.v for c in caches.seq]
+    if caches.depth is not None:
+        arrays += caches.depth.ks + caches.depth.vs
+    cache_bytes = sum(a.data.nbytes for a in arrays)
+    assert cache_bytes == count_memory(cfg, 12) - 4 * count_params(cfg)
 
 
 def test_cost_input_validation():

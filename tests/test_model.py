@@ -76,8 +76,8 @@ def test_sa_single_token_is_prefix_of_sequence():
     model = DreamerModel(cfg, seed=1)
     rng = np.random.default_rng(1)
     x = rand_x(rng, 2, 4, cfg.hidden_size)
-    full = model.sa_forward(x, "layer", 0)
-    solo = model.sa_forward(x[:, :1, :], "layer", 0)
+    full = model.sa_forward(x, 0)
+    solo = model.sa_forward(x[:, :1, :], 0)
     assert np.max(np.abs(full.data[:, 0] - solo.data[:, 0])) < 1e-6
 
 
@@ -87,11 +87,10 @@ def test_sa_incremental_equals_full(variant):
     model = DreamerModel(cfg, seed=2)
     rng = np.random.default_rng(2)
     x = rand_x(rng, 2, 8, cfg.hidden_size)
-    p = cfg.set_name(0)
     with T.no_grad():
-        full = model.sa_forward(x, p, 0)
+        full = model.sa_forward(x, 0)
         cache = SeqCache(cfg.context_length)
-        steps = [model.sa_forward(x[:, t:t + 1, :], p, 0, cache) for t in range(8)]
+        steps = [model.sa_forward(x[:, t:t + 1, :], 0, cache) for t in range(8)]
     inc = np.concatenate([s.data for s in steps], axis=1)
     assert np.max(np.abs(inc - full.data)) < 1e-5
 
@@ -101,10 +100,10 @@ def test_sa_causality_is_exact():
     model = DreamerModel(cfg, seed=3)
     rng = np.random.default_rng(3)
     base = rng.normal(0.0, 1.0, (1, 6, cfg.hidden_size)).astype(np.float32)
-    out = model.sa_forward(Tensor(base), "layer", 1)
+    out = model.sa_forward(Tensor(base), 1)
     perturbed = base.copy()
     perturbed[:, 3] += rng.normal(0.0, 1.0, cfg.hidden_size).astype(np.float32)
-    out2 = model.sa_forward(Tensor(perturbed), "layer", 1)
+    out2 = model.sa_forward(Tensor(perturbed), 1)
     assert np.array_equal(out.data[:, :3], out2.data[:, :3])
 
 
@@ -116,7 +115,7 @@ def test_da_first_depth_attends_itself_only():
     model = DreamerModel(cfg, seed=4, telemetry=log)
     x = rand_x(np.random.default_rng(4), 1, 3, cfg.hidden_size)
     cache = DepthCache(cfg.depth)
-    model.da_forward(x, "layer", 0, cache)
+    model.da_forward(x, 0, cache)
     assert len(cache) == 1
     assert log.depth_rows[0].scores.shape == (1,)
     assert log.depth_rows[0].scores[0] == 1.0
@@ -130,12 +129,12 @@ def test_da_batched_equals_per_token_loop():
     xs = [rand_x(rng, b, s, h) for _ in range(cfg.depth)]
     with T.no_grad():
         cache = DepthCache(cfg.depth)
-        batched = [model.da_forward(xs[l], "layer", l, cache).data
+        batched = [model.da_forward(xs[l], l, cache).data
                    for l in range(cfg.depth)]
         for t in range(s):
             tok_cache = DepthCache(cfg.depth)
             for l in range(cfg.depth):
-                ref = model.da_forward(xs[l][:, t:t + 1, :], "layer", l, tok_cache)
+                ref = model.da_forward(xs[l][:, t:t + 1, :], l, tok_cache)
                 diff = np.abs(ref.data[:, 0] - batched[l][:, t])
                 assert np.max(diff) < 1e-6, (t, l)
 
@@ -152,9 +151,9 @@ def test_da_is_token_local_exactly():
         cache = DepthCache(cfg.depth)
         outs = []
         with T.no_grad():
-            outs.append(model.da_forward(Tensor(x0), "layer", 0, cache).data)
+            outs.append(model.da_forward(Tensor(x0), 0, cache).data)
             for l in range(1, cfg.depth):
-                outs.append(model.da_forward(Tensor(xs[l]), "layer", l, cache).data)
+                outs.append(model.da_forward(Tensor(xs[l]), l, cache).data)
         return outs
 
     base = run(xs[0])
@@ -171,9 +170,9 @@ def test_da_cache_overflow():
     model = DreamerModel(cfg, seed=0)
     x = rand_x(np.random.default_rng(0), 1, 2, cfg.hidden_size)
     cache = DepthCache(1)
-    model.da_forward(x, "layer", 0, cache)
+    model.da_forward(x, 0, cache)
     with pytest.raises(ContractError, match="overflow"):
-        model.da_forward(x, "layer", 0, cache)
+        model.da_forward(x, 0, cache)
 
 
 # -- expert attention ----------------------------------------------------------
@@ -184,7 +183,7 @@ def test_ea_zero_experts_zero_output():
     for part in ("gate", "up", "down"):
         model.params[f"layer.ea.experts.{part}"].data[:] = 0.0
     x = rand_x(np.random.default_rng(7), 2, 3, cfg.hidden_size)
-    out = model.ea_forward(x, "layer", 0)
+    out = model.ea_forward(x, 0)
     assert np.array_equal(out.data, np.zeros_like(out.data))
 
 
@@ -196,7 +195,7 @@ def test_ea_dense_gates_identical_experts():
         w.data[:] = w.data[0]
     rng = np.random.default_rng(8)
     x = rand_x(rng, 1, 3, cfg.hidden_size)
-    out = model.ea_forward(x, "layer", 0)
+    out = model.ea_forward(x, 0)
 
     gain = model.params["layer.ea.in_norm.gain"].data
     xn = x.data / np.sqrt((x.data ** 2).mean(-1, keepdims=True) + cfg.rms_eps) * gain
@@ -218,7 +217,7 @@ def test_ea_matches_dense_mixture_oracle():
     b, s, h = 1, 4, cfg.hidden_size
     x = rand_x(rng, b, s, h)
     depth = 1
-    out = model.ea_forward(x, "layer", depth)
+    out = model.ea_forward(x, depth)
 
     gain = model.params["layer.ea.in_norm.gain"].data
     xn = x.data / np.sqrt((x.data ** 2).mean(-1, keepdims=True) + cfg.rms_eps) * gain

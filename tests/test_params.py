@@ -8,7 +8,6 @@ from dreamer.errors import ConfigError, ContractError, InputError
 from dreamer.params import (
     ParameterStore,
     init_parameters,
-    iter_parameter_specs,
     load_checkpoint,
     save_checkpoint,
 )
@@ -168,13 +167,6 @@ def test_store_rejects_duplicates():
     store.add("w", np.zeros((2, 2), dtype=np.float32))
     with pytest.raises(ContractError, match="duplicate"):
         store.add("w", np.zeros((2, 2), dtype=np.float32))
-
-
-def test_total_size_matches_specs():
-    cfg = desk_config("DR_DA", 4)
-    store = init_parameters(cfg, seed=0)
-    expected = sum(int(np.prod(s.shape)) for s in iter_parameter_specs(cfg))
-    assert store.total_size() == expected
 
 
 def test_tied_embeddings_drop_head_matrix():

@@ -49,3 +49,15 @@ def test_routing_counters_see_one_dr_da_forward(monkeypatch):
     # per depth: SA and DA each route their qkv and out banks, one pair per row
     assert counts["bank_pairs"] == cfg.depth * 2 * 2 * tokens.size
     assert counts["ea_pairs"] == cfg.depth * tokens.size * cfg.ea_active_experts
+    # the span tree that `attention.gqa_ms.sa` and `.da` are read from
+    spans = tracer.spans()
+    names = [s[0] for s in spans]
+    for module in ("model.sa", "model.da", "model.ea"):
+        assert names.count(module) == cfg.depth, module
+    assert names.count("attention.gqa") == 2 * cfg.depth
+    for s in spans:
+        if s[0] == "attention.gqa":
+            parent = s[3]
+            while parent >= 0 and spans[parent][0] not in ("model.sa", "model.da"):
+                parent = spans[parent][3]
+            assert parent >= 0

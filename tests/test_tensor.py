@@ -365,6 +365,15 @@ def test_leaf_gradients_never_share_memory():
         np.testing.assert_array_equal(g, np.full(4, 0.1 / np.sqrt(8.0)))
 
 
+def test_an_input_named_twice_gets_two_arrays():
+    # the sum of two products makes an accumulator the walk owns
+    x = t64(np.ones(3))
+    grads = T.backward(T.eval((x * 2.0 + x * 3.0).sum()), {"a": x, "b": x})
+    assert not np.shares_memory(grads["a"], grads["b"])
+    for g in grads.values():
+        np.testing.assert_array_equal(g, np.full(3, 5.0))
+
+
 def test_stacked_weight_slices_allocate_one_gradient_buffer():
     E, din, dout = 8, 64, 64
     rng = np.random.default_rng(24)

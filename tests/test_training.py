@@ -28,12 +28,12 @@ def tiny_config(variant="DR", **overrides):
 # -- schedule and optimizer ------------------------------------------------------
 
 def test_lr_schedule():
-    assert lr_at(0) == pytest.approx(8e-7)
-    assert lr_at(499) == pytest.approx(4e-4)
-    assert lr_at(10_000) == pytest.approx(4e-4)
+    assert lr_at(0, 4e-4, 500) == pytest.approx(8e-7)
+    assert lr_at(499, 4e-4, 500) == pytest.approx(4e-4)
+    assert lr_at(10_000, 4e-4, 500) == pytest.approx(4e-4)
     assert lr_at(250, max_lr=1.0, warmup_steps=500) == pytest.approx(0.502)
     with pytest.raises(ConfigError):
-        lr_at(-1)
+        lr_at(-1, 4e-4, 500)
 
 
 def test_clip_scales_to_max_norm():
