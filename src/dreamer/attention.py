@@ -145,12 +145,12 @@ def _masked_softmax(scores: Tensor, scale: float, mask: np.ndarray) -> Tensor:
     return T.node(w, (scores,), vjp, "masked_softmax")
 
 
-def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int = 0,
-                            return_weights: bool = False):
+def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int = 0):
     """Causal attention where groups of query heads share one key/value head.
 
     Shapes: q [b, query_heads, m, d], k/v [b, kv_heads, n, d]; query row i
-    sees key rows j <= i + pos_offset. Equal head counts reduce to plain
+    sees key rows j <= i + pos_offset. Returns (out [b, query_heads, m, d],
+    softmax weights [b, query_heads, m, n]). Equal head counts reduce to plain
     per-head attention. The group axis is merged into the row axis so each
     kv head attends all of its query heads in one batched product; the
     mask is tiled to match. The two products are engine matmuls around
@@ -168,6 +168,4 @@ def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int 
     mask = np.tile(causal_mask(m, n, pos_offset, q.dtype), (group, 1))
     weights = _masked_softmax(scores, 1.0 / np.sqrt(d), mask)
     out = T.matmul(weights, v).reshape(b, qh, m, d)
-    if return_weights:
-        return out, weights.reshape(b, qh, m, n)
-    return out
+    return out, weights.reshape(b, qh, m, n)

@@ -76,20 +76,15 @@ class ModelConfig:
         return self.attn_moe_num_experts or self.depth
 
     @property
-    def sa_qkv_dim(self) -> int:
-        return (self.sa_query_heads + 2 * self.sa_kv_heads) * self.sa_head_dim
+    def attention_modules(self) -> tuple:
+        return ("sa", "da") if self.has_da else ("sa",)
 
-    @property
-    def sa_out_dim(self) -> int:
-        return self.sa_query_heads * self.sa_head_dim
-
-    @property
-    def da_qkv_dim(self) -> int:
-        return (self.da_query_heads + 2 * self.da_kv_heads) * self.da_head_dim
-
-    @property
-    def da_out_dim(self) -> int:
-        return self.da_query_heads * self.da_head_dim
+    def attention_dims(self, module: str) -> tuple:
+        """(query_heads, kv_heads, head_dim, qkv_dim, out_dim) of "sa" or "da"."""
+        query_heads, kv_heads, head_dim = (
+            getattr(self, f"{module}_{n}") for n in ("query_heads", "kv_heads", "head_dim"))
+        return (query_heads, kv_heads, head_dim,
+                (query_heads + 2 * kv_heads) * head_dim, query_heads * head_dim)
 
     @property
     def layered(self) -> bool:

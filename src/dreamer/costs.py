@@ -80,16 +80,8 @@ def _router_flops(cfg: ModelConfig, num_experts: int, top_k: int,
     return query + encode + key_dots + select + gates
 
 
-def _attention_dims(cfg: ModelConfig, module: str):
-    if module == "sa":
-        return (cfg.sa_query_heads, cfg.sa_kv_heads, cfg.sa_head_dim,
-                cfg.sa_qkv_dim, cfg.sa_out_dim)
-    return (cfg.da_query_heads, cfg.da_kv_heads, cfg.da_head_dim,
-            cfg.da_qkv_dim, cfg.da_out_dim)
-
-
 def _attention_flops(cfg: ModelConfig, module: str, cached_len: float) -> float:
-    query_heads, kv_heads, head_dim, qkv_dim, out_dim = _attention_dims(cfg, module)
+    query_heads, kv_heads, head_dim, qkv_dim, out_dim = cfg.attention_dims(module)
     h = cfg.hidden_size
     f = 4.0 * h  # input norm
     in_out = linear_flops(h, qkv_dim) + linear_flops(out_dim, h)
@@ -140,13 +132,18 @@ def count_flops(cfg: ModelConfig, seq_len: int = 1024) -> float:
 
 def count_memory(cfg: ModelConfig, seq_len: int = 1024,
                  precision: str = "float32") -> int:
-    """Parameter bytes plus KV cache bytes at the stated decode length."""
+    """Parameter bytes plus KV cache bytes at the stated decode length.
+
+    Parameters take the bytes the store holds them in: learnable tensors at
+    `precision`, balancing biases at their float64.
+    """
     if precision not in PRECISION_BYTES:
         raise ConfigError(f"precision must be one of {sorted(PRECISION_BYTES)}")
     if seq_len < 1:
         raise ConfigError(f"seq_len must be >= 1, got {seq_len}")
     unit = PRECISION_BYTES[precision]
-    total = count_params(cfg) * unit
+    total = sum(math.prod(spec.shape) * spec.dtype(precision).itemsize
+                for spec in iter_parameter_specs(cfg))
     total += cfg.depth * seq_len * cfg.sa_kv_heads * cfg.sa_head_dim * 2 * unit
     if cfg.has_da:
         total += cfg.depth * cfg.da_kv_heads * cfg.da_head_dim * 2 * unit

@@ -3,8 +3,8 @@
 The layer mixes three attention modules over a shared residual stream:
 
   * sequence attention (SA): causal grouped-query attention over tokens,
-  * depth attention (DA): attention over the depth history of each token,
-    run with the sequence moved into the batch axis,
+  * depth attention (DA): the same attention over the depth history of
+    each token, run with the sequence moved into the batch axis,
   * expert attention (EA): a sparse mixture of SwiGLU experts whose routing
     logits are computed like depth-attention scores.
 
@@ -99,7 +99,8 @@ class DepthCache:
         self.vs: list = []
         self.high_water = 0
 
-    def __len__(self) -> int:
+    @property
+    def length(self) -> int:
         return len(self.ks)
 
     def append(self, k: Tensor, v: Tensor):
@@ -151,7 +152,7 @@ class DreamerModel:
                 bias=self.params[f"{p}.ea.router.bias"].data)
             if cfg.layered:
                 continue
-            for mod in ("sa", "da") if cfg.has_da else ("sa",):
+            for mod in cfg.attention_modules:
                 self.routers[f"{p}.{mod}"] = RouterState(
                     f"{p}.{mod}", cfg.attn_experts, 1,
                     cfg.attn_moe_bias_update_rate, normalize=False,
@@ -189,77 +190,68 @@ class DreamerModel:
         return bank_apply(flat, *selection, self.params[f"{bank}.experts"],
                           self.params[f"{bank}.shared"])
 
-    def _split_heads(self, qkv: Tensor, prefix: str, query_heads: int,
-                     kv_heads: int, head_dim: int):
-        """[n, qkv_dim] -> normed q [n, qh, d], normed k, raw v [n, kvh, d]."""
-        n = qkv.shape[0]
-        qd = query_heads * head_dim
-        kd = kv_heads * head_dim
-        q = qkv[:, :qd].reshape(n, query_heads, head_dim)
-        k = qkv[:, qd:qd + kd].reshape(n, kv_heads, head_dim)
-        v = qkv[:, qd + kd:].reshape(n, kv_heads, head_dim)
-        q = rms_norm(q, self.params[f"{prefix}.q_norm.gain"], self.cfg.rms_eps)
-        k = rms_norm(k, self.params[f"{prefix}.k_norm.gain"], self.cfg.rms_eps)
-        return q, k, v
-
     # -- the three attention modules -------------------------------------------
+
+    def _attention(self, x: Tensor, depth: int, module: str,
+                   cache: SeqCache | DepthCache | None, batch: int, seq: int,
+                   encode) -> Tensor:
+        """Grouped-query attention of `module` ("sa" or "da") over `x` [b, s, h].
+
+        Heads are laid out [batch, heads, seq, d]: SA passes (b, s) and
+        attends along tokens, DA passes (b * s, 1) and attends along the
+        depths in its cache. `encode(t, offset)` position-encodes the
+        RMS-normalized q and k; `offset` counts the entries cached before
+        this call.
+        """
+        cfg = self.cfg
+        prefix = f"{cfg.set_name(depth)}.{module}"
+        query_heads, kv_heads, head_dim, _, out_dim = cfg.attention_dims(module)
+        b, s, h = x.shape
+        normed = rms_norm(x, self.params[f"{prefix}.in_norm.gain"], cfg.rms_eps)
+        flat = normed.reshape(b * s, h)
+        selection = None if cfg.layered else self._route(flat, prefix, depth)
+        qkv = self._project(flat, prefix, "qkv", selection)
+        offset = cache.length if cache is not None else 0
+
+        def heads(first: int, count: int, norm: str | None = None) -> Tensor:
+            cols = qkv[:, first * head_dim:(first + count) * head_dim]
+            t = cols.reshape(batch, seq, count, head_dim)
+            if norm is None:
+                return t.transpose((0, 2, 1, 3))
+            t = rms_norm(t, self.params[f"{prefix}.{norm}.gain"], cfg.rms_eps)
+            return encode(t.transpose((0, 2, 1, 3)), offset)
+
+        q = heads(0, query_heads, "q_norm")
+        k = heads(query_heads, kv_heads, "k_norm")
+        v = heads(query_heads + kv_heads, kv_heads)
+        if cache is not None:
+            k, v = cache.append(k, v)
+
+        out, weights = grouped_query_attention(q, k, v, pos_offset=offset)
+        if module == "da" and self.telemetry is not None:
+            scores = weights.data.mean(axis=(0, 1, 2)).astype(np.float64)
+            self.telemetry.add_depth_scores(depth, batch, scores)
+        del weights  # the softmax weights must not outlive the attention core
+        merged = out.transpose((0, 2, 1, 3)).reshape(batch * seq, out_dim)
+        y = self._project(merged, prefix, "out", selection)
+        return y.reshape(b, s, h)
 
     def sa_forward(self, x: Tensor, depth: int,
                    seq_cache: SeqCache | None = None) -> Tensor:
         """Causal grouped-query attention over token positions."""
-        cfg = self.cfg
-        p = cfg.set_name(depth)
-        b, s, h = x.shape
-        offset = seq_cache.length if seq_cache is not None else 0
-        normed = rms_norm(x, self.params[f"{p}.sa.in_norm.gain"], cfg.rms_eps)
-        flat = normed.reshape(b * s, h)
-        selection = None if cfg.layered else self._route(flat, f"{p}.sa", depth)
-        qkv = self._project(flat, f"{p}.sa", "qkv", selection)
-
-        q, k, v = self._split_heads(qkv, f"{p}.sa", cfg.sa_query_heads,
-                                    cfg.sa_kv_heads, cfg.sa_head_dim)
-        q = q.reshape(b, s, cfg.sa_query_heads, cfg.sa_head_dim).transpose((0, 2, 1, 3))
-        k = k.reshape(b, s, cfg.sa_kv_heads, cfg.sa_head_dim).transpose((0, 2, 1, 3))
-        v = v.reshape(b, s, cfg.sa_kv_heads, cfg.sa_head_dim).transpose((0, 2, 1, 3))
-        positions = np.arange(offset, offset + s)
-        q = rope_apply(q, positions, cfg.sa_rope_base)
-        k = rope_apply(k, positions, cfg.sa_rope_base)
-        if seq_cache is not None:
-            k, v = seq_cache.append(k, v)
-
-        out = grouped_query_attention(q, k, v, pos_offset=offset)
-        merged = out.transpose((0, 2, 1, 3)).reshape(b * s, cfg.sa_out_dim)
-        y = self._project(merged, f"{p}.sa", "out", selection)
-        return y.reshape(b, s, h)
+        b, s, _ = x.shape
+        base = self.cfg.sa_rope_base
+        return self._attention(
+            x, depth, "sa", seq_cache, b, s,
+            lambda t, offset: rope_apply(t, np.arange(offset, offset + s), base))
 
     def da_forward(self, x: Tensor, depth: int, depth_cache: DepthCache) -> Tensor:
         """Attention over each token's own depth history (sequence as batch)."""
+        b, s, _ = x.shape
         cfg = self.cfg
-        p = cfg.set_name(depth)
-        b, s, h = x.shape
-        rows = b * s
-        normed = rms_norm(x, self.params[f"{p}.da.in_norm.gain"], cfg.rms_eps)
-        flat = normed.reshape(rows, h)
-        selection = self._route(flat, f"{p}.da", depth)
-        qkv = self._project(flat, f"{p}.da", "qkv", selection)
-
-        q, k, v = self._split_heads(qkv, f"{p}.da", cfg.da_query_heads,
-                                    cfg.da_kv_heads, cfg.da_head_dim)
-        q = rope_depth_apply(q, depth, cfg.depth, cfg.da_rope_base)
-        k = rope_depth_apply(k, depth, cfg.depth, cfg.da_rope_base)
-        q = q.reshape(rows, cfg.da_query_heads, 1, cfg.da_head_dim)
-        k = k.reshape(rows, cfg.da_kv_heads, 1, cfg.da_head_dim)
-        v = v.reshape(rows, cfg.da_kv_heads, 1, cfg.da_head_dim)
-        k, v = depth_cache.append(k, v)
-
-        out, weights = grouped_query_attention(q, k, v, pos_offset=depth,
-                                               return_weights=True)
-        if self.telemetry is not None:
-            scores = weights.data.mean(axis=(0, 1, 2)).astype(np.float64)
-            self.telemetry.add_depth_scores(depth, rows, scores)
-        merged = out.reshape(rows, cfg.da_out_dim)
-        y = self._project(merged, f"{p}.da", "out", selection)
-        return y.reshape(b, s, h)
+        return self._attention(
+            x, depth, "da", depth_cache, b * s, 1,
+            lambda t, offset: rope_depth_apply(t, depth, cfg.depth, cfg.da_rope_base))
 
     def ea_forward(self, x: Tensor, depth: int) -> Tensor:
         """Sparse mixture of SwiGLU experts with depth-encoded routing."""

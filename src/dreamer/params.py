@@ -44,6 +44,10 @@ INIT_OUT = "out_weight"     # N(0, sqrt(1/(2.5 h depth attn_modules)))
 INIT_ONES = "ones"          # norm gains
 INIT_ZEROS = "zeros"        # balancing biases (non-learned)
 
+# balancing biases are float64 statistics outside the graph, whatever the
+# dtype of the learnable tensors
+BIAS_DTYPE = np.float64
+
 
 @dataclass(frozen=True)
 class ParamSpec:
@@ -54,6 +58,10 @@ class ParamSpec:
     @property
     def learnable(self) -> bool:
         return self.init != INIT_ZEROS
+
+    def dtype(self, weights_dtype) -> np.dtype:
+        """How the store holds this tensor: learnable ones in `weights_dtype`."""
+        return np.dtype(weights_dtype if self.learnable else BIAS_DTYPE)
 
 
 def iter_parameter_specs(cfg: ModelConfig):
@@ -76,30 +84,22 @@ def iter_parameter_specs(cfg: ModelConfig):
     for i in range(cfg.param_sets):
         p = cfg.set_name(i)
 
-        yield ParamSpec(f"{p}.sa.in_norm.gain", (h,), INIT_ONES)
-        yield ParamSpec(f"{p}.sa.q_norm.gain", (cfg.sa_head_dim,), INIT_ONES)
-        yield ParamSpec(f"{p}.sa.k_norm.gain", (cfg.sa_head_dim,), INIT_ONES)
-        if cfg.layered:
-            yield ParamSpec(f"{p}.sa.qkv.weight", (h, cfg.sa_qkv_dim), INIT_WEIGHT)
-            yield ParamSpec(f"{p}.sa.out.weight", (cfg.sa_out_dim, h), INIT_OUT)
-        else:
+        for module in cfg.attention_modules:
+            m = f"{p}.{module}"
+            _, _, head_dim, qkv_dim, out_dim = cfg.attention_dims(module)
+            yield ParamSpec(f"{m}.in_norm.gain", (h,), INIT_ONES)
+            yield ParamSpec(f"{m}.q_norm.gain", (head_dim,), INIT_ONES)
+            yield ParamSpec(f"{m}.k_norm.gain", (head_dim,), INIT_ONES)
+            if cfg.layered:
+                yield ParamSpec(f"{m}.qkv.weight", (h, qkv_dim), INIT_WEIGHT)
+                yield ParamSpec(f"{m}.out.weight", (out_dim, h), INIT_OUT)
+                continue
             E = cfg.attn_experts
-            yield ParamSpec(f"{p}.sa.qkv_bank.experts", (E, h, cfg.sa_qkv_dim), INIT_WEIGHT)
-            yield ParamSpec(f"{p}.sa.qkv_bank.shared", (h, cfg.sa_qkv_dim), INIT_WEIGHT)
-            yield ParamSpec(f"{p}.sa.out_bank.experts", (E, cfg.sa_out_dim, h), INIT_OUT)
-            yield ParamSpec(f"{p}.sa.out_bank.shared", (cfg.sa_out_dim, h), INIT_OUT)
-            yield from router(f"{p}.sa.router", E)
-
-        if cfg.has_da:
-            E = cfg.attn_experts
-            yield ParamSpec(f"{p}.da.in_norm.gain", (h,), INIT_ONES)
-            yield ParamSpec(f"{p}.da.q_norm.gain", (cfg.da_head_dim,), INIT_ONES)
-            yield ParamSpec(f"{p}.da.k_norm.gain", (cfg.da_head_dim,), INIT_ONES)
-            yield ParamSpec(f"{p}.da.qkv_bank.experts", (E, h, cfg.da_qkv_dim), INIT_WEIGHT)
-            yield ParamSpec(f"{p}.da.qkv_bank.shared", (h, cfg.da_qkv_dim), INIT_WEIGHT)
-            yield ParamSpec(f"{p}.da.out_bank.experts", (E, cfg.da_out_dim, h), INIT_OUT)
-            yield ParamSpec(f"{p}.da.out_bank.shared", (cfg.da_out_dim, h), INIT_OUT)
-            yield from router(f"{p}.da.router", E)
+            yield ParamSpec(f"{m}.qkv_bank.experts", (E, h, qkv_dim), INIT_WEIGHT)
+            yield ParamSpec(f"{m}.qkv_bank.shared", (h, qkv_dim), INIT_WEIGHT)
+            yield ParamSpec(f"{m}.out_bank.experts", (E, out_dim, h), INIT_OUT)
+            yield ParamSpec(f"{m}.out_bank.shared", (out_dim, h), INIT_OUT)
+            yield from router(f"{m}.router", E)
 
         yield ParamSpec(f"{p}.ea.in_norm.gain", (h,), INIT_ONES)
         yield from router(f"{p}.ea.router", cfg.ea_num_experts)
@@ -151,8 +151,8 @@ def init_parameters(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterS
             arr = rng.normal(0.0, out_std, spec.shape).astype(dtype)
         elif spec.init == INIT_ONES:
             arr = np.ones(spec.shape, dtype=dtype)
-        else:  # balancing bias: float64 statistic outside the graph
-            arr = np.zeros(spec.shape, dtype=np.float64)
+        else:  # balancing bias
+            arr = np.zeros(spec.shape, dtype=spec.dtype(dtype))
         store.add(spec.name, arr, learnable=spec.learnable)
     return store
 
@@ -232,7 +232,7 @@ def _parse_checkpoint(blob: bytes, dtype):
         if shape != spec.shape:
             raise InputError(f"checkpoint tensor {name} has shape {shape}, "
                              f"config implies {spec.shape}")
-        store.add(name, data.astype(dtype if spec.learnable else np.float64),
+        store.add(name, data.astype(spec.dtype(dtype)),
                   learnable=spec.learnable)
     if off != len(blob):
         raise InputError("trailing bytes after checkpoint payload")

@@ -125,6 +125,8 @@ class TaskSpec:
             raise ConfigError(f"seq_len must be >= 3, got {self.seq_len}")
         if self.vocab_size < 3:
             raise ConfigError(f"vocab_size must be >= 3, got {self.vocab_size}")
+        if self.modulus < 0:
+            raise ConfigError(f"modulus must be >= 0, got {self.modulus}")
         if self.kind == "token_lm" and not self.path:
             raise ConfigError("token_lm task needs a token file path")
 
@@ -157,17 +159,22 @@ def _load_token_file(path: str):
         raise InputError(f"cannot read token file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"corrupt token file sidecar {sidecar}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise InputError(f"token file sidecar {sidecar} is not a JSON object")
     for key in ("vocab_size", "count"):
         if key not in meta:
             raise InputError(f"token file sidecar {sidecar} is missing {key!r}")
+        if not isinstance(meta[key], int) or isinstance(meta[key], bool):
+            raise InputError(
+                f"token file sidecar {sidecar} has non-integer {key!r}: {meta[key]!r}")
     data = np.frombuffer(raw, dtype="<u4")
-    if data.size != int(meta["count"]):
+    if data.size != meta["count"]:
         raise InputError(
             f"token file holds {data.size} ids but sidecar says {meta['count']}")
-    if data.size and int(data.max()) >= int(meta["vocab_size"]):
+    if data.size and int(data.max()) >= meta["vocab_size"]:
         raise InputError(
             f"token id {int(data.max())} exceeds sidecar vocab {meta['vocab_size']}")
-    return data.astype(np.int64), int(meta["vocab_size"])
+    return data.astype(np.int64), meta["vocab_size"]
 
 
 def save_token_file(path: str, tokens: np.ndarray, vocab_size: int):
@@ -291,13 +298,15 @@ def train(cfg: ModelConfig, task: TaskSpec, steps: int,
     cfg.validate()
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
+    sinks = sinks or TrainSinks()
+    if sinks.checkpoint_every < 0:
+        raise ConfigError(f"checkpoint_every must be >= 0, got {sinks.checkpoint_every}")
     if task.seq_len > cfg.context_length:
         raise ConfigError(
             f"task seq_len {task.seq_len} exceeds context {cfg.context_length}")
     if task.vocab_size > cfg.vocab_size:
         raise ConfigError(
             f"task vocab {task.vocab_size} exceeds model vocab {cfg.vocab_size}")
-    sinks = sinks or TrainSinks()
     model = DreamerModel(cfg, init_parameters(cfg, seed=seed, dtype=dtype))
     optimizer = OptimizerState.for_store(model.params, cfg)
     result = TrainResult(model=model, optimizer=optimizer)

@@ -92,7 +92,8 @@ def test_gqa_equal_heads_is_per_head_attention():
     q = rng.uniform(-1, 1, (1, 2, 5, 4))
     k = rng.uniform(-1, 1, (1, 2, 5, 4))
     v = rng.uniform(-1, 1, (1, 2, 5, 4))
-    out = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v)).data
+    out, _ = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v))
+    out = out.data
     for h in range(2):
         ref = attention(Tensor(q[0, h]), Tensor(k[0, h]), Tensor(v[0, h]), causal=True).data
         np.testing.assert_allclose(out[0, h], ref, atol=1e-12)
@@ -104,7 +105,7 @@ def test_gqa_grouping_matches_loop_oracle():
     q = rng.uniform(-1, 1, (b, 4, m, 3))
     k = rng.uniform(-1, 1, (b, 2, n, 3))
     v = rng.uniform(-1, 1, (b, 2, n, 3))
-    out, w = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v), return_weights=True)
+    out, w = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v))
     mask = np.where(np.tril(np.ones((m, n), bool)), 0.0, -np.inf)
     for bi in range(b):
         for h in range(4):
@@ -274,7 +275,7 @@ def test_gqa_gradcheck_grouped_with_offset():
               "v": param(rng, (2, 2, 5, 3))}
 
     def fn(inp):
-        out = grouped_query_attention(inp["q"], inp["k"], inp["v"], pos_offset=3)
+        out, _ = grouped_query_attention(inp["q"], inp["k"], inp["v"], pos_offset=3)
         return (out * out).sum()
 
     report = grad_check(fn, inputs)
@@ -335,8 +336,8 @@ def test_fused_op_adds_one_node(build, leaves):
 
 def test_gqa_core_is_one_node_between_the_products():
     rng = np.random.default_rng(17)
-    out = grouped_query_attention(param(rng, (1, 4, 3, 4)), param(rng, (1, 2, 3, 4)),
-                                  param(rng, (1, 2, 3, 4)))
+    out, _ = grouped_query_attention(param(rng, (1, 4, 3, 4)), param(rng, (1, 2, 3, 4)),
+                                     param(rng, (1, 2, 3, 4)))
     ops = Counter(n.op for n in T._topo(out) if n.parents)
     assert ops == {"reshape": 2, "transpose": 1, "matmul": 2, "masked_softmax": 1}
 
@@ -352,7 +353,7 @@ def test_gqa_memory_keeps_only_scores_and_weights():
     S = b * 4 * m * m * 4
     tracemalloc.start()
     try:
-        out = grouped_query_attention(q, k, v)
+        out, _ = grouped_query_attention(q, k, v)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

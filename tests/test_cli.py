@@ -66,6 +66,12 @@ def test_train_missing_and_invalid_config(tmp_path, capsys):
     assert "hiden_size" in capsys.readouterr().err
 
 
+def test_train_rejects_negative_checkpoint_every(tmp_path, capsys):
+    code, _ = run_train(tmp_path, extra=("--checkpoint-every", "-1"))
+    assert code == 2
+    assert "checkpoint_every" in capsys.readouterr().err
+
+
 def test_train_refuses_nonempty_out_without_force(tmp_path):
     config_path, _ = write_config(tmp_path)
     code, out = run_train(tmp_path, steps=0, config_path=config_path)

@@ -92,12 +92,25 @@ def test_memory_depth_cache_is_length_independent():
 
 def test_memory_single_entry_hand_sum():
     cfg = desk_config("DR_DA", 1)
-    unit = 8
-    want = count_params(cfg) * unit
-    want += 1 * 1 * cfg.sa_kv_heads * cfg.sa_head_dim * 2 * unit
-    want += 1 * cfg.da_kv_heads * cfg.da_head_dim * 2 * unit
-    assert count_memory(cfg, 1, "float64") == want
-    assert count_memory(cfg, 1, "float64") == 2 * count_memory(cfg, 1, "float32")
+    biases = cfg.ea_num_experts + 2 * cfg.attn_experts  # EA, SA and DA routers
+    for precision, unit in (("float32", 4), ("float64", 8)):
+        want = (count_params(cfg) - biases) * unit + biases * 8  # biases are float64
+        want += 1 * 1 * cfg.sa_kv_heads * cfg.sa_head_dim * 2 * unit
+        want += 1 * cfg.da_kv_heads * cfg.da_head_dim * 2 * unit
+        assert count_memory(cfg, 1, precision) == want
+
+
+@pytest.mark.parametrize("precision", ("float32", "float64"))
+@pytest.mark.parametrize("variant", ("LA", "DR", "DR_DA"))
+def test_memory_parameter_term_is_the_built_store(variant, precision):
+    cfg = desk_config(variant, 3)
+    store = init_parameters(cfg, 0, np.dtype(precision))
+    built = sum(t.data.nbytes for _, t in store.items())
+    unit = np.dtype(precision).itemsize
+    caches = cfg.depth * 12 * cfg.sa_kv_heads * cfg.sa_head_dim * 2 * unit
+    if cfg.has_da:
+        caches += cfg.depth * cfg.da_kv_heads * cfg.da_head_dim * 2 * unit
+    assert count_memory(cfg, 12, precision) - caches == built
 
 
 @pytest.mark.parametrize("variant", ("LA", "DR", "DR_DA"))
@@ -114,7 +127,8 @@ def test_cache_bytes_equal_the_memory_cache_term(variant):
     if caches.depth is not None:
         arrays += caches.depth.ks + caches.depth.vs
     cache_bytes = sum(a.data.nbytes for a in arrays)
-    assert cache_bytes == count_memory(cfg, 12) - 4 * count_params(cfg)
+    store_bytes = sum(t.data.nbytes for _, t in model.params.items())
+    assert cache_bytes == count_memory(cfg, 12) - store_bytes
 
 
 def test_cost_input_validation():

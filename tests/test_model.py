@@ -116,7 +116,7 @@ def test_da_first_depth_attends_itself_only():
     x = rand_x(np.random.default_rng(4), 1, 3, cfg.hidden_size)
     cache = DepthCache(cfg.depth)
     model.da_forward(x, 0, cache)
-    assert len(cache) == 1
+    assert cache.length == 1
     assert log.depth_rows[0].scores.shape == (1,)
     assert log.depth_rows[0].scores[0] == 1.0
 

@@ -123,10 +123,10 @@ def test_recurrent_store_names():
 def test_attention_bank_expert_count_follows_depth():
     cfg = desk_config("DR", 6)
     store = init_parameters(cfg, seed=0)
-    assert store["layer.sa.qkv_bank.experts"].shape == (6, 64, cfg.sa_qkv_dim)
+    assert store["layer.sa.qkv_bank.experts"].shape == (6, 64, cfg.attention_dims("sa")[3])
     cfg = desk_config("DR", 6, attn_moe_num_experts=3)
     store = init_parameters(cfg, seed=0)
-    assert store["layer.sa.qkv_bank.experts"].shape == (3, 64, cfg.sa_qkv_dim)
+    assert store["layer.sa.qkv_bank.experts"].shape == (3, 64, cfg.attention_dims("sa")[3])
 
 
 def test_init_is_deterministic_per_seed():

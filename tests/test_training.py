@@ -159,6 +159,8 @@ def test_task_spec_validation():
         TaskSpec("sort", seq_len=9, vocab_size=16)
     with pytest.raises(ConfigError, match="token file"):
         TaskSpec("token_lm", seq_len=9, vocab_size=16)
+    with pytest.raises(ConfigError, match="modulus"):
+        TaskSpec("modular_sum_chain", seq_len=9, vocab_size=16, modulus=-5)
 
 
 def test_token_lm_roundtrip(tmp_path):
@@ -186,6 +188,10 @@ def test_token_lm_rejects_bad_files(tmp_path):
         _load_token_file(str(tmp_path / "missing.bin"))
     with pytest.raises(InputError, match="out of range"):
         save_token_file(path, np.array([5]), vocab_size=4)
+    for bad, message in ((5, "JSON object"), ({"vocab_size": 32, "count": "ten"}, "count")):
+        (tmp_path / "corpus.bin.json").write_text(json.dumps(bad))
+        with pytest.raises(InputError, match=message):
+            _load_token_file(str(path))
 
 
 def test_masked_cross_entropy_matches_hand_case():
@@ -281,6 +287,9 @@ def test_train_validates_task_against_config():
         train(cfg, TaskSpec("copy", seq_len=9, vocab_size=512), steps=1)
     with pytest.raises(ConfigError, match="steps"):
         train(cfg, TaskSpec("copy", seq_len=9, vocab_size=16), steps=-1)
+    with pytest.raises(ConfigError, match="checkpoint_every"):
+        train(cfg, TaskSpec("copy", seq_len=9, vocab_size=16), steps=1,
+              sinks=TrainSinks(checkpoint_every=-1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
