@@ -11,14 +11,12 @@ from .costs import (CostReport, MatchResult, cost_report, count_flops,
 from .errors import (ConfigError, ContractError, DreamerError, EmptyDataError,
                      InputError, NumericError, ShapeError)
 from .model import CacheSet, DepthCache, DreamerModel, SeqCache
-from .params import (ParameterStore, init_parameters, load_checkpoint,
-                     save_checkpoint)
+from .params import init_parameters, load_checkpoint, save_checkpoint
 from .telemetry import (TelemetryLog, da_score_map, depth_unique_expert_profile,
                         generalization_order, gini, joint_to_conditionals,
                         lorenz, support_size, usage_matrix)
-from .training import (OptimizerState, TaskSpec, TrainResult, TrainSinks,
-                       adamw_step, clip_grad_norm, lr_at, make_task,
-                       save_token_file, train)
+from .training import (OptimizerState, TaskSpec, TrainResult, adamw_step,
+                       clip_grad_norm, lr_at, make_task, save_token_file, train)
 
 __version__ = "0.1.0"
 
@@ -29,11 +27,11 @@ __all__ = [
     "DreamerError", "ShapeError", "NumericError", "ConfigError", "InputError",
     "ContractError", "EmptyDataError",
     "DreamerModel", "CacheSet", "SeqCache", "DepthCache",
-    "ParameterStore", "init_parameters", "save_checkpoint", "load_checkpoint",
+    "init_parameters", "save_checkpoint", "load_checkpoint",
     "TelemetryLog", "usage_matrix", "joint_to_conditionals", "support_size",
     "generalization_order", "lorenz", "gini", "da_score_map",
     "depth_unique_expert_profile",
-    "OptimizerState", "TaskSpec", "TrainResult", "TrainSinks", "adamw_step",
+    "OptimizerState", "TaskSpec", "TrainResult", "adamw_step",
     "clip_grad_norm", "lr_at", "make_task", "save_token_file", "train",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from .params import load_checkpoint
 from .telemetry import (TelemetryLog, da_score_map, depth_unique_expert_profile, gini,
                         generalization_order, joint_to_conditionals, lorenz,
                         support_size, usage_matrix)
-from .training import TaskSpec, TrainSinks, make_task, train
+from .training import TaskSpec, make_task, train, validate_run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,15 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_out(args) -> Path:
+    """Create the run directory; call it only once the command's inputs are checked."""
     if args.out is not None:
         out = Path(args.out)
     else:
         root = Path(os.environ.get(OUTPUT_ROOT_VAR, "."))
         out = root / f"{args.command}_run"
-    if out.exists() and any(out.iterdir()) and not args.force:
+    if out.is_dir() and any(out.iterdir()) and not args.force:
         raise InputError(
             f"run directory {out} is not empty; pass --force to reuse it")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create run directory {out}: {exc}") from None
     return out
 
 
@@ -123,13 +127,12 @@ def _task_spec(args, cfg: ModelConfig) -> TaskSpec:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    out = _resolve_out(args)
     spec = _task_spec(args, cfg)
-    sinks = TrainSinks(metrics_path=str(out / "metrics.jsonl"),
-                       checkpoint_dir=str(out / "checkpoints"),
-                       checkpoint_every=args.checkpoint_every)
+    validate_run(cfg, spec, args.steps, args.checkpoint_every)
+    out = _resolve_out(args)
     _write_manifest(out, args, args.config, cfg, args.seed)
-    result = train(cfg, spec, args.steps, sinks=sinks, seed=args.seed,
+    result = train(cfg, spec, args.steps, run_dir=out,
+                   checkpoint_every=args.checkpoint_every, seed=args.seed,
                    dtype=PRECISIONS[args.precision])
     if result.history:
         last = result.history[-1]
@@ -144,7 +147,6 @@ def cmd_match(args) -> int:
     if baseline.depth != candidate.depth:
         raise ConfigError(
             f"depth mismatch: baseline {baseline.depth} vs candidate {candidate.depth}")
-    out = _resolve_out(args)
     result = match_model(candidate, baseline, seq_len=args.seq_len)
     matched = result.config
     at_boundary = (matched.ea_intermediate_size in DFF_RANGE
@@ -153,6 +155,7 @@ def cmd_match(args) -> int:
     report = {
         "flops_error": result.flops_error,
         "params_error": result.params_error,
+        "memory_error": result.memory_error,
         "iterations": result.iterations,
         "boundary": at_boundary,
         "baseline": asdict(cost_report(baseline, args.seq_len)),
@@ -160,10 +163,12 @@ def cmd_match(args) -> int:
     }
     if at_boundary:
         report["warning"] = "search stopped at a bound of the expert knobs"
+    out = _resolve_out(args)
     (out / "matched_config.json").write_text(matched.to_json() + "\n")
     (out / "match_report.json").write_text(json.dumps(report, indent=2) + "\n")
     _write_manifest(out, args, args.candidate, matched, None)
-    print(f"flops error {result.flops_error:.4%}, params error {result.params_error:.4%}")
+    print(f"flops error {result.flops_error:.4%}, params error {result.params_error:.4%}, "
+          f"memory error {result.memory_error:.4%}")
     print(f"run written to {out}")
     return EXIT_OK
 
@@ -238,22 +243,23 @@ def _analysis_artifacts(out: Path, log: TelemetryLog):
 
 
 def cmd_analyze(args) -> int:
-    out = _resolve_out(args)
     if args.telemetry:
         log = TelemetryLog.load(args.telemetry)
+        out = _resolve_out(args)
         _write_manifest(out, args, args.telemetry, None, args.seed)
     else:
-        cfg, store = load_checkpoint(args.checkpoint,
-                                     dtype=PRECISIONS[args.precision])
+        cfg, params = load_checkpoint(args.checkpoint,
+                                      dtype=PRECISIONS[args.precision])
         if args.seq_len > cfg.context_length:
             raise ConfigError(
                 f"seq_len {args.seq_len} exceeds context {cfg.context_length}")
         log = TelemetryLog()
-        model = DreamerModel(cfg, store, telemetry=log)
+        model = DreamerModel(cfg, params, telemetry=log)
         from .tensor import no_grad
         with no_grad():
             for tokens in _analysis_sequences(args, cfg):
                 model.model_forward(tokens)
+        out = _resolve_out(args)
         log.save(out / "telemetry.jsonl")
         _write_manifest(out, args, args.checkpoint, cfg, args.seed)
     produced = _analysis_artifacts(out, log)
@@ -265,12 +271,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg, store = load_checkpoint(args.checkpoint, dtype=PRECISIONS[args.precision])
+    cfg, params = load_checkpoint(args.checkpoint, dtype=PRECISIONS[args.precision])
     try:
         prompt = np.array([int(tok) for tok in args.prompt_tokens.split(",")])
     except ValueError as exc:
         raise InputError(f"prompt tokens must be integers: {exc}") from exc
-    model = DreamerModel(cfg, store)
+    model = DreamerModel(cfg, params)
     tokens = model.decode(prompt, args.n)
     for token in tokens.reshape(-1):
         print(int(token))
@@ -303,3 +309,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

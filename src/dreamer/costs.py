@@ -57,6 +57,7 @@ class MatchResult:
     config: ModelConfig
     flops_error: float
     params_error: float
+    memory_error: float
     iterations: int
 
 
@@ -217,5 +218,7 @@ def match_model(cfg: ModelConfig, baseline: ModelConfig,
     achieved = cost_report(matched, seq_len)
     flops_error = abs(achieved.flops_per_token - target.flops_per_token) / target.flops_per_token
     params_error = abs(achieved.params - target.params) / target.params
+    memory_error = abs(achieved.memory_bytes - target.memory_bytes) / target.memory_bytes
     return MatchResult(config=matched, flops_error=flops_error,
-                       params_error=params_error, iterations=it1 + it2 + it3)
+                       params_error=params_error, memory_error=memory_error,
+                       iterations=it1 + it2 + it3)

@@ -32,7 +32,7 @@ from . import tensor as T
 from .attention import grouped_query_attention, rms_norm, rope_apply, rope_depth_apply
 from .config import ModelConfig
 from .errors import ContractError, InputError
-from .params import ParameterStore, init_parameters
+from .params import init_parameters
 from .routing import (
     RouterState,
     bank_apply,
@@ -136,7 +136,7 @@ class CacheSet:
 class DreamerModel:
     """Configuration plus parameters plus per-router balancing state."""
 
-    def __init__(self, cfg: ModelConfig, params: ParameterStore | None = None,
+    def __init__(self, cfg: ModelConfig, params: dict[str, Tensor] | None = None,
                  seed: int = 0, telemetry: TelemetryLog | None = None):
         cfg.validate()
         self.cfg = cfg

@@ -1,10 +1,11 @@
-"""Parameter store, initialization, and the checkpoint container format.
+"""Parameter naming, initialization, and the checkpoint container format.
 
-The store is the single home of every named array the model owns:
-learnable weights, norm gains, and the (non-learned) balancing bias
-vectors. Names are hierarchical, e.g. `layer.sa.qkv_bank.experts` for the
-shared set of a depth-recurrent model or `layer3.ea.experts.down` for the
-fourth set of a layered one.
+A model's parameters are a plain `dict[str, Tensor]` in the order of
+`iter_parameter_specs`: learnable weights, norm gains, and the
+(non-learned, no-gradient) balancing bias vectors. Names are
+hierarchical, e.g. `layer.sa.qkv_bank.experts` for the shared set of a
+depth-recurrent model or `layer3.ea.experts.down` for the fourth set of a
+layered one.
 
 Initialization: weights draw from N(0, sqrt(1/(5 h))); output projections
 (attention output banks and EA down projections) use the depth-aware
@@ -16,10 +17,13 @@ Checkpoint container (binary, little-endian):
     u32 format version | u32 endianness probe (0x01020304)
     u64 config length  | config JSON bytes
     u64 tensor count
-    per tensor: u32 name length | name bytes | u32 rank | u64*rank extents
-                | float32 payload
-Balancing biases are stored like any other tensor; usage counts are
-transient and never persisted.
+    per tensor: u32 name length | name bytes | u32 dtype code
+                | u32 rank | u64*rank extents | payload
+The dtype code indexes PAYLOAD_DTYPES: a float64 tensor is stored as
+float64, any other as float32. Version 1 files have no dtype code and
+store every payload as float32; they still load. Balancing biases are
+stored like any other tensor; usage counts are transient and never
+persisted.
 """
 
 from __future__ import annotations
@@ -32,11 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ContractError, InputError
+from .errors import InputError
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 ENDIAN_PROBE = 0x01020304
+PAYLOAD_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 
 # init kinds: how each tensor is filled at construction time
 INIT_WEIGHT = "weight"      # N(0, sqrt(1/(5h)))
@@ -60,7 +65,7 @@ class ParamSpec:
         return self.init != INIT_ZEROS
 
     def dtype(self, weights_dtype) -> np.dtype:
-        """How the store holds this tensor: learnable ones in `weights_dtype`."""
+        """How the parameters hold this tensor: learnable ones in `weights_dtype`."""
         return np.dtype(weights_dtype if self.learnable else BIAS_DTYPE)
 
 
@@ -109,41 +114,19 @@ def iter_parameter_specs(cfg: ModelConfig):
         yield ParamSpec(f"{p}.ea.experts.down", (cfg.ea_num_experts, dff, h), INIT_OUT)
 
 
-class ParameterStore:
-    """Ordered name -> Tensor mapping; non-learnable tensors take no gradient."""
-
-    def __init__(self):
-        self._tensors: dict[str, Tensor] = {}
-
-    def add(self, name: str, array: np.ndarray, learnable: bool = True):
-        if name in self._tensors:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        self._tensors[name] = Tensor(array, requires_grad=learnable)
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def names(self):
-        return list(self._tensors)
-
-    def items(self):
-        return self._tensors.items()
-
-    def learnable(self):
-        return {n: t for n, t in self._tensors.items() if t.requires_grad}
+def learnable(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """The tensors that take a gradient: all but the balancing biases."""
+    return {name: t for name, t in params.items() if t.requires_grad}
 
 
-def init_parameters(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterStore:
+def init_parameters(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Tensor]:
     rng = np.random.default_rng(seed)
     h = cfg.hidden_size
     std = float(np.sqrt(1.0 / (5.0 * h)))
     attn_modules = 3 if cfg.has_da else 2
     out_std = float(np.sqrt(1.0 / (2.5 * h * cfg.depth * attn_modules)))
 
-    store = ParameterStore()
+    params = {}
     for spec in iter_parameter_specs(cfg):
         if spec.init == INIT_WEIGHT:
             arr = rng.normal(0.0, std, spec.shape).astype(dtype)
@@ -153,13 +136,13 @@ def init_parameters(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterS
             arr = np.ones(spec.shape, dtype=dtype)
         else:  # balancing bias
             arr = np.zeros(spec.shape, dtype=spec.dtype(dtype))
-        store.add(spec.name, arr, learnable=spec.learnable)
-    return store
+        params[spec.name] = Tensor(arr, requires_grad=spec.learnable)
+    return params
 
 
 # -- checkpoint container ------------------------------------------------------
 
-def save_checkpoint(path, cfg: ModelConfig, store: ParameterStore) -> None:
+def save_checkpoint(path, cfg: ModelConfig, params: dict[str, Tensor]) -> None:
     """Write the container atomically: a failed write leaves `path` as it was."""
     config_bytes = cfg.to_json().encode()
     tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
@@ -168,14 +151,16 @@ def save_checkpoint(path, cfg: ModelConfig, store: ParameterStore) -> None:
             f.write(struct.pack("<II", CHECKPOINT_VERSION, ENDIAN_PROBE))
             f.write(struct.pack("<Q", len(config_bytes)))
             f.write(config_bytes)
-            f.write(struct.pack("<Q", len(store.names())))
-            for name, t in store.items():
+            f.write(struct.pack("<Q", len(params)))
+            for name, t in params.items():
                 raw = name.encode()
                 f.write(struct.pack("<I", len(raw)))
                 f.write(raw)
-                f.write(struct.pack("<I", t.ndim))
+                payload = np.ascontiguousarray(
+                    t.data, dtype="<f8" if t.dtype == np.float64 else "<f4")
+                f.write(struct.pack("<II", PAYLOAD_DTYPES.index(payload.dtype), t.ndim))
                 f.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-                f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+                f.write(payload.tobytes())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -183,7 +168,7 @@ def save_checkpoint(path, cfg: ModelConfig, store: ParameterStore) -> None:
 
 
 def load_checkpoint(path, dtype=np.float32):
-    """Read a checkpoint container; returns (config, store)."""
+    """Read a checkpoint container; returns (config, params)."""
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -207,7 +192,7 @@ def _parse_checkpoint(blob: bytes, dtype):
         return out
 
     version, probe = struct.unpack("<II", take(8))
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise InputError(f"unsupported checkpoint version {version}")
     if probe != ENDIAN_PROBE:
         raise InputError("checkpoint endianness probe mismatch")
@@ -216,26 +201,32 @@ def _parse_checkpoint(blob: bytes, dtype):
     (count,) = struct.unpack("<Q", take(8))
 
     # the config's specs decide each tensor's shape, dtype and learnability,
-    # exactly as `init_parameters` does for a fresh store
+    # exactly as `init_parameters` does for fresh parameters
     expected = {s.name: s for s in iter_parameter_specs(cfg)}
-    store = ParameterStore()
+    params = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         name = take(name_len).decode()
+        (code,) = struct.unpack("<I", take(4)) if version > 1 else (0,)
+        if code >= len(PAYLOAD_DTYPES):
+            raise InputError(f"checkpoint tensor {name} has unknown dtype code {code}")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}Q", take(8 * rank))
         size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape)
+        payload = PAYLOAD_DTYPES[code]
+        data = np.frombuffer(take(payload.itemsize * size), dtype=payload).reshape(shape)
         spec = expected.get(name)
-        if spec is None or name in store:
+        if spec is None or name in params:
             raise InputError(f"checkpoint tensors do not match its config: {name!r}")
         if shape != spec.shape:
             raise InputError(f"checkpoint tensor {name} has shape {shape}, "
                              f"config implies {spec.shape}")
-        store.add(name, data.astype(spec.dtype(dtype)),
-                  learnable=spec.learnable)
+        # astype copies, so the arrays that AdamW and balancing update in
+        # place are writable, unlike the buffer they are read from
+        params[name] = Tensor(data.astype(spec.dtype(dtype)),
+                              requires_grad=spec.learnable)
     if off != len(blob):
         raise InputError("trailing bytes after checkpoint payload")
-    if list(expected) != store.names():
+    if list(expected) != list(params):
         raise InputError("checkpoint tensors do not match its config")
-    return cfg, store
+    return cfg, params

@@ -98,33 +98,37 @@ class TelemetryLog:
     @classmethod
     def load(cls, path):
         log = cls()
-        with open(path) as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path}:{line_no}"
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise InputError(f"{where}: bad telemetry record: {e}") from None
-                if not isinstance(rec, dict):
-                    raise InputError(f"{where}: telemetry record must be a JSON object")
-                kind = rec.get("kind")
-                fields = _RECORD_FIELDS.get(kind) if type(kind) is str else None
-                if fields is None:
-                    raise InputError(f"{where}: unknown record kind")
-                for name, want in fields.items():
-                    if name not in rec:
-                        raise InputError(f"{where}: {kind} record is missing {name!r}")
-                    if type(rec[name]) is not want:
-                        raise InputError(f"{where}: {name!r} must be {want.__name__}, "
-                                         f"got {type(rec[name]).__name__}")
-                add = log.add_routing if kind == "route" else log.add_depth_scores
-                try:
-                    add(*(rec[name] for name in fields))
-                except (ContractError, TypeError, ValueError) as e:
-                    raise InputError(f"{where}: bad {kind} record: {e}") from None
+        try:
+            with open(path) as f:
+                lines = f.read().split("\n")
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"cannot read telemetry {path}: {e}") from None
+        for line_no, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{line_no}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise InputError(f"{where}: bad telemetry record: {e}") from None
+            if not isinstance(rec, dict):
+                raise InputError(f"{where}: telemetry record must be a JSON object")
+            kind = rec.get("kind")
+            fields = _RECORD_FIELDS.get(kind) if type(kind) is str else None
+            if fields is None:
+                raise InputError(f"{where}: unknown record kind")
+            for name, want in fields.items():
+                if name not in rec:
+                    raise InputError(f"{where}: {kind} record is missing {name!r}")
+                if type(rec[name]) is not want:
+                    raise InputError(f"{where}: {name!r} must be {want.__name__}, "
+                                     f"got {type(rec[name]).__name__}")
+            add = log.add_routing if kind == "route" else log.add_depth_scores
+            try:
+                add(*(rec[name] for name in fields))
+            except (ContractError, TypeError, ValueError) as e:
+                raise InputError(f"{where}: bad {kind} record: {e}") from None
         return log
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from . import tensor as T
 from .config import ModelConfig
 from .errors import ConfigError, InputError, NumericError
 from .model import DreamerModel
-from .params import ParameterStore, init_parameters, save_checkpoint
+from .params import init_parameters, learnable, save_checkpoint
+from .tensor import Tensor
 
 SEPARATOR_TOKEN = 0
 IGNORE_TARGET = -1
@@ -62,13 +65,13 @@ class OptimizerState:
     step: int = 0
 
     @classmethod
-    def for_store(cls, store: ParameterStore, cfg: ModelConfig) -> "OptimizerState":
-        m = {name: np.zeros_like(t.data) for name, t in store.learnable().items()}
-        v = {name: np.zeros_like(t.data) for name, t in store.learnable().items()}
+    def for_store(cls, params: dict[str, Tensor], cfg: ModelConfig) -> "OptimizerState":
+        m = {name: np.zeros_like(t.data) for name, t in learnable(params).items()}
+        v = {name: np.zeros_like(t.data) for name, t in learnable(params).items()}
         return cls(m=m, v=v, cfg=cfg)
 
 
-def adamw_step(params: ParameterStore, grads: dict[str, np.ndarray],
+def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                state: OptimizerState) -> float:
     """One bias-corrected AdamW update with decoupled weight decay.
 
@@ -125,8 +128,8 @@ class TaskSpec:
             raise ConfigError(f"seq_len must be >= 3, got {self.seq_len}")
         if self.vocab_size < 3:
             raise ConfigError(f"vocab_size must be >= 3, got {self.vocab_size}")
-        if self.modulus < 0:
-            raise ConfigError(f"modulus must be >= 0, got {self.modulus}")
+        if not 0 <= self.modulus <= self.vocab_size - 1:
+            raise ConfigError(f"modulus must be in [0, vocab_size - 1], got {self.modulus}")
         if self.kind == "token_lm" and not self.path:
             raise ConfigError("token_lm task needs a token file path")
 
@@ -184,9 +187,22 @@ def save_token_file(path: str, tokens: np.ndarray, vocab_size: int):
     Path(path).write_bytes(tokens.astype("<u4").tobytes())
     Path(str(path) + ".json").write_text(
         json.dumps({"vocab_size": int(vocab_size), "count": int(tokens.size)}))
+    _cached_token_file.cache_clear()
 
 
-_TOKEN_FILE_CACHE: dict[str, tuple] = {}
+def _token_file(path: str):
+    """The file's (ids, vocab), read again whenever it or its sidecar changes."""
+    try:
+        stamp = tuple((s.st_mtime_ns, s.st_size)
+                      for s in map(os.stat, (path, f"{path}.json")))
+    except OSError as exc:
+        raise InputError(f"cannot read token file: {exc}") from exc
+    return _cached_token_file(path, stamp)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_token_file(path: str, stamp: tuple):
+    return _load_token_file(path)
 
 
 def make_task(spec: TaskSpec, index: int):
@@ -196,11 +212,7 @@ def make_task(spec: TaskSpec, index: int):
     whose next token is prompt or separator hold IGNORE_TARGET.
     """
     if spec.kind == "token_lm":
-        cached = _TOKEN_FILE_CACHE.get(spec.path)
-        if cached is None:
-            cached = _load_token_file(spec.path)
-            _TOKEN_FILE_CACHE[spec.path] = cached
-        data, vocab = cached
+        data, vocab = _token_file(spec.path)
         if vocab > spec.vocab_size:
             raise ConfigError(
                 f"token file vocab {vocab} exceeds task vocab {spec.vocab_size}")
@@ -219,9 +231,6 @@ def make_task(spec: TaskSpec, index: int):
     else:
         values = rng.integers(0, spec.vocab_size - 1, c)
     answer = synthetic_answer(spec.kind, values, modulus)
-    if int(answer.max(initial=0)) + 1 >= spec.vocab_size:
-        raise ConfigError(
-            f"answer token {int(answer.max()) + 1} exceeds vocab {spec.vocab_size}")
     seq = np.full(spec.seq_len, SEPARATOR_TOKEN, dtype=np.int64)
     seq[:c] = values + 1
     seq[c + 1:2 * c + 1] = answer + 1
@@ -253,15 +262,6 @@ def masked_cross_entropy(logits: T.Tensor, targets: np.ndarray) -> T.Tensor:
 # -- the loop ---------------------------------------------------------------------
 
 @dataclass
-class TrainSinks:
-    """Where the loop writes metrics and checkpoints; all optional."""
-
-    metrics_path: str | None = None
-    checkpoint_dir: str | None = None
-    checkpoint_every: int = 0  # extra checkpoints every N steps when > 0
-
-
-@dataclass
 class TrainResult:
     history: list = field(default_factory=list)
     model: DreamerModel = None
@@ -275,17 +275,35 @@ def _emit(metrics, record):
         metrics.flush()
 
 
-def _checkpoint(sinks, cfg, store, label):
-    if sinks.checkpoint_dir is None:
-        return
-    out = Path(sinks.checkpoint_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / f"{label}.ckpt", cfg, store)
+def validate_run(cfg: ModelConfig, task: TaskSpec, steps: int,
+                 checkpoint_every: int = 0) -> None:
+    """The checks `train` makes before it writes anything.
+
+    The task's first sample is built too, so a missing or mismatched token
+    file is refused here rather than at the first step.
+    """
+    cfg.validate()
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
+    if checkpoint_every < 0:
+        raise ConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
+    if task.seq_len > cfg.context_length:
+        raise ConfigError(
+            f"task seq_len {task.seq_len} exceeds context {cfg.context_length}")
+    if task.vocab_size > cfg.vocab_size:
+        raise ConfigError(
+            f"task vocab {task.vocab_size} exceeds model vocab {cfg.vocab_size}")
+    make_task(task, 0)
 
 
-def train(cfg: ModelConfig, task: TaskSpec, steps: int,
-          sinks: TrainSinks | None = None, seed: int = 0,
-          dtype=np.float32, stop_when=None) -> TrainResult:
+def _checkpoint(run_dir, cfg, params, label):
+    if run_dir is not None:
+        save_checkpoint(run_dir / "checkpoints" / f"{label}.ckpt", cfg, params)
+
+
+def train(cfg: ModelConfig, task: TaskSpec, steps: int, run_dir=None,
+          checkpoint_every: int = 0, seed: int = 0, dtype=np.float32,
+          stop_when=None) -> TrainResult:
     """Run `steps` optimizer steps; deterministic given (cfg, task, seed).
 
     Every step records loss, pre-clip gradient norm, learning rate, and
@@ -294,26 +312,23 @@ def train(cfg: ModelConfig, task: TaskSpec, steps: int,
     `stop_when(record, history)` is checked after each recorded step and
     ends the run early when it returns True; the final checkpoint is
     still written.
+
+    With `run_dir`, the run streams `run_dir/metrics.jsonl` and writes
+    `run_dir/checkpoints/step_000000.ckpt`, one more every
+    `checkpoint_every` steps when that is > 0, and `final.ckpt`. Without
+    it, nothing is written.
     """
-    cfg.validate()
-    if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
-    sinks = sinks or TrainSinks()
-    if sinks.checkpoint_every < 0:
-        raise ConfigError(f"checkpoint_every must be >= 0, got {sinks.checkpoint_every}")
-    if task.seq_len > cfg.context_length:
-        raise ConfigError(
-            f"task seq_len {task.seq_len} exceeds context {cfg.context_length}")
-    if task.vocab_size > cfg.vocab_size:
-        raise ConfigError(
-            f"task vocab {task.vocab_size} exceeds model vocab {cfg.vocab_size}")
+    validate_run(cfg, task, steps, checkpoint_every)
+    if run_dir is not None:
+        run_dir = Path(run_dir)
+        (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     model = DreamerModel(cfg, init_parameters(cfg, seed=seed, dtype=dtype))
     optimizer = OptimizerState.for_store(model.params, cfg)
     result = TrainResult(model=model, optimizer=optimizer)
-    _checkpoint(sinks, cfg, model.params, "step_000000")
+    _checkpoint(run_dir, cfg, model.params, "step_000000")
 
-    learnable = model.params.learnable()
-    with (open(sinks.metrics_path, "w") if sinks.metrics_path
+    inputs = learnable(model.params)
+    with (open(run_dir / "metrics.jsonl", "w") if run_dir is not None
           else contextlib.nullcontext()) as metrics:
         for step in range(steps):
             tokens, targets = make_batch(task, step, cfg.batch_size)
@@ -322,7 +337,7 @@ def train(cfg: ModelConfig, task: TaskSpec, steps: int,
             except NumericError as exc:
                 _abort(metrics, step, None, str(exc))
             loss_value = float(loss.data)
-            grads = T.backward(loss, learnable)
+            grads = T.backward(loss, inputs)
             del loss  # the step's tape dies here, before the next forward builds one
             usage = {name: state.counts.tolist()
                      for name, state in sorted(model.routers.items())}
@@ -336,13 +351,13 @@ def train(cfg: ModelConfig, task: TaskSpec, steps: int,
                                    "grad_norm": grad_norm, "lr": lr,
                                    "usage": usage})
             _emit(metrics, result.history[-1])
-            if sinks.checkpoint_every and (step + 1) % sinks.checkpoint_every == 0:
-                _checkpoint(sinks, cfg, model.params, f"step_{step + 1:06d}")
+            if checkpoint_every and (step + 1) % checkpoint_every == 0:
+                _checkpoint(run_dir, cfg, model.params, f"step_{step + 1:06d}")
             if stop_when is not None and stop_when(result.history[-1], result.history):
                 break
 
     if steps > 0:
-        _checkpoint(sinks, cfg, model.params, "final")
+        _checkpoint(run_dir, cfg, model.params, "final")
     return result
 
 

@@ -5,6 +5,7 @@ the batched, sparse code in `src/` against them. None of this is part of
 the package.
 """
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,3 +273,22 @@ def simulate_balancing(num_experts: int, top_k: int, update_rate: float,
             np.add.at(tail, idx.reshape(-1), 1)
         update_balance(state)
     return tail
+
+
+# -- checkpoint container ------------------------------------------------------
+
+def save_checkpoint_v1(path, cfg, params) -> None:
+    """The version-1 container: no dtype codes, every payload float32."""
+    config_bytes = cfg.to_json().encode()
+    with open(path, "wb") as f:
+        f.write(struct.pack("<II", 1, 0x01020304))
+        f.write(struct.pack("<Q", len(config_bytes)))
+        f.write(config_bytes)
+        f.write(struct.pack("<Q", len(params)))
+        for name, t in params.items():
+            raw = name.encode()
+            f.write(struct.pack("<I", len(raw)))
+            f.write(raw)
+            f.write(struct.pack("<I", t.ndim))
+            f.write(struct.pack(f"<{t.ndim}Q", *t.shape))
+            f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())

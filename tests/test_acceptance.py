@@ -17,7 +17,7 @@ from dreamer.config import desk_config, published_config
 from dreamer.costs import (count_flops, count_params, match_model,
                            _nearest_monotone)
 from dreamer.model import DepthCache, DreamerModel
-from dreamer.params import init_parameters
+from dreamer.params import init_parameters, learnable
 from dreamer.routing import RouterState, bank_apply
 from dreamer.telemetry import (TelemetryLog, da_score_map, gini,
                                joint_to_conditionals, lorenz, support_size)
@@ -49,7 +49,7 @@ def test_01_full_step_gradients_match_finite_differences():
     # required to ignore. Zeroing the shared weights keeps the unfolded
     # routing path live while making both sides measure the same function;
     # the stop itself is pinned by test number 5 below.
-    for name in model.params.names():
+    for name in list(model.params):
         if name.endswith("_bank.shared"):
             model.params[name].data[:] = 0.0
     tokens = np.array([[3, 7, 1]])
@@ -63,7 +63,7 @@ def test_01_full_step_gradients_match_finite_differences():
         return mean(lse - picked)
 
     start = time.monotonic()
-    report = grad_check(fn, model.params.learnable(),
+    report = grad_check(fn, learnable(model.params),
                         tolerance=1e-4, step=1e-5)
     elapsed = time.monotonic() - start
     assert report.passed, str(report)

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dreamer
 from dreamer.cli import main
 from dreamer.config import desk_config
 from dreamer.model import DreamerModel
@@ -72,6 +77,63 @@ def test_train_rejects_negative_checkpoint_every(tmp_path, capsys):
     assert "checkpoint_every" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,message", [
+    (("--checkpoint-every", "-1"), "checkpoint_every"),
+    (("--seq-len", "32"), "seq_len 32 exceeds context"),
+    (("--task-vocab", "64"), "task vocab 64 exceeds model vocab"),
+    (("--task", "token_lm", "--token-file", "{tmp}/missing.bin"), "cannot read token file"),
+])
+def test_refused_train_leaves_no_run_directory(tmp_path, capsys, extra, message):
+    config_path, _ = write_config(tmp_path)
+    extra = tuple(arg.format(tmp=tmp_path) for arg in extra)
+    code, out = run_train(tmp_path, extra=extra, config_path=config_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+    code, _ = run_train(tmp_path, config_path=config_path)  # no --force needed
+    assert code == 0
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"])
+def test_analyze_unreadable_telemetry_leaves_no_run_directory(tmp_path, capsys, content):
+    tele = tmp_path / "tele.jsonl"
+    if content is not None:
+        tele.write_bytes(content)
+    out = tmp_path / "a"
+    code = main(["analyze", "--telemetry", str(tele), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read telemetry")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out_name", ["taken", "taken/run"])
+def test_out_through_a_file_is_an_input_error(tmp_path, capsys, out_name):
+    config_path, _ = write_config(tmp_path)
+    (tmp_path / "taken").write_text("x")
+    code, _ = run_train(tmp_path, out_name=out_name, config_path=config_path)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot create run directory")
+    assert (tmp_path / "taken").read_text() == "x"
+
+
+@pytest.mark.parametrize("module", ["dreamer", "dreamer.cli"])
+def test_python_dash_m_runs_the_command_line(tmp_path, module):
+    config_path, _ = write_config(tmp_path)
+    out = tmp_path / "run"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(dreamer.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "train", "--config", str(config_path),
+         "--task", "copy", "--seq-len", "9", "--steps", "2",
+         "--checkpoint-every", "-1", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "checkpoint_every" in proc.stderr
+    assert not out.exists()
+
+
 def test_train_refuses_nonempty_out_without_force(tmp_path):
     config_path, _ = write_config(tmp_path)
     code, out = run_train(tmp_path, steps=0, config_path=config_path)
@@ -114,6 +176,7 @@ def test_match_self_and_reports(tmp_path):
     report = json.loads((out / "match_report.json").read_text())
     assert report["flops_error"] == 0.0
     assert report["params_error"] == 0.0
+    assert report["memory_error"] == 0.0
     matched = json.loads((out / "matched_config.json").read_text())
     assert matched["variant"] == "LA"
 

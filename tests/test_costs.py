@@ -210,6 +210,22 @@ def test_match_model_self_is_identity():
     assert result.config == base
     assert result.flops_error == 0.0
     assert result.params_error == 0.0
+    assert result.memory_error == 0.0
+
+
+@pytest.mark.parametrize("variant", ["DR", "DR_DA"])
+@pytest.mark.parametrize("depth", [16, 32])
+def test_published_presets_match_la_on_flops_params_and_memory(variant, depth):
+    baseline = published_config("LA", depth)
+    preset = published_config(variant, depth)
+    got, want = cost_report(preset), cost_report(baseline)
+    for a, b in ((got.flops_per_token, want.flops_per_token), (got.params, want.params),
+                 (got.memory_bytes, want.memory_bytes)):
+        assert abs(a - b) / b <= 0.01
+    result = match_model(preset, baseline)
+    assert result.flops_error <= 0.01, result
+    assert result.params_error <= 0.01, result
+    assert result.memory_error <= 0.01, result
 
 
 def test_match_model_reaches_one_percent():

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from dreamer.config import ModelConfig, desk_config, load_config, published_config
-from dreamer.errors import ConfigError, ContractError, InputError
+from dreamer.errors import ConfigError, InputError
 from dreamer.params import (
-    ParameterStore,
     init_parameters,
+    iter_parameter_specs,
     load_checkpoint,
     save_checkpoint,
 )
+from reference import save_checkpoint_v1
 
 
 # -- configuration ---------------------------------------------------------
@@ -97,7 +98,7 @@ def test_published_presets_are_valid():
 
 def test_layered_store_names():
     store = init_parameters(desk_config("LA", 2), seed=0)
-    names = set(store.names())
+    names = set(store)
     assert "layer0.sa.qkv.weight" in names
     assert "layer1.ea.experts.down" in names
     assert "layer.stream_norm.gain" not in names
@@ -108,14 +109,14 @@ def test_layered_store_names():
 
 def test_recurrent_store_names():
     store = init_parameters(desk_config("DR", 4), seed=0)
-    names = set(store.names())
+    names = set(store)
     assert "layer.stream_norm.gain" in names
     assert "layer.sa.qkv_bank.experts" in names
     assert "layer.sa.router.bias" in names
     assert "layer0.sa.qkv.weight" not in names
     assert not any(".da." in n for n in names)
 
-    da_names = set(init_parameters(desk_config("DR_DA", 4), seed=0).names())
+    da_names = set(init_parameters(desk_config("DR_DA", 4), seed=0))
     assert "layer.da.qkv_bank.shared" in da_names
     assert "layer.da.router.keys" in da_names
 
@@ -134,7 +135,7 @@ def test_init_is_deterministic_per_seed():
     a = init_parameters(cfg, seed=7)
     b = init_parameters(cfg, seed=7)
     c = init_parameters(cfg, seed=8)
-    for name in a.names():
+    for name in list(a):
         assert np.array_equal(a[name].data, b[name].data)
     assert not np.array_equal(a["embed.weight"].data, c["embed.weight"].data)
 
@@ -162,18 +163,18 @@ def test_output_scale_counts_attention_modules():
     assert abs(ratio - np.sqrt(3 / 2)) < 0.05
 
 
-def test_store_rejects_duplicates():
-    store = ParameterStore()
-    store.add("w", np.zeros((2, 2), dtype=np.float32))
-    with pytest.raises(ContractError, match="duplicate"):
-        store.add("w", np.zeros((2, 2), dtype=np.float32))
+@pytest.mark.parametrize("variant", ["LA", "DR", "DR_DA"])
+@pytest.mark.parametrize("depth", [1, 2, 4, 7])
+def test_specs_never_repeat_a_name(variant, depth):
+    names = [spec.name for spec in iter_parameter_specs(desk_config(variant, depth))]
+    assert len(set(names)) == len(names)
 
 
 def test_tied_embeddings_drop_head_matrix():
     tied = init_parameters(desk_config("DR", 2, tie_embeddings=True), seed=0)
     untied = init_parameters(desk_config("DR", 2, tie_embeddings=False), seed=0)
-    assert "head.weight" not in tied.names()
-    assert "head.weight" in untied.names()
+    assert "head.weight" not in list(tied)
+    assert "head.weight" in list(untied)
 
 
 # -- checkpoint container -----------------------------------------------------
@@ -188,8 +189,8 @@ def test_checkpoint_round_trip(tmp_path):
 
     cfg2, store2 = load_checkpoint(path)
     assert cfg2 == cfg
-    assert store2.names() == store.names()
-    for name in store.names():
+    assert list(store2) == list(store)
+    for name in list(store):
         orig = store[name].data.astype(np.float32)
         assert np.array_equal(store2[name].data.astype(np.float32), orig), name
     bias = store2["layer.ea.router.bias"]
@@ -205,6 +206,58 @@ def test_checkpoint_float64_load(tmp_path):
     save_checkpoint(path, cfg, init_parameters(cfg, seed=0))
     _, store = load_checkpoint(path, dtype=np.float64)
     assert store["embed.weight"].dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_keeps_each_tensor_dtype_bitwise(tmp_path, dtype):
+    cfg = desk_config("DR_DA", 2, hidden_size=16, ea_num_experts=4,
+                      ea_active_experts=2, ea_intermediate_size=8)
+    store = init_parameters(cfg, seed=5, dtype=dtype)
+    bias = store["layer.ea.router.bias"].data
+    bias[:] = np.arange(1, 5) / 3.0e3  # not representable in float32
+    assert not np.array_equal(bias.astype(np.float32).astype(np.float64), bias)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, store)
+
+    _, loaded = load_checkpoint(path, dtype=dtype)
+    assert list(loaded) == list(store)
+    for name, t in store.items():
+        got = loaded[name]
+        assert got.dtype == t.dtype and got.data.tobytes() == t.data.tobytes(), name
+        assert got.requires_grad == t.requires_grad
+        assert got.data.flags.writeable, name
+
+
+def test_checkpoint_version1_still_loads(tmp_path):
+    cfg = desk_config("DR_DA", 2, hidden_size=16, ea_num_experts=4,
+                      ea_active_experts=2, ea_intermediate_size=8)
+    store = init_parameters(cfg, seed=5, dtype=np.float64)
+    store["layer.ea.router.bias"].data[:] = np.arange(1, 5) / 3.0e3
+    path = tmp_path / "v1.ckpt"
+    save_checkpoint_v1(path, cfg, store)
+    for dtype in (np.float32, np.float64):
+        cfg2, loaded = load_checkpoint(path, dtype=dtype)
+        assert cfg2 == cfg
+        assert list(loaded) == list(store)
+        for spec in iter_parameter_specs(cfg):
+            # version 1 held every payload as float32
+            want = store[spec.name].data.astype(np.float32).astype(spec.dtype(dtype))
+            got = loaded[spec.name].data
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.flags.writeable
+
+
+def test_checkpoint_unknown_dtype_code_rejected(tmp_path):
+    cfg = desk_config("DR", 2, hidden_size=16, ea_num_experts=4,
+                      ea_active_experts=2, ea_intermediate_size=8)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, cfg, init_parameters(cfg, seed=0))
+    blob = bytearray(path.read_bytes())
+    first = 8 + 8 + len(cfg.to_json().encode()) + 8 + 4 + len(b"embed.weight")
+    blob[first:first + 4] = (7).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InputError, match="dtype code 7"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_truncation_rejected(tmp_path):
@@ -246,18 +299,15 @@ def test_checkpoint_tensor_set_must_match_config(tmp_path):
     cfg = desk_config("DR", 2, hidden_size=16, ea_num_experts=4,
                       ea_active_experts=2, ea_intermediate_size=8)
     full = init_parameters(cfg, seed=0)
-    partial = ParameterStore()
-    for name, t in full.items():
-        if name != "final_norm.gain":
-            partial.add(name, t.data, "weight")
+    partial = {name: t for name, t in full.items() if name != "final_norm.gain"}
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, cfg, partial)
     with pytest.raises(InputError, match="do not match"):
         load_checkpoint(path)
 
-    class Repeated:  # writes one tensor twice, which a ParameterStore cannot hold
-        def names(self):
-            return full.names() + ["embed.weight"]
+    class Repeated:  # writes one tensor twice, which a dict cannot hold
+        def __len__(self):
+            return len(full) + 1
 
         def items(self):
             return list(full.items()) + [("embed.weight", full["embed.weight"])]
@@ -274,7 +324,7 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
     save_checkpoint(path, cfg, init_parameters(cfg, seed=0))
     before = path.read_bytes()
     store = init_parameters(cfg, seed=1)
-    second = store[store.names()[1]]
+    second = store[list(store)[1]]
     # the second tensor cannot become float32, so the write fails partway
     second.data = np.full(second.shape, "x", dtype=object)
     with pytest.raises(ValueError):

@@ -8,9 +8,9 @@ import pytest
 
 from dreamer.config import desk_config
 from dreamer.errors import ConfigError, InputError, NumericError
-from dreamer.params import init_parameters, load_checkpoint
+from dreamer.params import init_parameters, learnable, load_checkpoint
 from dreamer.training import (IGNORE_TARGET, SEPARATOR_TOKEN, OptimizerState,
-                              TaskSpec, TrainSinks, adamw_step, clip_grad_norm,
+                              TaskSpec, adamw_step, clip_grad_norm,
                               lr_at, make_batch, make_task,
                               masked_cross_entropy, running_modular_sums,
                               save_token_file, synthetic_answer, train)
@@ -99,7 +99,7 @@ def test_adamw_moment_shapes_and_step_counter():
     cfg = tiny_config()
     store = init_parameters(cfg, seed=0)
     state = OptimizerState.for_store(store, cfg)
-    for name, t in store.learnable().items():
+    for name, t in learnable(store).items():
         assert state.m[name].shape == t.data.shape
         assert state.v[name].shape == t.data.shape
     assert "layer.ea.router.bias" not in state.m
@@ -161,6 +161,8 @@ def test_task_spec_validation():
         TaskSpec("token_lm", seq_len=9, vocab_size=16)
     with pytest.raises(ConfigError, match="modulus"):
         TaskSpec("modular_sum_chain", seq_len=9, vocab_size=16, modulus=-5)
+    with pytest.raises(ConfigError, match="modulus"):
+        TaskSpec("modular_sum_chain", seq_len=9, vocab_size=16, modulus=16)
 
 
 def test_token_lm_roundtrip(tmp_path):
@@ -173,6 +175,22 @@ def test_token_lm_roundtrip(tmp_path):
     assert np.array_equal(targets, tokens[1:9])
     inputs2, _ = make_task(spec, 1)
     assert np.array_equal(inputs2, tokens[8:16])
+
+
+def test_token_lm_sees_a_rewritten_or_deleted_file(tmp_path):
+    path = tmp_path / "corpus.bin"
+    save_token_file(path, np.arange(20) % 7, vocab_size=8)
+    spec = TaskSpec("token_lm", seq_len=4, vocab_size=16, path=str(path))
+    assert make_task(spec, 0)[0].tolist() == [0, 1, 2, 3]
+    save_token_file(path, (np.arange(20) + 3) % 7, vocab_size=8)
+    assert make_task(spec, 0)[0].tolist() == [3, 4, 5, 6]
+    # another writer, bypassing save_token_file
+    path.write_bytes((np.arange(30) % 5 + 1).astype("<u4").tobytes())
+    (tmp_path / "corpus.bin.json").write_text(json.dumps({"vocab_size": 8, "count": 30}))
+    assert make_task(spec, 0)[0].tolist() == [1, 2, 3, 4]
+    path.unlink()
+    with pytest.raises(InputError, match="cannot read"):
+        make_task(spec, 0)
 
 
 def test_token_lm_rejects_bad_files(tmp_path):
@@ -208,11 +226,9 @@ def test_masked_cross_entropy_matches_hand_case():
 def test_train_zero_steps_initial_checkpoint_only(tmp_path):
     cfg = tiny_config()
     spec = TaskSpec("copy", seq_len=9, vocab_size=16, seed=0)
-    sinks = TrainSinks(metrics_path=str(tmp_path / "metrics.jsonl"),
-                       checkpoint_dir=str(tmp_path / "ckpt"))
-    result = train(cfg, spec, steps=0, sinks=sinks, seed=0)
+    result = train(cfg, spec, steps=0, run_dir=tmp_path, seed=0)
     assert result.history == []
-    files = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
+    files = sorted(p.name for p in (tmp_path / "checkpoints").iterdir())
     assert files == ["step_000000.ckpt"]
     assert (tmp_path / "metrics.jsonl").read_text() == ""
 
@@ -220,10 +236,7 @@ def test_train_zero_steps_initial_checkpoint_only(tmp_path):
 def test_train_records_metrics_and_checkpoints(tmp_path):
     cfg = tiny_config()
     spec = TaskSpec("copy", seq_len=9, vocab_size=16, seed=0)
-    sinks = TrainSinks(metrics_path=str(tmp_path / "metrics.jsonl"),
-                       checkpoint_dir=str(tmp_path / "ckpt"),
-                       checkpoint_every=2)
-    result = train(cfg, spec, steps=5, sinks=sinks, seed=0)
+    result = train(cfg, spec, steps=5, run_dir=tmp_path, checkpoint_every=2, seed=0)
     assert len(result.history) == 5
     for step, record in enumerate(result.history):
         assert record["step"] == step
@@ -239,10 +252,10 @@ def test_train_records_metrics_and_checkpoints(tmp_path):
     lines = [json.loads(line) for line in
              (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert [r["step"] for r in lines] == list(range(5))
-    files = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
+    files = sorted(p.name for p in (tmp_path / "checkpoints").iterdir())
     assert files == ["final.ckpt", "step_000000.ckpt", "step_000002.ckpt",
                      "step_000004.ckpt"]
-    cfg2, store = load_checkpoint(tmp_path / "ckpt" / "final.ckpt")
+    cfg2, store = load_checkpoint(tmp_path / "checkpoints" / "final.ckpt")
     assert cfg2 == cfg
     assert np.array_equal(store["embed.weight"].data,
                           result.model.params["embed.weight"].data)
@@ -289,16 +302,15 @@ def test_train_validates_task_against_config():
         train(cfg, TaskSpec("copy", seq_len=9, vocab_size=16), steps=-1)
     with pytest.raises(ConfigError, match="checkpoint_every"):
         train(cfg, TaskSpec("copy", seq_len=9, vocab_size=16), steps=1,
-              sinks=TrainSinks(checkpoint_every=-1))
+              checkpoint_every=-1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_train_aborts_on_nonfinite_loss(tmp_path):
     cfg = tiny_config(max_lr=1e6, grad_clip=1e9, warmup_steps=1)
     spec = TaskSpec("copy", seq_len=9, vocab_size=16, seed=0)
-    sinks = TrainSinks(metrics_path=str(tmp_path / "metrics.jsonl"))
     with pytest.raises(NumericError, match="aborted"):
-        train(cfg, spec, steps=50, sinks=sinks, seed=0)
+        train(cfg, spec, steps=50, run_dir=tmp_path, seed=0)
     lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert "abort" in lines[-1]
 
@@ -306,7 +318,6 @@ def test_train_aborts_on_nonfinite_loss(tmp_path):
 def test_metrics_stream_survives_an_exception_mid_run(tmp_path):
     cfg = tiny_config()
     spec = TaskSpec("copy", seq_len=9, vocab_size=16, seed=0)
-    sinks = TrainSinks(metrics_path=str(tmp_path / "metrics.jsonl"))
 
     def stop_when(record, history):
         if len(history) == 3:
@@ -314,7 +325,7 @@ def test_metrics_stream_survives_an_exception_mid_run(tmp_path):
         return False
 
     with pytest.raises(KeyboardInterrupt):
-        train(cfg, spec, steps=10, sinks=sinks, seed=0, stop_when=stop_when)
+        train(cfg, spec, steps=10, run_dir=tmp_path, seed=0, stop_when=stop_when)
     lines = [json.loads(line) for line in
              (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert [r["step"] for r in lines] == [0, 1, 2]
