@@ -30,6 +30,11 @@ OUTPUT_ROOT_VAR = "DREAMER_OUTPUT_ROOT"
 
 PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
+# every file `analyze` may write besides the manifest
+ANALYSIS_OUTPUTS = ("telemetry.jsonl", "p_depth_given_expert.csv",
+                    "p_expert_given_depth.csv", "lorenz.csv", "da_score_map.csv",
+                    "summary.json")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -248,6 +253,11 @@ def cmd_analyze(args) -> int:
         out = _resolve_out(args)
         _write_manifest(out, args, args.telemetry, None, args.seed)
     else:
+        for flag, value, low in (("--seq-len", args.seq_len, 1),
+                                 ("--sequences", args.sequences, 1),
+                                 ("--seed", args.seed, 0)):
+            if value < low:
+                raise ConfigError(f"{flag} must be >= {low}, got {value}")
         cfg, params = load_checkpoint(args.checkpoint,
                                       dtype=PRECISIONS[args.precision])
         if args.seq_len > cfg.context_length:
@@ -265,6 +275,9 @@ def cmd_analyze(args) -> int:
     produced = _analysis_artifacts(out, log)
     if not args.telemetry:
         produced.insert(0, "telemetry.jsonl")
+    # a --force re-run leaves none of an earlier analysis's outputs behind
+    for stale in set(ANALYSIS_OUTPUTS) - set(produced):
+        (out / stale).unlink(missing_ok=True)
     print("wrote " + ", ".join(produced))
     print(f"run written to {out}")
     return EXIT_OK

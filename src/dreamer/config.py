@@ -72,10 +72,6 @@ class ModelConfig:
 
     # -- derived geometry ---------------------------------------------------
     @property
-    def attn_experts(self) -> int:
-        return self.attn_moe_num_experts or self.depth
-
-    @property
     def attention_modules(self) -> tuple:
         return ("sa", "da") if self.has_da else ("sa",)
 
@@ -85,6 +81,14 @@ class ModelConfig:
             getattr(self, f"{module}_{n}") for n in ("query_heads", "kv_heads", "head_dim"))
         return (query_heads, kv_heads, head_dim,
                 (query_heads + 2 * kv_heads) * head_dim, query_heads * head_dim)
+
+    def router_dims(self, module: str) -> tuple:
+        """(num_experts, top_k, update_rate, normalize) of the "ea", "sa" or "da" router."""
+        if module == "ea":
+            return (self.ea_num_experts, self.ea_active_experts,
+                    self.ea_bias_update_rate, True)
+        return (self.attn_moe_num_experts or self.depth, 1,
+                self.attn_moe_bias_update_rate, False)
 
     @property
     def layered(self) -> bool:

@@ -71,8 +71,8 @@ def swiglu_expert_flops(hidden: int, d_ff: int) -> float:
     return gate_up + activation + down
 
 
-def _router_flops(cfg: ModelConfig, num_experts: int, top_k: int,
-                  normalize: bool) -> float:
+def _router_flops(cfg: ModelConfig, module: str) -> float:
+    num_experts, top_k, _, normalize = cfg.router_dims(module)
     query = linear_flops(cfg.hidden_size, cfg.ea_qk_dim)
     encode = 3.0 * cfg.ea_qk_dim
     key_dots = 2.0 * num_experts * cfg.ea_qk_dim
@@ -89,7 +89,7 @@ def _attention_flops(cfg: ModelConfig, module: str, cached_len: float) -> float:
     if cfg.layered:
         f += in_out
     else:
-        f += _router_flops(cfg, cfg.attn_experts, 1, normalize=False)
+        f += _router_flops(cfg, module)
         f += in_out + (qkv_dim + h)  # folded expert matmuls plus gate scales
     encoded = (query_heads + kv_heads) * head_dim
     f += 4.0 * encoded + 3.0 * encoded  # q/k norms, then rotary
@@ -101,7 +101,7 @@ def _attention_flops(cfg: ModelConfig, module: str, cached_len: float) -> float:
 
 def _ea_flops(cfg: ModelConfig) -> float:
     f = 4.0 * cfg.hidden_size
-    f += _router_flops(cfg, cfg.ea_num_experts, cfg.ea_active_experts, normalize=True)
+    f += _router_flops(cfg, "ea")
     f += cfg.ea_active_experts * swiglu_expert_flops(cfg.hidden_size, cfg.ea_intermediate_size)
     f += 2.0 * cfg.ea_active_experts * cfg.hidden_size  # gate scale and sum
     f += cfg.hidden_size  # residual add

@@ -143,20 +143,14 @@ class DreamerModel:
         self.params = params if params is not None else init_parameters(cfg, seed)
         self.telemetry = telemetry
 
+        # one router per balancing bias, updating the parameter's array in place
         self.routers: dict[str, RouterState] = {}
-        for i in range(cfg.param_sets):
-            p = cfg.set_name(i)
-            self.routers[f"{p}.ea"] = RouterState(
-                f"{p}.ea", cfg.ea_num_experts, cfg.ea_active_experts,
-                cfg.ea_bias_update_rate, normalize=True,
-                bias=self.params[f"{p}.ea.router.bias"].data)
-            if cfg.layered:
-                continue
-            for mod in cfg.attention_modules:
-                self.routers[f"{p}.{mod}"] = RouterState(
-                    f"{p}.{mod}", cfg.attn_experts, 1,
-                    cfg.attn_moe_bias_update_rate, normalize=False,
-                    bias=self.params[f"{p}.{mod}.router.bias"].data)
+        for name, bias in self.params.items():
+            if name.endswith(".router.bias"):
+                router = name.removesuffix(".router.bias")
+                module = router.rsplit(".", 1)[1]
+                self.routers[router] = RouterState(
+                    router, *cfg.router_dims(module), bias=bias.data)
 
     def new_caches(self) -> CacheSet:
         return CacheSet(self.cfg)

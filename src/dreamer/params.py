@@ -74,10 +74,11 @@ def iter_parameter_specs(cfg: ModelConfig):
     cfg.validate()
     h = cfg.hidden_size
 
-    def router(prefix, experts):
-        yield ParamSpec(f"{prefix}.query.weight", (h, cfg.ea_qk_dim), INIT_WEIGHT)
-        yield ParamSpec(f"{prefix}.keys", (experts, cfg.ea_qk_dim), INIT_WEIGHT)
-        yield ParamSpec(f"{prefix}.bias", (experts,), INIT_ZEROS)
+    def router(m, module):
+        experts = cfg.router_dims(module)[0]
+        yield ParamSpec(f"{m}.router.query.weight", (h, cfg.ea_qk_dim), INIT_WEIGHT)
+        yield ParamSpec(f"{m}.router.keys", (experts, cfg.ea_qk_dim), INIT_WEIGHT)
+        yield ParamSpec(f"{m}.router.bias", (experts,), INIT_ZEROS)
 
     yield ParamSpec("embed.weight", (cfg.vocab_size, h), INIT_WEIGHT)
     if not cfg.tie_embeddings:
@@ -99,15 +100,15 @@ def iter_parameter_specs(cfg: ModelConfig):
                 yield ParamSpec(f"{m}.qkv.weight", (h, qkv_dim), INIT_WEIGHT)
                 yield ParamSpec(f"{m}.out.weight", (out_dim, h), INIT_OUT)
                 continue
-            E = cfg.attn_experts
+            E = cfg.router_dims(module)[0]
             yield ParamSpec(f"{m}.qkv_bank.experts", (E, h, qkv_dim), INIT_WEIGHT)
             yield ParamSpec(f"{m}.qkv_bank.shared", (h, qkv_dim), INIT_WEIGHT)
             yield ParamSpec(f"{m}.out_bank.experts", (E, out_dim, h), INIT_OUT)
             yield ParamSpec(f"{m}.out_bank.shared", (out_dim, h), INIT_OUT)
-            yield from router(f"{m}.router", E)
+            yield from router(m, module)
 
         yield ParamSpec(f"{p}.ea.in_norm.gain", (h,), INIT_ONES)
-        yield from router(f"{p}.ea.router", cfg.ea_num_experts)
+        yield from router(f"{p}.ea", "ea")
         dff = cfg.ea_intermediate_size
         yield ParamSpec(f"{p}.ea.experts.gate", (cfg.ea_num_experts, h, dff), INIT_WEIGHT)
         yield ParamSpec(f"{p}.ea.experts.up", (cfg.ea_num_experts, h, dff), INIT_WEIGHT)

@@ -35,7 +35,6 @@ class RouterState:
     normalize: bool = True
     bias: np.ndarray = None
     counts: np.ndarray = None
-    updates: int = 0
 
     def __post_init__(self):
         if not 1 <= self.top_k <= self.num_experts:
@@ -53,9 +52,9 @@ def select_topk(logits: Tensor, state: RouterState):
     """Batched selection: logits [n, E] -> (indices [n, k], gates [n, k]).
 
     Indices are chosen by logits + bias (descending, stable so equal
-    values resolve to the lowest index). Gate values are sigmoid(logit)
-    gathered at those indices; with `normalize`, each row is divided by
-    its selected-set sum. Usage counts accumulate per selected expert, but
+    values resolve to the lowest index). Gate values are the sigmoid of the
+    k selected logits only; with `normalize`, each row is divided by its
+    selected-set sum. Usage counts accumulate per selected expert, but
     only while gradients are recorded: inference never moves balancing.
     """
     if logits.ndim != 2 or logits.shape[1] != state.num_experts:
@@ -66,13 +65,14 @@ def select_topk(logits: Tensor, state: RouterState):
     idx = np.ascontiguousarray(order[:, :state.top_k])
     if T.grad_enabled():
         np.add.at(state.counts, idx.reshape(-1), 1)
-    gates = T.gather_last(T.sigmoid(logits), idx)
+    flat_idx = np.arange(len(idx))[:, None] * state.num_experts + idx
+    gates = T.sigmoid(T.take_rows(logits.reshape(-1), flat_idx))
     if state.normalize:
         gates = gates / gates.sum(axis=-1, keepdims=True)
     return idx, gates
 
 
-def update_balance(state: RouterState) -> RouterState:
+def update_balance(state: RouterState) -> None:
     """Move biases one step toward the median usage count, then reset counts.
 
     sign(median - n) is +1 for starved experts, -1 for overused ones and 0
@@ -82,8 +82,6 @@ def update_balance(state: RouterState) -> RouterState:
     n = state.counts.astype(np.float64)
     state.bias += state.update_rate * np.sign(np.median(n) - n)
     state.counts[:] = 0
-    state.updates += 1
-    return state
 
 
 def depth_router_logits(x: Tensor, query_weight: Tensor, keys: Tensor, depth: int,

@@ -420,22 +420,6 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return node(out, (a,), vjp, "take_rows")
 
 
-def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick entries along the last axis; idx shape = a.shape[:-1] + (k,)."""
-    idx = np.asarray(idx)
-    out = np.take_along_axis(a.data, idx, axis=-1)
-    shape, dt = a.shape, a.dtype
-
-    def vjp(g):
-        full = np.zeros(shape, dtype=dt)
-        flat = full.reshape(-1, shape[-1])
-        rows = np.repeat(np.arange(flat.shape[0]), idx.shape[-1])
-        np.add.at(flat, (rows, idx.reshape(-1)), g.reshape(-1))
-        return (full,)
-
-    return node(out, (a,), vjp, "gather_last")
-
-
 def stop_gradient(a: Tensor) -> Tensor:
     """Identity in value, zero in gradient (returns a detached leaf)."""
     return Tensor(a.data, False, op="stop_gradient")

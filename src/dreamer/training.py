@@ -128,6 +128,8 @@ class TaskSpec:
             raise ConfigError(f"seq_len must be >= 3, got {self.seq_len}")
         if self.vocab_size < 3:
             raise ConfigError(f"vocab_size must be >= 3, got {self.vocab_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.modulus <= self.vocab_size - 1:
             raise ConfigError(f"modulus must be in [0, vocab_size - 1], got {self.modulus}")
         if self.kind == "token_lm" and not self.path:
@@ -255,7 +257,8 @@ def masked_cross_entropy(logits: T.Tensor, targets: np.ndarray) -> T.Tensor:
     if not np.any(live):
         raise InputError("no live target positions in batch")
     safe = np.where(live, tgt, 0)
-    losses = T.logsumexp(flat) - T.gather_last(flat, safe[:, None]).reshape(b * s)
+    picked = T.take_rows(flat.reshape(-1), np.arange(b * s) * vocab + safe)
+    losses = T.logsumexp(flat) - picked
     return (losses * live.astype(logits.dtype)).sum() / float(live.sum())
 
 
@@ -315,13 +318,18 @@ def train(cfg: ModelConfig, task: TaskSpec, steps: int, run_dir=None,
 
     With `run_dir`, the run streams `run_dir/metrics.jsonl` and writes
     `run_dir/checkpoints/step_000000.ckpt`, one more every
-    `checkpoint_every` steps when that is > 0, and `final.ckpt`. Without
-    it, nothing is written.
+    `checkpoint_every` steps when that is > 0, and `final.ckpt`. The
+    `*.ckpt` files of an earlier run in the same directory are deleted
+    first. Without it, nothing is written.
     """
     validate_run(cfg, task, steps, checkpoint_every)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if run_dir is not None:
         run_dir = Path(run_dir)
         (run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
+        for stale in (run_dir / "checkpoints").glob("*.ckpt"):
+            stale.unlink()
     model = DreamerModel(cfg, init_parameters(cfg, seed=seed, dtype=dtype))
     optimizer = OptimizerState.for_store(model.params, cfg)
     result = TrainResult(model=model, optimizer=optimizer)

@@ -31,7 +31,7 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
 
 def scatter_last(values: Tensor, idx: np.ndarray, size: int) -> Tensor:
-    """Inverse of gather_last: spread values into a zero last axis of `size`."""
+    """Spread values into a zero last axis of `size`: out[..., idx[..., j]] = values[..., j]."""
     idx = np.asarray(idx)
     shape = values.shape[:-1] + (size,)
     out = np.zeros(shape, dtype=values.dtype)

@@ -82,6 +82,7 @@ def test_train_rejects_negative_checkpoint_every(tmp_path, capsys):
     (("--seq-len", "32"), "seq_len 32 exceeds context"),
     (("--task-vocab", "64"), "task vocab 64 exceeds model vocab"),
     (("--task", "token_lm", "--token-file", "{tmp}/missing.bin"), "cannot read token file"),
+    (("--seed", "-1"), "seed must be >= 0, got -1"),
 ])
 def test_refused_train_leaves_no_run_directory(tmp_path, capsys, extra, message):
     config_path, _ = write_config(tmp_path)
@@ -143,6 +144,25 @@ def test_train_refuses_nonempty_out_without_force(tmp_path):
     code, _ = run_train(tmp_path, steps=0, extra=("--force",),
                         config_path=config_path)
     assert code == 0
+
+
+def listing(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
+def test_train_force_rerun_deletes_only_earlier_checkpoints(tmp_path):
+    config_path, _ = write_config(tmp_path)
+    code, out = run_train(tmp_path, steps=4, extra=("--checkpoint-every", "2"),
+                          config_path=config_path)
+    assert code == 0
+    (out / "notes.txt").write_text("mine")
+    (out / "checkpoints" / "notes.txt").write_text("mine too")
+    code, _ = run_train(tmp_path, steps=1, extra=("--force",), config_path=config_path)
+    assert code == 0
+    assert listing(out) == ["checkpoints/final.ckpt", "checkpoints/notes.txt",
+                            "checkpoints/step_000000.ckpt", "manifest.json",
+                            "metrics.jsonl", "notes.txt"]
+    assert (out / "checkpoints" / "notes.txt").read_text() == "mine too"
 
 
 def test_train_same_seed_same_metrics_in_float64(tmp_path):
@@ -234,6 +254,40 @@ def test_analyze_checkpoint_artifacts(tmp_path):
     assert float(rows[0][0]) == 1.0
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["routers"]) == {"ea", "sa", "da"}
+
+
+def test_analyze_force_rerun_deletes_only_earlier_outputs(tmp_path):
+    dr_da, _ = checkpoint_from_train(tmp_path, variant="DR_DA")
+    la, _ = checkpoint_from_train(tmp_path, variant="LA")
+    out = tmp_path / "a"
+    assert main(["analyze", "--checkpoint", str(dr_da), "--sequences", "2",
+                 "--seq-len", "8", "--out", str(out)]) == 0
+    assert (out / "da_score_map.csv").exists()
+    (out / "notes.txt").write_text("mine")
+    assert main(["analyze", "--checkpoint", str(la), "--sequences", "2",
+                 "--seq-len", "8", "--out", str(out), "--force"]) == 0
+    assert listing(out) == ["lorenz.csv", "manifest.json", "notes.txt",
+                            "p_depth_given_expert.csv", "p_expert_given_depth.csv",
+                            "summary.json", "telemetry.jsonl"]
+    assert (out / "notes.txt").read_text() == "mine"
+
+
+@pytest.mark.parametrize("extra,message", [
+    (("--seq-len", "-1"), "--seq-len must be >= 1, got -1"),
+    (("--seq-len", "0"), "--seq-len must be >= 1, got 0"),
+    (("--sequences", "-1"), "--sequences must be >= 1, got -1"),
+    (("--sequences", "0"), "--sequences must be >= 1, got 0"),
+    (("--seed", "-1"), "--seed must be >= 0, got -1"),
+])
+def test_refused_analyze_leaves_no_run_directory(tmp_path, capsys, extra, message):
+    ckpt, _ = checkpoint_from_train(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "a"
+    code = main(["analyze", "--checkpoint", str(ckpt), "--out", str(out), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_analyze_la_checkpoint_has_no_depth_map(tmp_path):

@@ -92,7 +92,7 @@ def test_memory_depth_cache_is_length_independent():
 
 def test_memory_single_entry_hand_sum():
     cfg = desk_config("DR_DA", 1)
-    biases = cfg.ea_num_experts + 2 * cfg.attn_experts  # EA, SA and DA routers
+    biases = cfg.ea_num_experts + 2 * cfg.router_dims("sa")[0]  # EA, SA and DA routers
     for precision, unit in (("float32", 4), ("float64", 8)):
         want = (count_params(cfg) - biases) * unit + biases * 8  # biases are float64
         want += 1 * 1 * cfg.sa_kv_heads * cfg.sa_head_dim * 2 * unit

