@@ -37,6 +37,7 @@ from .routing import (
     RouterState,
     bank_apply,
     depth_router_logits,
+    expert_weights,
     gated_experts,
     select_topk,
     update_balance,
@@ -256,9 +257,10 @@ class DreamerModel:
         gate_w, up_w, down_w = [self.params[f"{p}.ea.experts.{w}"]
                                 for w in ("gate", "up", "down")]
 
-        def expert(u, e):
-            hidden = swiglu(T.matmul(u, gate_w[e]), T.matmul(u, up_w[e]))
-            return T.matmul(hidden, down_w[e])
+        def expert(u, ids):
+            hidden = swiglu(T.matmul(u, expert_weights(gate_w, ids)),
+                            T.matmul(u, expert_weights(up_w, ids)))
+            return T.matmul(hidden, expert_weights(down_w, ids))
 
         out = gated_experts(flat, *self._route(flat, f"{p}.ea", depth), expert)
         return out.reshape(b, s, h)

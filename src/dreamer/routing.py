@@ -14,6 +14,7 @@ the sigmoid gate values.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,15 +105,23 @@ def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
 
     Row r gets sum_j gates[r, j] * expert(x, idx[r, j])[r], summed in
     ascending expert id. The (row, slot) pairs are grouped by expert
-    (dropless, as in MegaBlocks) and each expert runs once, on its own
-    rows only.
+    (dropless, as in MegaBlocks) and each expert runs on its own rows only.
+
+    `x` is gathered once, in expert-major order. Each run of adjacent
+    groups of one size m runs as one batched call `expert(u, ids)`: u is
+    [B, m, din], a view of the gather, and `ids` names the run's B experts
+    in ascending order, as a slice when they are consecutive and as an
+    index array otherwise (see `expert_weights`). It returns [B, m, dout].
+    Groups are never padded to a common size: a padded product costs
+    work and memory, and BLAS may round a group's real rows differently
+    once padding changes the product's shape.
 
     No product ever has one row. BLAS computes a 1-row product on its gemv
     path, which can round differently from the same row inside a larger
     product; with m >= 2 rows, `x[rows] @ W` equals `(x @ W)[rows]`
-    bitwise. So an expert picked by a single row runs on that row twice,
-    and the copy is never read. A row's result then never depends on how
-    other rows are routed.
+    bitwise, also as one slice of a batched product. So an expert picked
+    by a single row runs on that row twice, and the copy is never read. A
+    row's result then never depends on how other rows are routed.
     """
     n, top_k = idx.shape
     flat = idx.reshape(-1)
@@ -120,21 +129,41 @@ def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
     counts = np.bincount(flat)
     experts = np.flatnonzero(counts)
     counts = counts[experts]
-    reps = np.ones(order.size, dtype=np.intp)
-    reps[np.cumsum(counts)[counts == 1] - 1] = 2
+    sizes = np.maximum(counts, 2)
+    reps = np.repeat(sizes // counts, counts)   # 2 for a singleton's pair, else 1
     pairs = np.repeat(order, reps)              # grouped pairs, singletons twice
     pos = np.empty_like(order)
     pos[order] = np.cumsum(reps) - reps         # where each pair's output lands
-    sizes = np.maximum(counts, 2)
-    ends = np.cumsum(sizes)
-    parts = [expert(T.take_rows(x, pairs[end - size:end] // top_k), int(e))
-             for e, size, end in zip(experts, sizes, ends)]
-    y = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
-    y = y * T.take_rows(gates.reshape(n * top_k, 1), pairs)
+    u = T.take_rows(x, (pairs // top_k)[None, :])   # [1, rows, din], expert-major
+    ids = experts.tolist()
+    parts, first, start = [], 0, 0
+    for m, same in itertools.groupby(sizes.tolist()):
+        b = len(list(same))
+        lo, hi = ids[first], ids[first + b - 1]
+        run = slice(lo, hi + 1) if hi - lo == b - 1 else experts[first:first + b]
+        rows = u if b * m == pairs.size else u[:, start:start + b * m]
+        part = expert(rows if b == 1 else rows.reshape(b, m, -1), run)
+        parts.append(part if b == 1 else part.reshape(1, b * m, -1))
+        first, start = first + b, start + b * m
+    # Under no_grad the gathered rows die here, before the concat, and the
+    # parts right after it: fewer live buffers, fewer fresh pages per call.
+    del u, rows, part
+    y = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
+    del parts
+    y = y.reshape(pairs.size, -1) * T.take_rows(gates.reshape(n * top_k, 1), pairs)
     # sorted positions put each row's slots in ascending expert id, so the
     # summation order depends on which experts a row picked, not their rank
     out = T.take_rows(y, np.sort(pos.reshape(n, top_k), axis=1).reshape(-1))
     return out if top_k == 1 else out.reshape(n, top_k, -1).sum(axis=1)
+
+
+def expert_weights(w: Tensor, ids) -> Tensor:
+    """Stacked expert weights [E, din, dout] -> the [B, din, dout] of `ids`.
+
+    `ids` is what `gated_experts` hands an expert: a slice of consecutive
+    experts, read as a view, or an index array, gathered.
+    """
+    return w[ids] if isinstance(ids, slice) else T.take_rows(w, ids)
 
 
 def bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, experts: Tensor,
@@ -149,5 +178,6 @@ def bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, experts: Tensor,
     """
     n = x.shape[0]
     gcol = gates.reshape(n, 1)
-    out = gated_experts(x, idx.reshape(n, 1), gcol, lambda u, e: T.matmul(u, experts[e]))
+    out = gated_experts(x, idx.reshape(n, 1), gcol,
+                        lambda u, ids: T.matmul(u, expert_weights(experts, ids)))
     return out + T.stop_gradient(gcol) * T.matmul(x, shared)

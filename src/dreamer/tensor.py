@@ -33,6 +33,10 @@ Accumulation contract (what `backward` relies on):
   * a vjp returns, per parent, a dense array, None (no gradient), or an
     indexed `_Scatter` record: `getitem` and `take_rows` say "g belongs at
     parent[key]" instead of building a zero array the size of the parent,
+  * a record's key never names an element twice: `take_rows` with a
+    repeated index first sums that row's copies in index order, from zero
+    (the sum `np.add.at` into zeros gives), one vectorised add per
+    occurrence rank; `np.add.reduceat` would reorder the sum,
   * the binary ops (add, sub, mul, div, matmul) and the fused ops return
     None for an operand with requires_grad False, so constants cost no
     gradient work,
@@ -199,11 +203,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _check_binary(a: Tensor, b: Tensor, op: str):
+def _binary(a, b, op: str, ufunc):
+    """(a, b, ufunc(a.data, b.data)) with a python or numpy operand made a Tensor.
+
+    The dtypes must match. Shapes are not checked first: numpy's own
+    broadcast failure becomes the ShapeError, so a valid call pays nothing.
+    """
+    a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
+    b = b if isinstance(b, Tensor) else _as_tensor(b, a.dtype)
     if a.dtype != b.dtype:
         raise ShapeError(f"{op}: dtype mismatch {a.dtype.name} vs {b.dtype.name}")
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return a, b, ufunc(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
@@ -211,10 +222,7 @@ def _check_binary(a: Tensor, b: Tensor, op: str):
 # -- arithmetic --------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
-    b = b if isinstance(b, Tensor) else _as_tensor(b, a.dtype)
-    _check_binary(a, b, "add")
-    out = a.data + b.data
+    a, b, out = _binary(a, b, "add", np.add)
 
     def vjp(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -224,10 +232,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
-    b = b if isinstance(b, Tensor) else _as_tensor(b, a.dtype)
-    _check_binary(a, b, "sub")
-    out = a.data - b.data
+    a, b, out = _binary(a, b, "sub", np.subtract)
 
     def vjp(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -237,10 +242,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
-    b = b if isinstance(b, Tensor) else _as_tensor(b, a.dtype)
-    _check_binary(a, b, "mul")
-    out = a.data * b.data
+    a, b, out = _binary(a, b, "mul", np.multiply)
     ad, bd = a.data, b.data
 
     def vjp(g):
@@ -251,10 +253,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
-    b = b if isinstance(b, Tensor) else _as_tensor(b, a.dtype)
-    _check_binary(a, b, "div")
-    out = a.data / b.data
+    a, b, out = _binary(a, b, "div", np.true_divide)
     ad, bd = a.data, b.data
 
     def vjp(g):
@@ -408,13 +407,24 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def vjp(g):
         flat = idx.reshape(-1)
-        if np.bincount(flat, minlength=shape[0]).max(initial=0) <= 1:
+        counts = np.bincount(flat, minlength=shape[0])
+        if counts.max(initial=0) <= 1:
             return (_Scatter(idx, g, shape, dt),)
-        # Sum each repeated row's copies in index order, from zero, exactly
-        # as np.add.at into a zero array would, so the record's key is unique.
-        rows, inv = np.unique(flat, return_inverse=True)
+        # Sum each repeated row's copies in index order, from zero, as
+        # np.add.at into a zero array would, so the record's key is unique:
+        # rows sorted by copy count, then one slice add per occurrence rank
+        # (every row's 1st copy, then the 2nd of the rows that have one, ...).
+        rows = np.flatnonzero(counts)
+        counts = counts[rows]
+        starts = np.cumsum(counts) - counts     # each row's first copy in `order`
+        order = np.argsort(flat, kind="stable")
+        most = np.argsort(-counts, kind="stable")
+        rows, counts, starts = rows[most], counts[most], starts[most]
+        g = g.reshape((flat.size,) + shape[1:])
         part = np.zeros((rows.size,) + shape[1:], dtype=dt)
-        np.add.at(part, inv, g.reshape((flat.size,) + shape[1:]))
+        for rank in range(counts[0]):
+            have = np.count_nonzero(counts > rank)
+            part[:have] += g[order[starts[:have] + rank]]
         return (_Scatter(rows, part, shape, dt),)
 
     return node(out, (a,), vjp, "take_rows")

@@ -13,8 +13,8 @@ import numpy as np
 from dreamer import tensor as T
 from dreamer.attention import causal_mask
 from dreamer.errors import ConfigError, ContractError, ShapeError
-from dreamer.routing import (RouterState, bank_apply, gated_experts, select_topk,
-                             update_balance)
+from dreamer.routing import (RouterState, bank_apply, expert_weights, gated_experts,
+                             select_topk, update_balance)
 from dreamer.tensor import Tensor
 
 
@@ -41,6 +41,28 @@ def scatter_last(values: Tensor, idx: np.ndarray, size: int) -> Tensor:
         return (np.take_along_axis(g, idx, axis=-1),)
 
     return T.node(out, (values,), vjp, "scatter_last")
+
+
+def take_rows_add_at(a: Tensor, idx: np.ndarray) -> Tensor:
+    """`T.take_rows` with the repeated-index backward of `np.unique` + `np.add.at`.
+
+    np.add.at sums each row's copies in index order, from zero, unbuffered:
+    the order `T.take_rows`' occurrence-rank loop must reproduce bitwise.
+    Unique indices hand `g` back as it is, as `T.take_rows` does.
+    """
+    idx = np.asarray(idx)
+    shape, dt = a.shape, a.dtype
+
+    def vjp(g):
+        flat = idx.reshape(-1)
+        if np.bincount(flat, minlength=shape[0]).max(initial=0) <= 1:
+            return (T._Scatter(idx, g, shape, dt),)
+        rows, inv = np.unique(flat, return_inverse=True)
+        part = np.zeros((rows.size,) + shape[1:], dtype=dt)
+        np.add.at(part, inv, g.reshape((idx.size,) + shape[1:]))
+        return (T._Scatter(rows, part, shape, dt),)
+
+    return T.node(a.data[idx], (a,), vjp, "take_rows")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -249,7 +271,39 @@ def folded_bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, folded: Tensor)
     """Bank forward on folded weights: one expert matmul per row, no shared term."""
     n = x.shape[0]
     return gated_experts(x, idx.reshape(n, 1), gates.reshape(n, 1),
-                         lambda u, e: T.matmul(u, folded[e]))
+                         lambda u, ids: T.matmul(u, expert_weights(folded, ids)))
+
+
+def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
+    """`gated_experts` as one gather and one expert call per expert.
+
+    The library's grouping before runs of equal-size groups were batched:
+    each used expert gathers its own rows and calls `expert(u [1, m, din],
+    slice(e, e + 1))`, ascending in e; a singleton's row runs twice. Its
+    gathers sum repeated rows with `np.add.at`. The batched primitive must
+    equal this bitwise, forward and backward.
+    """
+    n, top_k = idx.shape
+    flat = idx.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat)
+    experts = np.flatnonzero(counts)
+    counts = counts[experts]
+    reps = np.ones(order.size, dtype=np.intp)
+    reps[np.cumsum(counts)[counts == 1] - 1] = 2
+    pairs = np.repeat(order, reps)              # grouped pairs, singletons twice
+    pos = np.empty_like(order)
+    pos[order] = np.cumsum(reps) - reps         # where each pair's output lands
+    sizes = np.maximum(counts, 2)
+    ends = np.cumsum(sizes)
+    parts = []
+    for e, size, end in zip(experts, sizes, ends):
+        u = take_rows_add_at(x, pairs[end - size:end] // top_k).reshape(1, size, x.shape[1])
+        parts.append(expert(u, slice(e, e + 1)).reshape(size, -1))
+    y = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+    y = y * take_rows_add_at(gates.reshape(n * top_k, 1), pairs)
+    out = take_rows_add_at(y, np.sort(pos.reshape(n, top_k), axis=1).reshape(-1))
+    return out if top_k == 1 else out.reshape(n, top_k, -1).sum(axis=1)
 
 
 def simulate_balancing(num_experts: int, top_k: int, update_rate: float,

@@ -1,8 +1,12 @@
 """Layer composition, caching, recurrence, decoding, and model-level causality."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import dreamer.model
+import dreamer.routing
 from dreamer import tensor as T
 from dreamer.config import desk_config
 from dreamer.errors import ContractError, InputError
@@ -11,7 +15,8 @@ from dreamer.params import init_parameters, learnable
 from dreamer.routing import RouterState
 from dreamer.tensor import Tensor
 from dreamer.telemetry import TelemetryLog
-from reference import dense_backward, ea_select, grad_check, mean
+from dreamer.training import TaskSpec, make_batch, masked_cross_entropy
+from reference import dense_backward, ea_select, gated_experts_loop, grad_check, mean
 
 VARIANTS = ("LA", "DR", "DR_DA")
 
@@ -494,8 +499,6 @@ def test_decode_rejects_non_integer_prompts():
 def test_parameter_gradients_equal_dense_accumulation_bitwise(variant, depth, seq, batch):
     # 8 x 64 is the benchmark's train step; 2 x 8 routes single rows to
     # experts, so take_rows sees repeated indices.
-    from dreamer.training import TaskSpec, make_batch, masked_cross_entropy
-
     cfg = desk_config(variant, depth, batch_size=batch)
     model = DreamerModel(cfg, seed=0)
     tokens, targets = make_batch(TaskSpec("copy", seq, 16), 0, batch)
@@ -507,3 +510,40 @@ def test_parameter_gradients_equal_dense_accumulation_bitwise(variant, depth, se
     for name, g in got.items():
         ref = want.get(inputs[name].node_id, np.zeros_like(g))
         assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_equals_the_per_expert_loop_bitwise(variant, dtype, monkeypatch):
+    # The batched routed experts against the per-expert loop, swapped in for
+    # EA and the banks: loss, every gradient, a greedy decode and no_grad
+    # logits hash equal. 2 x 12 rows over 8 experts, top-3, give adjacent
+    # groups of equal size; a decode step's row makes every group a singleton.
+    cfg = tiny_config(variant, 3, hidden_size=32, ea_num_experts=8, ea_active_experts=3)
+    tokens, targets = make_batch(TaskSpec("copy", 12, 16), 0, 2)
+
+    def digest():
+        model = DreamerModel(cfg, init_parameters(cfg, seed=5, dtype=dtype))
+        inputs = learnable(model.params)
+        loss = T.eval(masked_cross_entropy(model.model_forward(tokens), targets))
+        grads = T.backward(loss, inputs)
+        h = hashlib.sha256(loss.data.tobytes())
+        for name in sorted(grads):
+            h.update(grads[name].tobytes())
+        h.update(model.decode(tokens[:1, :5], 6).tobytes())
+        with T.no_grad():
+            h.update(model.model_forward(tokens).data.tobytes())
+        return h.hexdigest()
+
+    batched = digest()
+    calls = []
+
+    def loop(*args):
+        calls.append(args[1].shape)
+        return gated_experts_loop(*args)
+
+    monkeypatch.setattr(dreamer.routing, "gated_experts", loop)
+    monkeypatch.setattr(dreamer.model, "gated_experts", loop)
+    assert digest() == batched
+    assert (1, cfg.ea_active_experts) in calls
+    assert (1, 1) in calls or variant == "LA"

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dreamer import tensor as T
-from dreamer.routing import (RouterState, bank_apply, depth_router_logits,
+from dreamer.model import swiglu
+from dreamer.routing import (RouterState, bank_apply, depth_router_logits, expert_weights,
                              gated_experts, select_topk, update_balance)
 from dreamer.errors import ConfigError, ContractError
 from dreamer.tensor import Tensor
-from reference import (ea_select, fold_shared, folded_bank_apply, grad_check,
-                       moe_linear_forward, silu, simulate_balancing)
+from reference import (ea_select, fold_shared, folded_bank_apply, gated_experts_loop,
+                       grad_check, moe_linear_forward, silu, simulate_balancing)
 
 
 def sigmoid(v):
@@ -221,8 +222,10 @@ def test_routable_term_gate_gradient_is_nonzero():
 
 
 def silu_experts(rng, E=4, din=3, dout=5):
+    """SiLU experts over float32 weights [E, din, dout], under the batched contract."""
     weights = rng.normal(0, 1, (E, din, dout)).astype(np.float32)
-    return weights, lambda u, e: silu(T.matmul(u, Tensor(weights[e])))
+    stacked = Tensor(weights)
+    return weights, lambda u, ids: silu(T.matmul(u, expert_weights(stacked, ids)))
 
 
 def distinct_choices(rng, n, E, k):
@@ -270,7 +273,7 @@ def test_gated_experts_is_the_dense_ascending_sum_bitwise(k):
     _, expert = silu_experts(rng, din=32, dout=24)
     x = Tensor(rng.normal(0, 1, (7, 32)).astype(np.float32))
     gates = rng.uniform(0.1, 1.0, (7, k)).astype(np.float32)
-    dense = [expert(x, e).data for e in range(4)]
+    dense = [expert(x.reshape(1, 7, 32), slice(e, e + 1)).data[0] for e in range(4)]
     for _ in range(10):
         idx = distinct_choices(rng, 7, 4, k)
         out = gated_experts(x, idx, Tensor(gates), expert).data
@@ -282,13 +285,70 @@ def test_gated_experts_is_the_dense_ascending_sum_bitwise(k):
             assert out[r].tobytes() == ref.tobytes()
 
 
+def swiglu_experts(rng, E, din, dff, dout, dtype, calls=None):
+    """EA-shaped SwiGLU experts under the batched contract; logs each call's ids."""
+    weights = {name: Tensor(rng.normal(0, 0.3, shape).astype(dtype), requires_grad=True)
+               for name, shape in (("gate", (E, din, dff)), ("up", (E, din, dff)),
+                                   ("down", (E, dff, dout)))}
+
+    def expert(u, ids):
+        if calls is not None:
+            calls.append((u.shape[0], ids))
+        gate, up, down = (expert_weights(weights[w], ids) for w in ("gate", "up", "down"))
+        return T.matmul(swiglu(T.matmul(u, gate), T.matmul(u, up)), down)
+
+    return weights, expert
+
+
+ORACLE_ROUTINGS = [
+    np.array([[2]]),                                   # n = 1, top-1
+    np.array([[4, 0, 5]]),                             # n = 1: every expert a singleton
+    np.array([[0], [2], [0], [2]]),                    # equal groups, ids 0 and 2
+    np.array([[1], [2], [2], [1], [4]]),               # equal groups 1, 2 (a slice), singleton 4
+    np.array([[0], [3], [3], [5]]),                    # singletons 0, 5 run with 3; 1, 2, 4 unused
+    np.array([[0, 1], [1, 0], [0, 2], [1, 0], [0, 1]]),
+    np.array([[5, 1, 3], [3, 5, 1], [1, 4, 0], [2, 0, 4]]),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gated_experts_equals_the_per_expert_loop_bitwise(dtype, k):
+    # output and every gradient of the batched runs equal the per-expert
+    # loop's bit for bit, over hand-picked and seeded routings
+    rng = np.random.default_rng(60 + k)
+    calls = []
+    weights, expert = swiglu_experts(rng, 6, 32, 24, 40, dtype, calls)
+    routings = [r for r in ORACLE_ROUTINGS if r.shape[1] == k]
+    routings += [distinct_choices(rng, n, 6, k) for n in (1, 2, 3, 5, 9, 16) for _ in range(3)]
+    for idx in routings:
+        n = idx.shape[0]
+        x = Tensor(rng.normal(0, 1, (n, 32)).astype(dtype), requires_grad=True)
+        gates = Tensor(rng.uniform(0.1, 1.0, (n, k)).astype(dtype), requires_grad=True)
+        c = Tensor(rng.normal(0, 1, (n, 40)).astype(dtype))
+        inputs = {"x": x, "gates": gates, **weights}
+        results = []
+        for mix in (gated_experts, gated_experts_loop):
+            out = mix(x, idx, gates, expert)
+            assert out.dtype == dtype
+            grads = T.backward((out * c).sum(), inputs)
+            results.append([out.data.tobytes()] + [grads[w].tobytes() for w in sorted(grads)])
+        assert results[0] == results[1], idx.tolist()
+    # the batched calls above include runs of several experts, as a view
+    # (consecutive ids) and as a gather (non-consecutive ids)
+    assert any(b > 1 and isinstance(ids, slice) for b, ids in calls)
+    assert any(b > 1 and not isinstance(ids, slice) for b, ids in calls)
+
+
 def recording_experts(rng, E=4, din=3, dout=5):
-    """SiLU experts over float64 weights [E, din, dout] that log each call's rows."""
+    """SiLU experts over float64 weights [E, din, dout] that log each call's [B, m]."""
     weights, seen = Tensor(rng.uniform(-1, 1, (E, din, dout)), requires_grad=True), []
 
-    def expert(u, e):
-        seen.append(u.shape[0])
-        return silu(T.matmul(u, weights[e]))
+    def expert(u, ids):
+        w = expert_weights(weights, ids)
+        assert w.shape[0] == u.shape[0]
+        seen.append(u.shape[:2])
+        return silu(T.matmul(u, w))
 
     return weights, expert, seen
 
@@ -298,17 +358,22 @@ def recording_experts(rng, E=4, din=3, dout=5):
     (1, 2, [[3, 0]]),
     (5, 2, [[0, 1], [1, 0], [0, 2], [1, 0], [0, 1]]),  # expert 2 has one row
     (4, 1, [[1], [3], [1], [1]]),                      # expert 3 has one row
+    (4, 1, [[0], [2], [0], [2]]),                      # two equal groups, one call
+    (1, 8, [[30, 3, 17, 8, 0, 22, 5, 11]]),            # one token of EA
 ])
 def test_gated_experts_never_issues_a_one_row_product(n, k, idx):
     rng = np.random.default_rng(40 + n + k)
-    _, expert, seen = recording_experts(rng)
+    _, expert, seen = recording_experts(rng, E=32)
     idx = np.array(idx)
     gated_experts(Tensor(rng.normal(0, 1, (n, 3))), idx,
                   Tensor(rng.uniform(0.1, 1.0, (n, k))), expert)
     counts = np.bincount(idx.reshape(-1))
-    assert min(seen) >= 2
-    assert len(seen) == np.count_nonzero(counts)
-    assert sum(seen) == n * k + np.count_nonzero(counts == 1)
+    assert min(m for _, m in seen) >= 2
+    assert sum(b for b, _ in seen) == np.count_nonzero(counts)
+    assert sum(b * m for b, m in seen) == n * k + np.count_nonzero(counts == 1)
+    if n == 1:
+        # a token's experts are all singletons, so they run as one call
+        assert seen == [(k, 2)]
 
 
 def test_gated_experts_gradcheck_singleton_and_unused_expert():

@@ -12,7 +12,8 @@ from dreamer import tensor as T
 from dreamer.config import desk_config
 from dreamer.errors import ContractError, NumericError, ShapeError
 from dreamer.training import TaskSpec, clip_grad_norm, train
-from reference import grad_check, mean, neg, power, scatter_last, silu, softmax, stack
+from reference import (grad_check, mean, neg, power, scatter_last, silu, softmax, stack,
+                       take_rows_add_at)
 
 
 def t64(x, req=True):
@@ -188,10 +189,12 @@ def test_shape_mismatch_raises_shape_error():
     b = T.Tensor(np.ones((4, 5)))
     with pytest.raises(ShapeError):
         T.matmul(a, b)
-    with pytest.raises(ShapeError):
-        T.add(a, b)
-    with pytest.raises(ShapeError):
-        T.add(a, T.Tensor(np.ones((2, 3), dtype=np.float32)))
+    for name in ("add", "sub", "mul", "div"):
+        op = getattr(T, name)
+        with pytest.raises(ShapeError, match=rf"^{name}: shapes \(2, 3\) and \(4, 5\) "):
+            op(a, b)
+        with pytest.raises(ShapeError, match=f"^{name}: dtype mismatch"):
+            op(a, T.Tensor(np.ones((2, 3), dtype=np.float32)))
 
 
 def test_backward_requires_scalar():
@@ -355,6 +358,40 @@ def test_take_rows_repeated_indices_sum_like_add_at():
     loss = (w * T.Tensor(c)).sum() + (T.take_rows(w, idx) * T.Tensor(g)).sum()
     grad = T.backward(loss, {"w": w})["w"]
     assert grad.tobytes() == (c + full).tobytes()
+
+
+@pytest.mark.parametrize("row_shape", [(), (3,), (3, 2)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("idx", [
+    np.array([3, 1, 3, 3, 0, 6]),
+    np.array([[3, 1], [3, 3], [0, 6]]),
+    np.array([2, 5, 2, 2, 2, 2, 0, 2, 2, 2, 2]),  # row 2 nine times
+], ids=["rank1", "rank2", "nine_copies"])
+def test_take_rows_repeated_gradient_equals_add_at_oracle_bitwise(row_shape, idx):
+    rng = np.random.default_rng(24)
+    g = rng.uniform(-1, 1, idx.shape + row_shape)
+    g[(0,) * idx.ndim] = -0.0  # a signed zero: summed from zero it gives +0.0
+    c = rng.uniform(-1, 1, (7,) + row_shape)
+    grads = []
+    for take in (T.take_rows, take_rows_add_at):
+        w = t64(rng.uniform(-1, 1, (7,) + row_shape))
+        for loss in ((take(w, idx) * T.Tensor(g)).sum(),
+                     (w * T.Tensor(c)).sum() + (take(w, idx) * T.Tensor(g)).sum()):
+            grads.append(T.backward(loss, {"w": w})["w"].tobytes())
+    assert grads[:2] == grads[2:]
+
+
+def test_take_rows_sums_signed_zero_copies_from_zero():
+    # the dense -0.0 reaches w first; row 1's three copies are -0.0 too and,
+    # summed from zero, give +0.0, so w's row 1 ends +0.0 (-0.0 + +0.0)
+    minus_zero = T.Tensor(np.full((3, 2), -0.0))
+    grads = []
+    for take in (T.take_rows, take_rows_add_at):
+        w = t64(np.ones((3, 2)))
+        loss = (w * minus_zero).sum() + (take(w, np.array([1, 1, 1])) * minus_zero).sum()
+        assert feed_order(loss, w) == ["mul", "take_rows"]
+        grads.append(T.backward(loss, {"w": w})["w"])
+    assert grads[0].tobytes() == grads[1].tobytes()
+    assert np.signbit(grads[0][[0, 2]]).all() and not np.signbit(grads[0][1]).any()
 
 
 def test_leaf_gradients_never_share_memory():
