@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -137,6 +138,19 @@ class ModelConfig:
             raise ConfigError("attn_moe_num_experts must be >= 0")
         if self.warmup_steps < 1:
             raise ConfigError("warmup_steps must be >= 1")
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("rms_eps", "adam_eps", "grad_clip", "max_lr", "sa_rope_base",
+                     "da_rope_base"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("weight_decay", "ea_bias_update_rate", "attn_moe_bias_update_rate"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         return self
 
     # -- serialization --------------------------------------------------------

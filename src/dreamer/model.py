@@ -37,7 +37,6 @@ from .routing import (
     RouterState,
     bank_apply,
     depth_router_logits,
-    expert_weights,
     gated_experts,
     select_topk,
     update_balance,
@@ -59,6 +58,11 @@ def swiglu(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return T.node(out, (a, b), vjp, "swiglu")
+
+
+def swiglu_expert(u: Tensor, gate: Tensor, up: Tensor, down: Tensor) -> Tensor:
+    """B SwiGLU experts on their own rows: u [B, m, h] -> [B, m, h]."""
+    return T.matmul(swiglu(T.matmul(u, gate), T.matmul(u, up)), down)
 
 
 class SeqCache:
@@ -254,15 +258,9 @@ class DreamerModel:
         b, s, h = x.shape
         normed = rms_norm(x, self.params[f"{p}.ea.in_norm.gain"], self.cfg.rms_eps)
         flat = normed.reshape(b * s, h)
-        gate_w, up_w, down_w = [self.params[f"{p}.ea.experts.{w}"]
-                                for w in ("gate", "up", "down")]
-
-        def expert(u, ids):
-            hidden = swiglu(T.matmul(u, expert_weights(gate_w, ids)),
-                            T.matmul(u, expert_weights(up_w, ids)))
-            return T.matmul(hidden, expert_weights(down_w, ids))
-
-        out = gated_experts(flat, *self._route(flat, f"{p}.ea", depth), expert)
+        weights = [self.params[f"{p}.ea.experts.{w}"] for w in ("gate", "up", "down")]
+        out = gated_experts(flat, *self._route(flat, f"{p}.ea", depth), weights,
+                            swiglu_expert)
         return out.reshape(b, s, h)
 
     # -- one depth step and the full stack --------------------------------------

@@ -100,18 +100,19 @@ def depth_router_logits(x: Tensor, query_weight: Tensor, keys: Tensor, depth: in
 
 # -- gated experts and linear expert banks ------------------------------------
 
-def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
+def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, weights, expert) -> Tensor:
     """Routed mixture: x [n, din], idx [n, k], gates [n, k] -> [n, dout].
 
-    Row r gets sum_j gates[r, j] * expert(x, idx[r, j])[r], summed in
-    ascending expert id. The (row, slot) pairs are grouped by expert
-    (dropless, as in MegaBlocks) and each expert runs on its own rows only.
+    Row r gets sum_j gates[r, j] * expert(x[r], *(w[idx[r, j]] for w in
+    weights)), summed in ascending expert id; each of `weights` is stacked
+    [E, ...]. The (row, slot) pairs are grouped by expert (dropless, as in
+    MegaBlocks) and each expert runs on its own rows only.
 
     `x` is gathered once, in expert-major order. Each run of adjacent
-    groups of one size m runs as one batched call `expert(u, ids)`: u is
-    [B, m, din], a view of the gather, and `ids` names the run's B experts
-    in ascending order, as a slice when they are consecutive and as an
-    index array otherwise (see `expert_weights`). It returns [B, m, dout].
+    groups of one size m runs as one batched call `expert(u, *run)`: u is
+    [B, m, din], a view of the gather, and `run` holds each weight's [B, ...]
+    for the run's B experts in ascending id: a view `w[a:b]` when the ids
+    are consecutive, a `take_rows` gather otherwise. It returns [B, m, dout].
     Groups are never padded to a common size: a padded product costs
     work and memory, and BLAS may round a group's real rows differently
     once padding changes the product's shape.
@@ -124,11 +125,7 @@ def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
     row's result then never depends on how other rows are routed.
     """
     n, top_k = idx.shape
-    flat = idx.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat)
-    experts = np.flatnonzero(counts)
-    counts = counts[experts]
+    order, experts, counts = T.group_ids(idx.reshape(-1))
     sizes = np.maximum(counts, 2)
     reps = np.repeat(sizes // counts, counts)   # 2 for a singleton's pair, else 1
     pairs = np.repeat(order, reps)              # grouped pairs, singletons twice
@@ -140,14 +137,15 @@ def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
     for m, same in itertools.groupby(sizes.tolist()):
         b = len(list(same))
         lo, hi = ids[first], ids[first + b - 1]
-        run = slice(lo, hi + 1) if hi - lo == b - 1 else experts[first:first + b]
+        run = ([w[lo:hi + 1] for w in weights] if hi - lo == b - 1
+               else [T.take_rows(w, experts[first:first + b]) for w in weights])
         rows = u if b * m == pairs.size else u[:, start:start + b * m]
-        part = expert(rows if b == 1 else rows.reshape(b, m, -1), run)
+        part = expert(rows if b == 1 else rows.reshape(b, m, -1), *run)
         parts.append(part if b == 1 else part.reshape(1, b * m, -1))
         first, start = first + b, start + b * m
-    # Under no_grad the gathered rows die here, before the concat, and the
-    # parts right after it: fewer live buffers, fewer fresh pages per call.
-    del u, rows, part
+    # Under no_grad the gathered rows and weights die here, before the
+    # concat, and the parts right after it: fewer live buffers and pages.
+    del u, rows, run, part
     y = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
     del parts
     y = y.reshape(pairs.size, -1) * T.take_rows(gates.reshape(n * top_k, 1), pairs)
@@ -155,15 +153,6 @@ def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
     # summation order depends on which experts a row picked, not their rank
     out = T.take_rows(y, np.sort(pos.reshape(n, top_k), axis=1).reshape(-1))
     return out if top_k == 1 else out.reshape(n, top_k, -1).sum(axis=1)
-
-
-def expert_weights(w: Tensor, ids) -> Tensor:
-    """Stacked expert weights [E, din, dout] -> the [B, din, dout] of `ids`.
-
-    `ids` is what `gated_experts` hands an expert: a slice of consecutive
-    experts, read as a view, or an index array, gathered.
-    """
-    return w[ids] if isinstance(ids, slice) else T.take_rows(w, ids)
 
 
 def bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, experts: Tensor,
@@ -178,6 +167,5 @@ def bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, experts: Tensor,
     """
     n = x.shape[0]
     gcol = gates.reshape(n, 1)
-    out = gated_experts(x, idx.reshape(n, 1), gcol,
-                        lambda u, ids: T.matmul(u, expert_weights(experts, ids)))
+    out = gated_experts(x, idx.reshape(n, 1), gcol, (experts,), T.matmul)
     return out + T.stop_gradient(gcol) * T.matmul(x, shared)

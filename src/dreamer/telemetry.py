@@ -69,6 +69,14 @@ _RECORD_FIELDS = {
     "route": {"router": str, "depth": int, "experts": list, "gates": list},
     "depth_scores": {"depth": int, "tokens": int, "scores": list},
 }
+# List field -> the JSON types its entries may have (a bool is neither).
+_ENTRY_TYPES = {"experts": (int,), "gates": (int, float), "scores": (int, float)}
+
+
+def _entries(value: list):
+    """The non-list entries of nested lists, in order."""
+    for v in value:
+        yield from _entries(v) if type(v) is list else (v,)
 
 
 @dataclass
@@ -110,7 +118,7 @@ class TelemetryLog:
             where = f"{path}:{line_no}"
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
                 raise InputError(f"{where}: bad telemetry record: {e}") from None
             if not isinstance(rec, dict):
                 raise InputError(f"{where}: telemetry record must be a JSON object")
@@ -124,6 +132,13 @@ class TelemetryLog:
                 if type(rec[name]) is not want:
                     raise InputError(f"{where}: {name!r} must be {want.__name__}, "
                                      f"got {type(rec[name]).__name__}")
+                allowed = _ENTRY_TYPES.get(name)
+                bad = [] if allowed is None else [
+                    v for v in _entries(rec[name]) if type(v) not in allowed]
+                if bad:
+                    raise InputError(f"{where}: {name!r} entries must be "
+                                     f"{' or '.join(t.__name__ for t in allowed)}, "
+                                     f"got {bad[0]!r}")
             add = log.add_routing if kind == "route" else log.add_depth_scores
             try:
                 add(*(rec[name] for name in fields))

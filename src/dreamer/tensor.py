@@ -96,9 +96,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "op", "parents", "vjp", "node_id")
 
-    def __init__(self, data, requires_grad: bool = False, *, dtype=None,
-                 op: str = "leaf", parents: tuple = (), vjp=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False, *, op: str = "leaf",
+                 parents: tuple = (), vjp=None):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64 if arr.dtype == np.int64 else np.float32)
         self.data = arr
@@ -125,9 +125,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self.op!r})"
 
@@ -135,27 +132,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -399,6 +383,20 @@ def logsumexp(a: Tensor) -> Tensor:
 
 # -- gather / scatter -----------------------------------------------------------
 
+def group_ids(flat: np.ndarray):
+    """(order, ids, counts): the stable argsort of the non-negative ids
+    `flat`, the ids present, ascending, and how often each occurs.
+
+    Ids below 2**16 sort as uint16, which numpy radix-sorts; a stable sort
+    has one result, so the order is the same.
+    """
+    counts = np.bincount(flat)
+    ids = np.flatnonzero(counts)
+    order = np.argsort(flat.astype(np.uint16) if counts.size <= 1 << 16 else flat,
+                       kind="stable")
+    return order, ids, counts[ids]
+
+
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows along axis 0 by integer index."""
     idx = np.asarray(idx)
@@ -407,17 +405,14 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def vjp(g):
         flat = idx.reshape(-1)
-        counts = np.bincount(flat, minlength=shape[0])
-        if counts.max(initial=0) <= 1:
+        if np.bincount(flat).max(initial=0) <= 1:
             return (_Scatter(idx, g, shape, dt),)
         # Sum each repeated row's copies in index order, from zero, as
         # np.add.at into a zero array would, so the record's key is unique:
         # rows sorted by copy count, then one slice add per occurrence rank
         # (every row's 1st copy, then the 2nd of the rows that have one, ...).
-        rows = np.flatnonzero(counts)
-        counts = counts[rows]
+        order, rows, counts = group_ids(flat)
         starts = np.cumsum(counts) - counts     # each row's first copy in `order`
-        order = np.argsort(flat, kind="stable")
         most = np.argsort(-counts, kind="stable")
         rows, counts, starts = rows[most], counts[most], starts[most]
         g = g.reshape((flat.size,) + shape[1:])

@@ -13,8 +13,7 @@ import numpy as np
 from dreamer import tensor as T
 from dreamer.attention import causal_mask
 from dreamer.errors import ConfigError, ContractError, ShapeError
-from dreamer.routing import (RouterState, bank_apply, expert_weights, gated_experts,
-                             select_topk, update_balance)
+from dreamer.routing import RouterState, bank_apply, gated_experts, select_topk, update_balance
 from dreamer.tensor import Tensor
 
 
@@ -270,18 +269,18 @@ def fold_shared(experts: Tensor, shared: Tensor) -> Tensor:
 def folded_bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, folded: Tensor) -> Tensor:
     """Bank forward on folded weights: one expert matmul per row, no shared term."""
     n = x.shape[0]
-    return gated_experts(x, idx.reshape(n, 1), gates.reshape(n, 1),
-                         lambda u, ids: T.matmul(u, expert_weights(folded, ids)))
+    return gated_experts(x, idx.reshape(n, 1), gates.reshape(n, 1), (folded,), T.matmul)
 
 
-def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Tensor:
+def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, expert) -> Tensor:
     """`gated_experts` as one gather and one expert call per expert.
 
     The library's grouping before runs of equal-size groups were batched:
     each used expert gathers its own rows and calls `expert(u [1, m, din],
-    slice(e, e + 1))`, ascending in e; a singleton's row runs twice. Its
-    gathers sum repeated rows with `np.add.at`. The batched primitive must
-    equal this bitwise, forward and backward.
+    *(w[e:e + 1] for w in weights))`, ascending in e; a singleton's row
+    runs twice. It sorts and counts the ids itself, and its gathers sum
+    repeated rows with `np.add.at`. The batched primitive must equal this
+    bitwise, forward and backward.
     """
     n, top_k = idx.shape
     flat = idx.reshape(-1)
@@ -299,7 +298,7 @@ def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, expert) -> Ten
     parts = []
     for e, size, end in zip(experts, sizes, ends):
         u = take_rows_add_at(x, pairs[end - size:end] // top_k).reshape(1, size, x.shape[1])
-        parts.append(expert(u, slice(e, e + 1)).reshape(size, -1))
+        parts.append(expert(u, *(w[e:e + 1] for w in weights)).reshape(size, -1))
     y = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
     y = y * take_rows_add_at(gates.reshape(n * top_k, 1), pairs)
     out = take_rows_add_at(y, np.sort(pos.reshape(n, top_k), axis=1).reshape(-1))

@@ -71,6 +71,18 @@ def test_train_missing_and_invalid_config(tmp_path, capsys):
     assert "hiden_size" in capsys.readouterr().err
 
 
+def test_train_rejects_out_of_range_float_config(tmp_path, capsys):
+    # a negative clip would flip every gradient's sign; it never starts a run
+    data = desk_config().to_dict()
+    data["grad_clip"] = -0.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(bad), "--out", str(out)]) == 2
+    assert "grad_clip" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_negative_checkpoint_every(tmp_path, capsys):
     code, _ = run_train(tmp_path, extra=("--checkpoint-every", "-1"))
     assert code == 2
@@ -329,6 +341,15 @@ def test_analyze_telemetry_file_matches_oracles(tmp_path):
      "must be >= 0"),
     ({"kind": "depth_scores", "depth": -1, "tokens": 4, "scores": []}, ">= 0"),
     ({"kind": "depth_scores", "depth": 0, "tokens": -4, "scores": [1.0]}, ">= 0"),
+    # entries numpy would cast: 1.7 truncated to 1, true read as 1, "0.8" parsed
+    ({"kind": "route", "router": "layer.ea", "depth": 0, "experts": [[1.7, 2.2]],
+      "gates": [[0.5, 0.5]]}, "'experts' entries must be int, got 1.7"),
+    ({"kind": "route", "router": "layer.ea", "depth": 0, "experts": [[True, 0]],
+      "gates": [[0.5, 0.5]]}, "'experts' entries must be int, got True"),
+    ({"kind": "route", "router": "layer.ea", "depth": 0, "experts": [[1, 0]],
+      "gates": [[0.5, False]]}, "'gates' entries must be int or float, got False"),
+    ({"kind": "depth_scores", "depth": 1, "tokens": 4, "scores": [0.2, "0.8"]},
+     "'scores' entries must be int or float, got '0.8'"),
 ])
 def test_analyze_rejects_malformed_telemetry_records(tmp_path, capsys, record, message):
     good = {"kind": "route", "router": "layer.ea", "depth": 0, "experts": [[0]], "gates": [[1.0]]}
@@ -338,6 +359,14 @@ def test_analyze_rejects_malformed_telemetry_records(tmp_path, capsys, record, m
     assert code == 2
     err = capsys.readouterr().err
     assert f"{tele}:2: " in err and message in err
+
+
+def test_analyze_rejects_too_deeply_nested_telemetry(tmp_path, capsys):
+    tele = tmp_path / "tele.jsonl"
+    tele.write_text('{"kind": "route", "experts": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+    code = main(["analyze", "--telemetry", str(tele), "--out", str(tmp_path / "a")])
+    assert code == 2
+    assert f"{tele}:1: bad telemetry record" in capsys.readouterr().err
 
 
 def test_analyze_rejects_overlong_sequences(tmp_path):

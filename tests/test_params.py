@@ -70,6 +70,33 @@ def test_config_validation_errors(field, value):
         desk_config(**{field: value})
 
 
+FLOAT_FIELDS = ("rms_eps", "sa_rope_base", "da_rope_base", "ea_bias_update_rate",
+                "attn_moe_bias_update_rate", "max_lr", "weight_decay", "adam_beta1",
+                "adam_beta2", "adam_eps", "grad_clip")
+
+
+@pytest.mark.parametrize("field,value", [
+    *((name, v) for name in FLOAT_FIELDS for v in (float("nan"), float("inf"), float("-inf"))),
+    ("rms_eps", -1.0), ("rms_eps", 0.0), ("adam_eps", 0.0), ("grad_clip", -0.5),
+    ("grad_clip", 0.0), ("max_lr", 0.0), ("max_lr", -4e-4), ("sa_rope_base", 0.0),
+    ("da_rope_base", -500.0), ("weight_decay", -1.0), ("ea_bias_update_rate", -1.0),
+    ("attn_moe_bias_update_rate", -1e-2), ("adam_beta1", 1.0), ("adam_beta1", -0.1),
+    ("adam_beta2", 1.0), ("adam_beta2", 1.5),
+])
+def test_config_rejects_bad_floats(field, value):
+    data = desk_config().to_dict()
+    data[field] = value
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig.from_dict(data)
+
+
+def test_config_accepts_float_range_edges():
+    data = desk_config().to_dict()
+    data.update(weight_decay=0.0, ea_bias_update_rate=0.0, attn_moe_bias_update_rate=0.0,
+                adam_beta1=0.0, adam_beta2=0.0, rms_eps=1e-30, max_lr=1e9)
+    assert ModelConfig.from_dict(data).adam_beta1 == 0.0
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.json")

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dreamer import tensor as T
-from dreamer.model import swiglu
-from dreamer.routing import (RouterState, bank_apply, depth_router_logits, expert_weights,
-                             gated_experts, select_topk, update_balance)
+from dreamer.model import swiglu_expert
+from dreamer.routing import (RouterState, bank_apply, depth_router_logits, gated_experts,
+                             select_topk, update_balance)
 from dreamer.errors import ConfigError, ContractError
 from dreamer.tensor import Tensor
 from reference import (ea_select, fold_shared, folded_bank_apply, gated_experts_loop,
@@ -221,11 +221,15 @@ def test_routable_term_gate_gradient_is_nonzero():
     assert np.all(np.abs(grad) > 1e-8)
 
 
+def silu_expert(u, w):
+    """B SiLU experts on their own rows: u [B, m, din], w [B, din, dout]."""
+    return silu(T.matmul(u, w))
+
+
 def silu_experts(rng, E=4, din=3, dout=5):
-    """SiLU experts over float32 weights [E, din, dout], under the batched contract."""
+    """Float32 weights [E, din, dout] for `silu_expert`, as an array and a Tensor."""
     weights = rng.normal(0, 1, (E, din, dout)).astype(np.float32)
-    stacked = Tensor(weights)
-    return weights, lambda u, ids: silu(T.matmul(u, expert_weights(stacked, ids)))
+    return weights, Tensor(weights)
 
 
 def distinct_choices(rng, n, E, k):
@@ -235,12 +239,12 @@ def distinct_choices(rng, n, E, k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_gated_experts_matches_per_row_oracle(k):
     rng = np.random.default_rng(20 + k)
-    weights, expert = silu_experts(rng)
+    weights, stacked = silu_experts(rng)
     for _ in range(10):
         x = rng.normal(0, 1, (6, 3)).astype(np.float32)
         idx = distinct_choices(rng, 6, 4, k)
         gates = rng.uniform(0.1, 1.0, (6, k)).astype(np.float32)
-        out = gated_experts(Tensor(x), idx, Tensor(gates), expert).data
+        out = gated_experts(Tensor(x), idx, Tensor(gates), [stacked], silu_expert).data
         assert out.dtype == np.float32
         for r in range(6):
             ref = np.zeros(5, dtype=np.float64)
@@ -255,14 +259,15 @@ def test_gated_experts_row_ignores_other_rows_routing(k):
     # wide enough that a 1-row product (BLAS gemv) can round differently from
     # the batched one, so an expert run on its own rows only would show here
     rng = np.random.default_rng(30 + k)
-    _, expert = silu_experts(rng, din=32, dout=24)
+    _, stacked = silu_experts(rng, din=32, dout=24)
     x = Tensor(rng.normal(0, 1, (6, 32)).astype(np.float32))
     gates = Tensor(rng.uniform(0.1, 1.0, (6, k)).astype(np.float32))
     idx = distinct_choices(rng, 6, 4, k)
-    row0 = gated_experts(x, idx, gates, expert).data[0].copy()
+    row0 = gated_experts(x, idx, gates, [stacked], silu_expert).data[0].copy()
     for _ in range(20):
         idx[1:] = distinct_choices(rng, 5, 4, k)
-        assert gated_experts(x, idx, gates, expert).data[0].tobytes() == row0.tobytes()
+        out = gated_experts(x, idx, gates, [stacked], silu_expert)
+        assert out.data[0].tobytes() == row0.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -270,13 +275,13 @@ def test_gated_experts_is_the_dense_ascending_sum_bitwise(k):
     # each row adds its gated outputs in ascending expert id, and an expert
     # run on a subset of rows matches its full-batch product row for row
     rng = np.random.default_rng(50 + k)
-    _, expert = silu_experts(rng, din=32, dout=24)
+    _, stacked = silu_experts(rng, din=32, dout=24)
     x = Tensor(rng.normal(0, 1, (7, 32)).astype(np.float32))
     gates = rng.uniform(0.1, 1.0, (7, k)).astype(np.float32)
-    dense = [expert(x.reshape(1, 7, 32), slice(e, e + 1)).data[0] for e in range(4)]
+    dense = [silu_expert(x.reshape(1, 7, 32), stacked[e:e + 1]).data[0] for e in range(4)]
     for _ in range(10):
         idx = distinct_choices(rng, 7, 4, k)
-        out = gated_experts(x, idx, Tensor(gates), expert).data
+        out = gated_experts(x, idx, Tensor(gates), [stacked], silu_expert).data
         for r in range(7):
             terms = [gates[r, j] * dense[idx[r, j]][r] for j in np.argsort(idx[r])]
             ref = terms[0]
@@ -285,17 +290,15 @@ def test_gated_experts_is_the_dense_ascending_sum_bitwise(k):
             assert out[r].tobytes() == ref.tobytes()
 
 
-def swiglu_experts(rng, E, din, dff, dout, dtype, calls=None):
-    """EA-shaped SwiGLU experts under the batched contract; logs each call's ids."""
+def swiglu_experts(rng, E, din, dff, dout, dtype, calls):
+    """EA-shaped SwiGLU weights, and `swiglu_expert` logging each call's B and weight ops."""
     weights = {name: Tensor(rng.normal(0, 0.3, shape).astype(dtype), requires_grad=True)
                for name, shape in (("gate", (E, din, dff)), ("up", (E, din, dff)),
                                    ("down", (E, dff, dout)))}
 
-    def expert(u, ids):
-        if calls is not None:
-            calls.append((u.shape[0], ids))
-        gate, up, down = (expert_weights(weights[w], ids) for w in ("gate", "up", "down"))
-        return T.matmul(swiglu(T.matmul(u, gate), T.matmul(u, up)), down)
+    def expert(u, *run):
+        calls.append((u.shape[0], {w.op for w in run}))
+        return swiglu_expert(u, *run)
 
     return weights, expert
 
@@ -329,23 +332,22 @@ def test_gated_experts_equals_the_per_expert_loop_bitwise(dtype, k):
         inputs = {"x": x, "gates": gates, **weights}
         results = []
         for mix in (gated_experts, gated_experts_loop):
-            out = mix(x, idx, gates, expert)
+            out = mix(x, idx, gates, [weights[w] for w in ("gate", "up", "down")], expert)
             assert out.dtype == dtype
             grads = T.backward((out * c).sum(), inputs)
             results.append([out.data.tobytes()] + [grads[w].tobytes() for w in sorted(grads)])
         assert results[0] == results[1], idx.tolist()
-    # the batched calls above include runs of several experts, as a view
-    # (consecutive ids) and as a gather (non-consecutive ids)
-    assert any(b > 1 and isinstance(ids, slice) for b, ids in calls)
-    assert any(b > 1 and not isinstance(ids, slice) for b, ids in calls)
+    # the batched calls above include runs of several experts, whose weights
+    # are views (consecutive ids) and gathers (non-consecutive ids)
+    assert any(b > 1 and ops == {"getitem"} for b, ops in calls)
+    assert any(b > 1 and ops == {"take_rows"} for b, ops in calls)
 
 
 def recording_experts(rng, E=4, din=3, dout=5):
     """SiLU experts over float64 weights [E, din, dout] that log each call's [B, m]."""
     weights, seen = Tensor(rng.uniform(-1, 1, (E, din, dout)), requires_grad=True), []
 
-    def expert(u, ids):
-        w = expert_weights(weights, ids)
+    def expert(u, w):
         assert w.shape[0] == u.shape[0]
         seen.append(u.shape[:2])
         return silu(T.matmul(u, w))
@@ -363,10 +365,10 @@ def recording_experts(rng, E=4, din=3, dout=5):
 ])
 def test_gated_experts_never_issues_a_one_row_product(n, k, idx):
     rng = np.random.default_rng(40 + n + k)
-    _, expert, seen = recording_experts(rng, E=32)
+    weights, expert, seen = recording_experts(rng, E=32)
     idx = np.array(idx)
     gated_experts(Tensor(rng.normal(0, 1, (n, 3))), idx,
-                  Tensor(rng.uniform(0.1, 1.0, (n, k))), expert)
+                  Tensor(rng.uniform(0.1, 1.0, (n, k))), [weights], expert)
     counts = np.bincount(idx.reshape(-1))
     assert min(m for _, m in seen) >= 2
     assert sum(b for b, _ in seen) == np.count_nonzero(counts)
@@ -383,7 +385,7 @@ def test_gated_experts_gradcheck_singleton_and_unused_expert():
     idx = np.array([[0, 1], [1, 0], [0, 2], [1, 0]])
 
     def fn(inp):
-        out = gated_experts(inp["x"], idx, inp["gates"], expert)
+        out = gated_experts(inp["x"], idx, inp["gates"], [inp["w"]], expert)
         return (out * out).sum()
 
     inputs = {

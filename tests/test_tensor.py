@@ -45,7 +45,7 @@ def test_identity_matmul():
 
 def test_sum_of_zeros_and_scalar_mul():
     z = T.Tensor(np.zeros((4, 5)))
-    assert z.sum().item() == 0.0
+    assert float(z.sum().data) == 0.0
     two = T.Tensor(np.full((2, 2), 3.0)) * 2.0
     np.testing.assert_allclose(two.data, 6.0)
 
@@ -94,7 +94,7 @@ def test_softmax_cross_entropy_grad_matches_finite_differences():
 
 @pytest.mark.parametrize("build", [
     lambda x: (x * x).sum(),
-    lambda x: mean(x + 2.0 * x),
+    lambda x: mean(x + x * 2.0),
     lambda x: T.sigmoid(x).sum(),
     lambda x: silu(x).sum(),
     lambda x: softmax(x).reshape(-1)[1] * 3.0,
@@ -394,6 +394,20 @@ def test_take_rows_sums_signed_zero_copies_from_zero():
     assert np.signbit(grads[0][[0, 2]]).all() and not np.signbit(grads[0][1]).any()
 
 
+@pytest.mark.parametrize("top, size", [(2**16 - 1, 5000), (2**16, 5000), (0, 0)],
+                         ids=["uint16", "int64_fallback", "empty"])
+def test_group_ids_is_the_stable_int64_argsort(top, size):
+    rng = np.random.default_rng(25)
+    flat = rng.integers(0, top, size, endpoint=True)
+    if size:
+        flat[:2] = top, 0  # the largest id occurs, and ids repeat
+    order, ids, counts = T.group_ids(flat)
+    assert order.tobytes() == np.argsort(flat, kind="stable").tobytes()
+    want_ids, want_counts = np.unique(flat, return_counts=True)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(counts, want_counts)
+
+
 def test_leaf_gradients_never_share_memory():
     inputs = {"a": t64(np.ones(4)), "b": t64(np.ones(4))}
     grads = T.backward(T.eval((inputs["a"] + inputs["b"]).sum()), inputs)
@@ -436,10 +450,14 @@ def test_stacked_weight_slices_allocate_one_gradient_buffer():
 # -- library coverage -------------------------------------------------------------
 
 def test_every_engine_function_has_a_library_caller(monkeypatch):
-    # an op that only tests call belongs in tests/reference.py
+    # an op that only tests call belongs in tests/reference.py, and so does
+    # a Tensor method, property or operator
     public = [name for name, fn in vars(T).items()
               if inspect.isfunction(fn) and fn.__module__ == T.__name__
               and not name.startswith("_")]
+    members = [name for name, attr in vars(T.Tensor).items()
+               if (inspect.isfunction(attr) or isinstance(attr, property))
+               and name not in ("__init__", "__repr__")]
     calls = Counter()
 
     def counting(name, fn):
@@ -450,6 +468,12 @@ def test_every_engine_function_has_a_library_caller(monkeypatch):
 
     for name in public:
         monkeypatch.setattr(T, name, counting(name, getattr(T, name)))
+    for name in members:
+        attr = vars(T.Tensor)[name]
+        wrapped = (property(counting(f"Tensor.{name}", attr.fget)) if isinstance(attr, property)
+                   else counting(f"Tensor.{name}", attr))
+        monkeypatch.setattr(T.Tensor, name, wrapped)
+    public += [f"Tensor.{name}" for name in members]
     for variant in ("LA", "DR", "DR_DA"):
         cfg = desk_config(variant, 2, vocab_size=32, context_length=16, batch_size=2)
         model = train(cfg, TaskSpec("copy", 9, 32), 1).model
