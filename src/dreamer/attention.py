@@ -13,6 +13,9 @@ node with a closed-form backward via `tensor.node`. RMSNorm keeps its
 input and per-row `inv = 1/rms`; the rotation keeps its angle tables; the
 attention core keeps only the softmax weights.
 
+The rotary pair frequencies and the depth cos/sin tables are memoized on
+first use and read-only; sequence RoPE computes its angles per call.
+
 Two position encodings are supported:
   * `rope_apply`: every pair rotates by sequence position * theta_i,
   * `rope_depth_apply`: pairs are split again; the first half of the pairs
@@ -23,6 +26,8 @@ Two position encodings are supported:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tensor as T
@@ -30,14 +35,19 @@ from .errors import ContractError, NumericError, ShapeError
 from .tensor import MASK_VALUE, Tensor
 
 
+@functools.cache
 def _pair_freqs(dim: int, base: float) -> np.ndarray:
-    return base ** (-np.arange(dim // 2, dtype=np.float64) * 2.0 / dim)
+    freqs = base ** (-np.arange(dim // 2, dtype=np.float64) * 2.0 / dim)
+    freqs.flags.writeable = False  # shared by every caller
+    return freqs
 
 
-def _apply_rotation(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotate each channel pair (x1, x2) by its angle; the vjp rotates back."""
+def _apply_rotation(x: Tensor, c: np.ndarray, s: np.ndarray) -> Tensor:
+    """Rotate each channel pair (x1, x2) by its angle; the vjp rotates back.
+
+    `c` and `s` are the angles' cos and sin in `x`'s dtype.
+    """
     half = x.shape[-1] // 2
-    c, s = cos.astype(x.dtype), sin.astype(x.dtype)
     x1, x2 = x.data[..., :half], x.data[..., half:]
     out = np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
 
@@ -62,11 +72,12 @@ def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
         raise ShapeError(
             f"rope_apply: need one position per row, got {positions.shape} for {x.shape}")
     angles = positions[:, None] * _pair_freqs(dim, base)[None, :]
-    return _apply_rotation(x, np.cos(angles), np.sin(angles))
+    return _apply_rotation(x, np.cos(angles).astype(x.dtype), np.sin(angles).astype(x.dtype))
 
 
-def depth_rope_angles(depth: int, depths: int, dim: int, base: float) -> np.ndarray:
-    """Per-pair rotation angles for one of `depths` depth indices.
+@functools.cache
+def _depth_rope_tables(depth: int, depths: int, dim: int, base: float, dtype) -> tuple:
+    """Read-only (cos, sin) in `dtype` of the per-pair depth angles.
 
     The first half of the pairs sits at `depth`, the second half at the
     reversed index `depths - 1 - depth`.
@@ -75,18 +86,20 @@ def depth_rope_angles(depth: int, depths: int, dim: int, base: float) -> np.ndar
         raise ShapeError(f"depth rope: dim {dim} must be divisible by 4")
     if not 0 <= depth < depths:
         raise ContractError(f"depth {depth} outside [0, {depths})")
-    freqs = _pair_freqs(dim, base)
     quarter = dim // 4
     pos = np.empty(dim // 2, dtype=np.float64)
     pos[:quarter] = float(depth)
     pos[quarter:] = float(depths - 1 - depth)
-    return pos * freqs
+    angles = pos * _pair_freqs(dim, base)
+    tables = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
 
 
 def rope_depth_apply(x: Tensor, depth: int, depths: int, base: float) -> Tensor:
     """Rotate `x[..., dim]` by a depth index instead of a sequence position."""
-    angles = depth_rope_angles(depth, depths, x.shape[-1], base)
-    return _apply_rotation(x, np.cos(angles), np.sin(angles))
+    return _apply_rotation(x, *_depth_rope_tables(depth, depths, x.shape[-1], base, x.dtype))
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
@@ -94,7 +107,11 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     if gain.shape != x.shape[-1:]:
         raise ShapeError(f"rms_norm: gain shape {gain.shape} != feature dim {x.shape[-1:]}")
     xd, gd = x.data, gain.data
-    ms = (xd * xd).mean(axis=-1, keepdims=True)
+    n = xd.shape[-1]
+    # np.add.reduce and an in-place divide are bitwise `.mean()` without its
+    # Python-level dispatch
+    ms = np.add.reduce(xd * xd, axis=-1, keepdims=True)
+    ms /= n
     if not np.isfinite(ms).all():
         # the squares are no tape node, so `eval` would miss this; inference too
         raise NumericError("non-finite values produced by op 'rms_norm'")
@@ -105,7 +122,9 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         gx = ggain = None
         if x.requires_grad:
             gg = g * gd
-            gx = gg * inv - xd * inv ** 3 * (gg * xd).mean(axis=-1, keepdims=True)
+            mean = np.add.reduce(gg * xd, axis=-1, keepdims=True)
+            mean /= n
+            gx = gg * inv - xd * inv ** 3 * mean
         if gain.requires_grad:
             ggain = (g * (xd * inv)).sum(axis=tuple(range(g.ndim - 1)))
         return gx, ggain

@@ -285,10 +285,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg, params = load_checkpoint(args.checkpoint, dtype=PRECISIONS[args.precision])
-    try:
-        prompt = np.array([int(tok) for tok in args.prompt_tokens.split(",")])
-    except ValueError as exc:
-        raise InputError(f"prompt tokens must be integers: {exc}") from exc
+    ids = []
+    for tok in args.prompt_tokens.split(","):
+        try:
+            ids.append(np.int64(int(tok)))
+        except ValueError as exc:
+            raise InputError(f"prompt tokens must be integers: {exc}") from exc
+        except OverflowError:
+            raise InputError(f"prompt token {tok.strip()} does not fit in int64") from None
+    prompt = np.array(ids, dtype=np.int64)
     model = DreamerModel(cfg, params)
     tokens = model.decode(prompt, args.n)
     for token in tokens.reshape(-1):

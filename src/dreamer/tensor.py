@@ -69,6 +69,8 @@ _GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 # themselves stay finite, so the finiteness contract holds end to end.
 MASK_VALUE = -1e30
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
 
 class no_grad:
     """Context manager that suspends graph recording."""
@@ -99,7 +101,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, *, op: str = "leaf",
                  parents: tuple = (), vjp=None):
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64 if arr.dtype == np.int64 else np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -167,11 +169,16 @@ def node(data, parents, vjp, op) -> Tensor:
 
     `vjp(g)` returns one entry per parent under the accumulation contract
     in the module docstring; it runs only if some parent requires grad.
+    An op's float32/float64 ndarray is wrapped as it is; anything else
+    takes the `Tensor` constructor's coercion.
     """
+    if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
+        data = Tensor(data).data
     req = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
-    if req:
-        return Tensor(data, True, op=op, parents=parents, vjp=vjp)
-    return Tensor(data, False, op=op)
+    t = object.__new__(Tensor)
+    t.data, t.requires_grad, t.op, t.node_id = data, req, op, next(_NODE_IDS)
+    t.parents, t.vjp = (parents, vjp) if req else ((), None)
+    return t
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -249,20 +256,21 @@ def div(a, b) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with equal (or absent) leading batch dims."""
-    if a.dtype != b.dtype:
-        raise ShapeError(f"matmul: dtype mismatch {a.dtype.name} vs {b.dtype.name}")
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >=2-D, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ for {a.shape} @ {b.shape}")
-    if a.shape[:-2] != b.shape[:-2] and a.ndim > 2 and b.ndim > 2:
-        raise ShapeError(f"matmul: leading dims differ for {a.shape} @ {b.shape}")
-    out = a.data @ b.data
     ad, bd = a.data, b.data
+    sa, sb = ad.shape, bd.shape
+    if ad.dtype != bd.dtype:
+        raise ShapeError(f"matmul: dtype mismatch {ad.dtype.name} vs {bd.dtype.name}")
+    if len(sa) < 2 or len(sb) < 2:
+        raise ShapeError(f"matmul: operands must be >=2-D, got {sa} @ {sb}")
+    if sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul: inner dims differ for {sa} @ {sb}")
+    if sa[:-2] != sb[:-2] and len(sa) > 2 and len(sb) > 2:
+        raise ShapeError(f"matmul: leading dims differ for {sa} @ {sb}")
+    out = ad @ bd
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb) if b.requires_grad else None
         return ga, gb
 
     return node(out, (a, b), vjp, "matmul")
@@ -272,10 +280,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    if shape == a.shape:
-        return a
-    out = a.data.reshape(shape)
     orig = a.shape
+    if shape == orig:
+        return a
+    try:
+        out = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {orig} to {shape}") from None
 
     def vjp(g):
         return (g.reshape(orig),)
@@ -285,8 +296,13 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = a.data.transpose(axes)
+    try:
+        out = a.data.transpose(axes)
+    except ValueError:  # numpy's AxisError is a ValueError
+        raise ShapeError(f"transpose: axes {axes} are no permutation of {a.shape}") from None
+    inv = [0] * len(axes)
+    for i, ax in enumerate(axes):
+        inv[ax] = i
 
     def vjp(g):
         return (g.transpose(inv),)
@@ -325,7 +341,11 @@ def concat(tensors, axis: int) -> Tensor:
     for t in tensors:
         if t.dtype != dt:
             raise ShapeError("concat: dtype mismatch")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:  # numpy's AxisError is a ValueError
+        shapes = ", ".join(str(t.shape) for t in tensors)
+        raise ShapeError(f"concat: shapes {shapes} do not join on axis {axis}") from None
     sizes = [t.shape[axis] for t in tensors]
 
     def vjp(g):

@@ -230,6 +230,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, *, causal: bool = True,
     return out
 
 
+def _rotate_pairs(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Split-half pair rotation with cos/sin built from float64 angles on every call."""
+    half = x.shape[-1] // 2
+    c, s = np.cos(angles).astype(x.dtype), np.sin(angles).astype(x.dtype)
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+
+
+def _pair_freqs(dim: int, base: float) -> np.ndarray:
+    return base ** (-np.arange(dim // 2, dtype=np.float64) * 2.0 / dim)
+
+
+def rope_oracle(x: np.ndarray, positions: np.ndarray, base: float) -> np.ndarray:
+    """Uncached sequence RoPE: row i of `x[..., m, dim]` rotates by positions[i] * theta."""
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * _pair_freqs(x.shape[-1], base)
+    return _rotate_pairs(x, angles)
+
+
+def depth_rope_oracle(x: np.ndarray, depth: int, depths: int, base: float) -> np.ndarray:
+    """Uncached depth RoPE: the first half of the pairs at `depth`, the rest reversed."""
+    dim = x.shape[-1]
+    pos = np.empty(dim // 2, dtype=np.float64)
+    pos[:dim // 4] = float(depth)
+    pos[dim // 4:] = float(depths - 1 - depth)
+    return _rotate_pairs(x, pos * _pair_freqs(dim, base))
+
+
 # -- routing ---------------------------------------------------------------------
 
 def ea_select(logits: Tensor, state: RouterState) -> Tensor:

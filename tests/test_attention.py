@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dreamer import tensor as T
-from dreamer.attention import (causal_mask, grouped_query_attention, rms_norm,
-                               rope_apply, rope_depth_apply)
+from dreamer.attention import (_depth_rope_tables, _pair_freqs, causal_mask,
+                               grouped_query_attention, rms_norm, rope_apply, rope_depth_apply)
 from dreamer.errors import ContractError, NumericError, ShapeError
 from dreamer.model import swiglu
 from dreamer.tensor import Tensor
-from reference import attention, grad_check
+from reference import attention, depth_rope_oracle, grad_check, rope_oracle
 
 
 def np_softmax(x):
@@ -194,6 +194,35 @@ def test_depth_rope_rejects_out_of_range_depth():
         rope_depth_apply(Tensor(np.zeros(8)), 2, 2, 500.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rope_matches_the_uncached_formula_bitwise(dtype):
+    x = np.random.default_rng(31).uniform(-2, 2, (2, 3, 5, 16)).astype(dtype)
+    positions = np.arange(7, 12)
+    for _ in range(2):  # the second round reads the memoized tables
+        got = rope_apply(Tensor(x), positions, 500.0).data
+        assert got.dtype == dtype
+        assert got.tobytes() == rope_oracle(x, positions, 500.0).tobytes()
+        for depth in range(4):
+            got = rope_depth_apply(Tensor(x), depth, 4, 500.0).data
+            assert got.dtype == dtype
+            assert got.tobytes() == depth_rope_oracle(x, depth, 4, 500.0).tobytes()
+
+
+def test_rope_tables_are_read_only_and_per_dtype():
+    x = np.random.default_rng(32).uniform(-1, 1, (3, 24))
+    # float32 first: a memo that ignored the dtype would hand float64 x float32 tables
+    rope_depth_apply(Tensor(x.astype(np.float32)), 1, 3, 700.0)
+    got = rope_depth_apply(Tensor(x), 1, 3, 700.0).data
+    assert got.tobytes() == depth_rope_oracle(x, 1, 3, 700.0).tobytes()
+    tables = {dt: _depth_rope_tables(1, 3, 24, 700.0, np.dtype(dt))
+              for dt in (np.float32, np.float64)}
+    assert [t.dtype for t in tables[np.float32]] == [np.float32] * 2
+    assert [t.dtype for t in tables[np.float64]] == [np.float64] * 2
+    for table in (*tables[np.float32], *tables[np.float64], _pair_freqs(24, 700.0)):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
 # -- rms norm ----------------------------------------------------------------
 
 def test_rms_norm_three_four():
@@ -220,6 +249,23 @@ def test_rms_norm_scale_invariant(alpha):
     a = rms_norm(Tensor(x), g, eps=0.0).data
     b = rms_norm(Tensor(alpha * x), g, eps=0.0).data
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 7, 16, 48, 96, 299])
+def test_rms_norm_is_the_mean_formula_bitwise(dtype, width):
+    rng = np.random.default_rng(width)
+    xd = (rng.standard_normal((3, 5, width)) * 3.0).astype(dtype)
+    gd = rng.uniform(0.5, 2.0, width).astype(dtype)
+    c = rng.uniform(-1, 1, xd.shape).astype(dtype)
+    inv = ((xd * xd).mean(axis=-1, keepdims=True) + np.asarray(1e-6, dtype=dtype)) ** -0.5
+    x = Tensor(xd, requires_grad=True)
+    out = rms_norm(x, Tensor(gd), 1e-6)
+    assert out.data.tobytes() == (xd * inv * gd).tobytes()
+    # d(sum(out * c))/dx reaches the vjp as exactly c
+    gg = c * gd
+    want = gg * inv - xd * inv ** 3 * (gg * xd).mean(axis=-1, keepdims=True)
+    assert T.backward((out * Tensor(c)).sum(), {"x": x})["x"].tobytes() == want.tobytes()
 
 
 def test_rms_norm_overflow_raises_under_grad():

@@ -402,6 +402,15 @@ def test_generate_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_generate_rejects_a_token_beyond_int64(tmp_path, capsys):
+    ckpt, _ = checkpoint_from_train(tmp_path)
+    capsys.readouterr()
+    assert main(["generate", "--checkpoint", str(ckpt),
+                 "--prompt-tokens", "1,99999999999999999999"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "99999999999999999999" in err and "dtype" not in err
+
+
 def test_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("DREAMER_OUTPUT_ROOT", str(tmp_path / "root"))
     base, _ = write_config(tmp_path, "base.json", variant="LA", depth=2)

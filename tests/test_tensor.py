@@ -197,6 +197,41 @@ def test_shape_mismatch_raises_shape_error():
             op(a, T.Tensor(np.ones((2, 3), dtype=np.float32)))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda x: T.transpose(x, (0, 0)), r"^transpose: axes \(0, 0\) are no permutation of \(2, 3\)"),
+    (lambda x: T.transpose(x, (0, 2)), r"^transpose: axes \(0, 2\) are no permutation of \(2, 3\)"),
+    (lambda x: x.reshape(7), r"^reshape: cannot reshape \(2, 3\) to \(7,\)"),
+    (lambda x: T.concat([x, T.Tensor(np.ones((3, 3)))], axis=1),
+     r"^concat: shapes \(2, 3\), \(3, 3\) do not join on axis 1"),
+], ids=["transpose_repeated", "transpose_out_of_range", "reshape", "concat"])
+def test_shape_ops_raise_shape_error(build, message):
+    with pytest.raises(ShapeError, match=message):
+        build(T.Tensor(np.ones((2, 3))))
+
+
+@pytest.mark.parametrize("perm", [(1, 2, 0), (2, 0, 1), (-1, 0, 1)])
+def test_transpose_that_is_not_its_own_inverse_matches_finite_differences(perm):
+    rng = np.random.default_rng(12)
+    x0 = rng.uniform(-1, 1, (2, 3, 4))
+    c = T.Tensor(rng.uniform(-1, 1, tuple(x0.shape[a] for a in perm)))
+    report = grad_check(lambda inp: (T.transpose(inp["x"], perm) * c).sum(), {"x": t64(x0)})
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("data", [
+    np.float32(1.5), np.float64(-2.0), np.int64(3), np.arange(4), np.arange(4, dtype=np.int32),
+    np.ones(3, dtype=">f4"), [1.0, 2.0],
+], ids=["f32_scalar", "f64_scalar", "i64_scalar", "i64_array", "i32_array", "big_endian",
+        "list"])
+def test_node_coerces_like_the_constructor(data):
+    x = t64(np.ones(2))
+    got = T.node(data, (x,), lambda g: (None,), "op")
+    want = T.Tensor(data)
+    assert type(got.data) is np.ndarray
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.data.tobytes() == want.data.tobytes()
+
+
 def test_backward_requires_scalar():
     x = t64(np.ones((2, 2)))
     with pytest.raises(ContractError):
@@ -224,7 +259,9 @@ def test_no_grad_suppresses_tape():
     x = t64(np.ones(3))
     with T.no_grad():
         y = (x * 2.0).sum()
-    assert not y.requires_grad and y.parents == ()
+        z = T.node(x.data * 2.0, (x,), lambda g: (g * 2.0,), "double")
+    for t in (y, z):
+        assert not t.requires_grad and t.parents == () and t.vjp is None
 
 
 def test_no_grad_in_another_thread_keeps_this_threads_tape():
