@@ -14,7 +14,10 @@ input and per-row `inv = 1/rms`; the rotation keeps its angle tables; the
 attention core keeps only the softmax weights.
 
 The rotary pair frequencies and the depth cos/sin tables are memoized on
-first use and read-only; sequence RoPE computes its angles per call.
+first use and read-only. Sequence RoPE tables (`rope_tables`) and causal
+masks are read-only too, and a caller that rotates or masks several
+tensors alike, as the model does at every depth of one forward, builds
+them once and passes them in.
 
 Two position encodings are supported:
   * `rope_apply`: every pair rotates by sequence position * theta_i,
@@ -58,21 +61,34 @@ def _apply_rotation(x: Tensor, c: np.ndarray, s: np.ndarray) -> Tensor:
     return T.node(out, (x,), vjp, "rope")
 
 
-def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
+def rope_tables(positions: np.ndarray, dim: int, base: float, dtype) -> tuple:
+    """Read-only (cos, sin) [m, dim/2] in `dtype` of the angles positions * theta_i."""
+    angles = np.asarray(positions, dtype=np.float64)[:, None] * _pair_freqs(dim, base)[None, :]
+    tables = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    for table in tables:
+        table.flags.writeable = False  # shared by the caller's rotations
+    return tables
+
+
+def rope_apply(x: Tensor, positions: np.ndarray, base: float, *,
+               tables: tuple | None = None) -> Tensor:
     """Rotate `x[..., m, dim]` by per-row sequence positions.
 
     Rotation preserves pair norms, and scores between rotated vectors
-    depend on position differences only.
+    depend on position differences only. `tables` are `rope_tables(
+    positions, dim, base, x.dtype)`, for a caller that rotates several
+    tensors at the same positions; they are built here when None.
     """
     dim = x.shape[-1]
     if dim % 2 != 0:
         raise ShapeError(f"rope_apply: last dim {dim} must be even")
-    positions = np.asarray(positions, dtype=np.float64)
+    positions = np.asarray(positions)
     if positions.ndim != 1 or positions.shape[0] != x.shape[-2]:
         raise ShapeError(
             f"rope_apply: need one position per row, got {positions.shape} for {x.shape}")
-    angles = positions[:, None] * _pair_freqs(dim, base)[None, :]
-    return _apply_rotation(x, np.cos(angles).astype(x.dtype), np.sin(angles).astype(x.dtype))
+    if tables is None:
+        tables = rope_tables(positions, dim, base, x.dtype)
+    return _apply_rotation(x, *tables)
 
 
 @functools.cache
@@ -126,17 +142,25 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
             mean /= n
             gx = gg * inv - xd * inv ** 3 * mean
         if gain.requires_grad:
-            ggain = (g * (xd * inv)).sum(axis=tuple(range(g.ndim - 1)))
+            # in place, so the sum runs in x's memory order: a strided x, such
+            # as one head group of a [b, s, heads, d] buffer seen as [b, heads,
+            # s, d], sums its rows as the contiguous [b, s, heads, d] would
+            ggain = xd * inv
+            ggain *= g
+            ggain = ggain.sum(axis=tuple(range(g.ndim - 1)))
         return gx, ggain
 
     return T.node(out, (x, gain), vjp, "rms_norm")
 
 
 def causal_mask(m: int, n: int, offset: int, dtype) -> np.ndarray:
-    """Additive [m, n] mask: row i may attend keys j <= i + offset."""
+    """Read-only additive [m, n] mask: row i may attend keys j <= i + offset."""
     q = np.arange(m)[:, None] + offset
     k = np.arange(n)[None, :]
-    return np.where(k <= q, 0.0, MASK_VALUE).astype(dtype)
+    # made in `dtype` directly: no float64 temporary, no cast copy
+    mask = np.where(k <= q, np.zeros((), dtype), np.asarray(MASK_VALUE, dtype))
+    mask.flags.writeable = False  # a caller may share it between attention calls
+    return mask
 
 
 def _swap_last(ndim: int) -> tuple:
@@ -145,15 +169,19 @@ def _swap_last(ndim: int) -> tuple:
     return tuple(axes)
 
 
-def _masked_softmax(scores: Tensor, scale: float, mask: np.ndarray) -> Tensor:
+def _masked_softmax(scores: Tensor, scale: float, mask: np.ndarray | None) -> Tensor:
     """softmax(scores * scale + mask) over the last axis; the node keeps only it.
 
-    Works in place on one new array: no scaled or masked copy of the scores
-    outlives the call.
+    `scores` [..., group * m, n] hold `group` query heads' [m, n] blocks,
+    and the [m, n] `mask` is added to each; None adds nothing. Works in
+    place on one new array: no scaled or masked copy of the scores outlives
+    the call.
     """
     scale = np.asarray(scale, dtype=scores.dtype)
     w = scores.data * scale
-    w += mask
+    if mask is not None:
+        blocks = w.reshape(w.shape[:-2] + (-1,) + mask.shape)  # a view: w is new
+        blocks += mask
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
@@ -164,16 +192,22 @@ def _masked_softmax(scores: Tensor, scale: float, mask: np.ndarray) -> Tensor:
     return T.node(w, (scores,), vjp, "masked_softmax")
 
 
-def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int = 0):
+def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int = 0,
+                            mask: np.ndarray | None = None):
     """Causal attention where groups of query heads share one key/value head.
 
     Shapes: q [b, query_heads, m, d], k/v [b, kv_heads, n, d]; query row i
     sees key rows j <= i + pos_offset. Returns (out [b, query_heads, m, d],
     softmax weights [b, query_heads, m, n]). Equal head counts reduce to plain
     per-head attention. The group axis is merged into the row axis so each
-    kv head attends all of its query heads in one batched product; the
-    mask is tiled to match. The two products are engine matmuls around
-    one fused scale-mask-softmax node.
+    kv head attends all of its query heads in one batched product; each
+    query head's block gets the same [m, n] mask. The two products are
+    engine matmuls around one fused scale-mask-softmax node.
+
+    `mask` is `causal_mask(m, n, pos_offset, q.dtype)`, for a caller that
+    attends alike several times. When None it is built here, unless every
+    row sees every key (pos_offset >= n - 1): then no mask is added, which
+    leaves the softmax bitwise as it is with an all-zero mask.
     """
     b, qh, m, d = q.shape
     if k.shape != v.shape:
@@ -184,7 +218,8 @@ def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int 
     group = qh // kv_heads
     qg = q.reshape(b, kv_heads, group * m, d)
     scores = T.matmul(qg, T.transpose(k, _swap_last(k.ndim)))
-    mask = np.tile(causal_mask(m, n, pos_offset, q.dtype), (group, 1))
+    if mask is None and pos_offset < n - 1:
+        mask = causal_mask(m, n, pos_offset, q.dtype)
     weights = _masked_softmax(scores, 1.0 / np.sqrt(d), mask)
     out = T.matmul(weights, v).reshape(b, qh, m, d)
     return out, weights.reshape(b, qh, m, n)

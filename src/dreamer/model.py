@@ -29,12 +29,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import grouped_query_attention, rms_norm, rope_apply, rope_depth_apply
+from .attention import (causal_mask, grouped_query_attention, rms_norm, rope_apply,
+                        rope_depth_apply, rope_tables)
 from .config import ModelConfig
 from .errors import ContractError, InputError
 from .params import init_parameters
 from .routing import (
     RouterState,
+    RoutingPlan,
     bank_apply,
     depth_router_logits,
     gated_experts,
@@ -167,10 +169,11 @@ class DreamerModel:
     # -- routed projections ---------------------------------------------------
 
     def _route(self, flat: Tensor, module: str, depth: int):
-        """Depth-encoded top-k selection: (idx [n, k], gates [n, k]).
+        """Depth-encoded top-k selection: (plan, gates [n, k]).
 
-        For an attention module this is the tied top-1 selection shared by
-        its two banks; for EA it picks the active SwiGLU experts.
+        The plan groups the selection once. For an attention module it is
+        the tied top-1 selection shared by its two banks; for EA it picks
+        the active SwiGLU experts.
         """
         state = self.routers[module]
         logits = depth_router_logits(
@@ -180,7 +183,7 @@ class DreamerModel:
         idx, gates = select_topk(logits, state)
         if self.telemetry is not None:
             self.telemetry.add_routing(module, depth, idx, gates.data)
-        return idx, gates
+        return RoutingPlan(idx), gates
 
     def _project(self, flat: Tensor, module: str, which: str, selection):
         if selection is None:
@@ -193,14 +196,14 @@ class DreamerModel:
 
     def _attention(self, x: Tensor, depth: int, module: str,
                    cache: SeqCache | DepthCache | None, batch: int, seq: int,
-                   encode) -> Tensor:
+                   encode, mask: np.ndarray | None = None) -> Tensor:
         """Grouped-query attention of `module` ("sa" or "da") over `x` [b, s, h].
 
         Heads are laid out [batch, heads, seq, d]: SA passes (b, s) and
         attends along tokens, DA passes (b * s, 1) and attends along the
-        depths in its cache. `encode(t, offset)` position-encodes the
-        RMS-normalized q and k; `offset` counts the entries cached before
-        this call.
+        depths in its cache. `encode(t)` position-encodes the RMS-normalized
+        q and k. `mask` is the causal mask for the entries cached before
+        this call, or None to let `grouped_query_attention` decide.
         """
         cfg = self.cfg
         prefix = f"{cfg.set_name(depth)}.{module}"
@@ -212,21 +215,21 @@ class DreamerModel:
         qkv = self._project(flat, prefix, "qkv", selection)
         offset = cache.length if cache is not None else 0
 
-        def heads(first: int, count: int, norm: str | None = None) -> Tensor:
-            cols = qkv[:, first * head_dim:(first + count) * head_dim]
-            t = cols.reshape(batch, seq, count, head_dim)
-            if norm is None:
-                return t.transpose((0, 2, 1, 3))
-            t = rms_norm(t, self.params[f"{prefix}.{norm}.gain"], cfg.rms_eps)
-            return encode(t.transpose((0, 2, 1, 3)), offset)
+        # one split into heads [batch, q + 2 * kv heads, seq, d], sliced on the head axis
+        heads = qkv.reshape(batch, seq, query_heads + 2 * kv_heads, head_dim)
+        heads = heads.transpose((0, 2, 1, 3))
 
-        q = heads(0, query_heads, "q_norm")
-        k = heads(query_heads, kv_heads, "k_norm")
-        v = heads(query_heads + kv_heads, kv_heads)
+        def normed(first: int, end: int, norm: str) -> Tensor:
+            gain = self.params[f"{prefix}.{norm}.gain"]
+            return encode(rms_norm(heads[:, first:end], gain, cfg.rms_eps))
+
+        q = normed(0, query_heads, "q_norm")
+        k = normed(query_heads, query_heads + kv_heads, "k_norm")
+        v = heads[:, query_heads + kv_heads:]
         if cache is not None:
             k, v = cache.append(k, v)
 
-        out, weights = grouped_query_attention(q, k, v, pos_offset=offset)
+        out, weights = grouped_query_attention(q, k, v, pos_offset=offset, mask=mask)
         if module == "da" and self.telemetry is not None:
             scores = weights.data.mean(axis=(0, 1, 2)).astype(np.float64)
             self.telemetry.add_depth_scores(depth, batch, scores)
@@ -235,14 +238,28 @@ class DreamerModel:
         y = self._project(merged, prefix, "out", selection)
         return y.reshape(b, s, h)
 
-    def sa_forward(self, x: Tensor, depth: int,
-                   seq_cache: SeqCache | None = None) -> Tensor:
-        """Causal grouped-query attention over token positions."""
+    def sa_constants(self, offset: int, s: int, dtype) -> tuple:
+        """SA's (positions, RoPE tables, causal mask) for `s` tokens after
+        `offset` cached ones, read-only and shared by every depth of a
+        forward. No mask when each token sees every key (s == 1)."""
+        positions = np.arange(offset, offset + s)
+        tables = rope_tables(positions, self.cfg.sa_head_dim, self.cfg.sa_rope_base, dtype)
+        mask = None if s == 1 else causal_mask(s, offset + s, offset, dtype)
+        return positions, tables, mask
+
+    def sa_forward(self, x: Tensor, depth: int, seq_cache: SeqCache | None = None,
+                   constants: tuple | None = None) -> Tensor:
+        """Causal grouped-query attention over token positions; `constants`
+        are `sa_constants` for this call, built here when None."""
         b, s, _ = x.shape
+        if constants is None:
+            offset = seq_cache.length if seq_cache is not None else 0
+            constants = self.sa_constants(offset, s, x.dtype)
+        positions, tables, mask = constants
         base = self.cfg.sa_rope_base
         return self._attention(
             x, depth, "sa", seq_cache, b, s,
-            lambda t, offset: rope_apply(t, np.arange(offset, offset + s), base))
+            lambda t: rope_apply(t, positions, base, tables=tables), mask)
 
     def da_forward(self, x: Tensor, depth: int, depth_cache: DepthCache) -> Tensor:
         """Attention over each token's own depth history (sequence as batch)."""
@@ -250,7 +267,7 @@ class DreamerModel:
         cfg = self.cfg
         return self._attention(
             x, depth, "da", depth_cache, b * s, 1,
-            lambda t, offset: rope_depth_apply(t, depth, cfg.depth, cfg.da_rope_base))
+            lambda t: rope_depth_apply(t, depth, cfg.depth, cfg.da_rope_base))
 
     def ea_forward(self, x: Tensor, depth: int) -> Tensor:
         """Sparse mixture of SwiGLU experts with depth-encoded routing."""
@@ -267,7 +284,9 @@ class DreamerModel:
 
     def dreamer_step(self, x: Tensor, depth: int,
                      seq_cache: SeqCache | None = None,
-                     depth_cache: DepthCache | None = None) -> Tensor:
+                     depth_cache: DepthCache | None = None,
+                     sa_constants: tuple | None = None) -> Tensor:
+        """One depth step; `sa_constants` as for `sa_forward`."""
         cfg = self.cfg
         if not 0 <= depth < cfg.depth:
             raise ContractError(f"depth {depth} outside [0, {cfg.depth})")
@@ -275,7 +294,7 @@ class DreamerModel:
             raise ContractError("depth-attention variant needs a depth cache")
 
         def sa(u):
-            return self.sa_forward(u, depth, seq_cache)
+            return self.sa_forward(u, depth, seq_cache, sa_constants)
 
         def da(u):
             return self.da_forward(u, depth, depth_cache)
@@ -332,10 +351,12 @@ class DreamerModel:
                 raise InputError(
                     f"sequence length {s} exceeds context {cfg.context_length}")
             depth_cache = DepthCache(cfg.depth) if cfg.has_da else None
+        offset = caches.tokens_cached if caches is not None else 0
+        sa_constants = self.sa_constants(offset, s, x.dtype)
 
         for depth in range(cfg.depth):
             seq_cache = caches.seq[depth] if caches is not None else None
-            x = self.dreamer_step(x, depth, seq_cache, depth_cache)
+            x = self.dreamer_step(x, depth, seq_cache, depth_cache, sa_constants)
 
         x = rms_norm(x, self.params["final_norm.gain"], cfg.rms_eps)
         head = self.params["embed.weight" if cfg.tie_embeddings else "head.weight"]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import rope_depth_apply
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
 
@@ -98,24 +98,78 @@ def depth_router_logits(x: Tensor, query_weight: Tensor, keys: Tensor, depth: in
     return T.matmul(q, T.transpose(keys, (1, 0))) * scale
 
 
-# -- gated experts and linear expert banks ------------------------------------
+# -- routing plans, gated experts and linear expert banks ---------------------
 
-def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, weights, expert) -> Tensor:
-    """Routed mixture: x [n, din], idx [n, k], gates [n, k] -> [n, dout].
+class RoutingPlan:
+    """The dropless grouping of one top-k selection `idx` [n, k], built once.
+
+    An attention module's qkv and out banks share their module's plan; EA
+    has its own. The (row, slot) pairs are grouped by expert id, stably,
+    and an expert with one pair gets it twice (see `gated_experts`):
+      rows       [P] the input row of each grouped pair
+      out        [n * k] each (row, slot)'s grouped pair, a row's slots in
+                 ascending expert id
+      gate_rows  [n * k] the flat (row, slot) gate of each entry of `out`;
+                 None for top-1, where it is the row itself
+      runs       (B, m, start, experts) per run of B adjacent groups of m
+                 pairs from pair `start` on; `experts` is a slice of the
+                 stacked weights for consecutive ids, else the id array
+    `np.asarray(plan)` is `idx`.
+    """
+
+    __slots__ = ("idx", "rows", "out", "gate_rows", "runs")
+
+    def __init__(self, idx: np.ndarray):
+        idx = np.asarray(idx)
+        if idx.ndim != 2:
+            raise ContractError(f"routing plan: idx must be [n, k], got shape {idx.shape}")
+        n, top_k = idx.shape
+        order, experts, counts = T.group_ids(idx.reshape(-1))
+        sizes = np.maximum(counts, 2)
+        reps = np.repeat(sizes // counts, counts)   # 2 for a singleton's pair, else 1
+        pairs = np.repeat(order, reps)              # grouped pairs, singletons twice
+        pos = np.empty_like(order)
+        pos[order] = np.cumsum(reps) - reps         # where each pair's output lands
+        self.idx = idx
+        self.rows = pairs // top_k
+        if top_k == 1:
+            self.out, self.gate_rows = pos, None
+        else:
+            # sorted positions put each row's slots in ascending expert id, so
+            # the summation order depends on which experts a row picked, not
+            # their rank
+            self.out = np.sort(pos.reshape(n, top_k), axis=1).reshape(-1)
+            self.gate_rows = pairs[self.out]
+        ids = experts.tolist()
+        runs, first, start = [], 0, 0
+        for m, same in itertools.groupby(sizes.tolist()):
+            b = len(list(same))
+            lo, hi = ids[first], ids[first + b - 1]
+            key = slice(lo, hi + 1) if hi - lo == b - 1 else experts[first:first + b]
+            runs.append((b, m, start, key))
+            first, start = first + b, start + b * m
+        self.runs = tuple(runs)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.idx, dtype)
+
+
+def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert) -> Tensor:
+    """Routed mixture: x [n, din], gates [n, k] -> [n, dout] for `plan`'s idx [n, k].
 
     Row r gets sum_j gates[r, j] * expert(x[r], *(w[idx[r, j]] for w in
     weights)), summed in ascending expert id; each of `weights` is stacked
-    [E, ...]. The (row, slot) pairs are grouped by expert (dropless, as in
-    MegaBlocks) and each expert runs on its own rows only.
+    [E, ...]. Each expert runs on its own rows only.
 
-    `x` is gathered once, in expert-major order. Each run of adjacent
-    groups of one size m runs as one batched call `expert(u, *run)`: u is
-    [B, m, din], a view of the gather, and `run` holds each weight's [B, ...]
-    for the run's B experts in ascending id: a view `w[a:b]` when the ids
-    are consecutive, a `take_rows` gather otherwise. It returns [B, m, dout].
+    `x` is gathered once, in the plan's expert-major order. Each of the
+    plan's runs is one batched call `expert(u, *run)`: u is [B, m, din], a
+    view of the gather, and `run` holds each weight's [B, ...] for the
+    run's B experts in ascending id: a view `w[a:b]` when the ids are
+    consecutive, a `take_rows` gather otherwise. It returns [B, m, dout].
     Groups are never padded to a common size: a padded product costs
     work and memory, and BLAS may round a group's real rows differently
-    once padding changes the product's shape.
+    once padding changes the product's shape. The gates scale the outputs
+    after they are gathered back into row order.
 
     No product ever has one row. BLAS computes a 1-row product on its gemv
     path, which can round differently from the same row inside a larger
@@ -124,48 +178,37 @@ def gated_experts(x: Tensor, idx: np.ndarray, gates: Tensor, weights, expert) ->
     by a single row runs on that row twice, and the copy is never read. A
     row's result then never depends on how other rows are routed.
     """
-    n, top_k = idx.shape
-    order, experts, counts = T.group_ids(idx.reshape(-1))
-    sizes = np.maximum(counts, 2)
-    reps = np.repeat(sizes // counts, counts)   # 2 for a singleton's pair, else 1
-    pairs = np.repeat(order, reps)              # grouped pairs, singletons twice
-    pos = np.empty_like(order)
-    pos[order] = np.cumsum(reps) - reps         # where each pair's output lands
-    u = T.take_rows(x, (pairs // top_k)[None, :])   # [1, rows, din], expert-major
-    ids = experts.tolist()
-    parts, first, start = [], 0, 0
-    for m, same in itertools.groupby(sizes.tolist()):
-        b = len(list(same))
-        lo, hi = ids[first], ids[first + b - 1]
-        run = ([w[lo:hi + 1] for w in weights] if hi - lo == b - 1
-               else [T.take_rows(w, experts[first:first + b]) for w in weights])
-        rows = u if b * m == pairs.size else u[:, start:start + b * m]
+    n, top_k = plan.idx.shape
+    u = T.take_rows(x, plan.rows[None, :])   # [1, pairs, din], expert-major
+    parts = []
+    for b, m, start, key in plan.runs:
+        run = ([w[key] for w in weights] if isinstance(key, slice)
+               else [T.take_rows(w, key) for w in weights])
+        rows = u if len(plan.runs) == 1 else u[:, start:start + b * m]
         part = expert(rows if b == 1 else rows.reshape(b, m, -1), *run)
         parts.append(part if b == 1 else part.reshape(1, b * m, -1))
-        first, start = first + b, start + b * m
     # Under no_grad the gathered rows and weights die here, before the
     # concat, and the parts right after it: fewer live buffers and pages.
     del u, rows, run, part
     y = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
     del parts
-    y = y.reshape(pairs.size, -1) * T.take_rows(gates.reshape(n * top_k, 1), pairs)
-    # sorted positions put each row's slots in ascending expert id, so the
-    # summation order depends on which experts a row picked, not their rank
-    out = T.take_rows(y, np.sort(pos.reshape(n, top_k), axis=1).reshape(-1))
-    return out if top_k == 1 else out.reshape(n, top_k, -1).sum(axis=1)
+    y = T.take_rows(y.reshape(plan.rows.size, -1), plan.out)
+    if top_k == 1:
+        return y * gates.reshape(n, 1)
+    y = y * T.take_rows(gates.reshape(n * top_k, 1), plan.gate_rows)
+    return y.reshape(n, top_k, -1).sum(axis=1)
 
 
-def bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, experts: Tensor,
+def bank_apply(x: Tensor, plan: RoutingPlan, gates: Tensor, experts: Tensor,
                shared: Tensor) -> Tensor:
-    """Batched top-1 bank forward: x [n, din], idx [n], gates [n] -> [n, dout].
+    """Batched top-1 bank forward: x [n, din], gates [n] -> [n, dout].
 
     A bank is E routed experts [E, din, dout] plus one always-on shared
-    expert [din, dout]. Also takes `select_topk`'s [n, 1] pair. The routed
-    expert is scaled by the gate; the shared expert is scaled by the same
-    value with its gradient stopped, so the router learns only from the
-    routable term.
+    expert [din, dout]; `plan` groups the [n, 1] selection. Also takes
+    `select_topk`'s [n, 1] gates. The routed expert is scaled by the gate;
+    the shared expert is scaled by the same value with its gradient
+    stopped, so the router learns only from the routable term.
     """
-    n = x.shape[0]
-    gcol = gates.reshape(n, 1)
-    out = gated_experts(x, idx.reshape(n, 1), gcol, (experts,), T.matmul)
+    gcol = gates.reshape(x.shape[0], 1)
+    out = gated_experts(x, plan, gcol, (experts,), T.matmul)
     return out + T.stop_gradient(gcol) * T.matmul(x, shared)

@@ -495,7 +495,7 @@ def _accumulate(grads: dict, owned: set, pid: int, pg) -> None:
 def eval(loss: Tensor) -> Tensor:
     """Return `loss`; raise NumericError if any node of its tape is non-finite."""
     for node in _topo(loss):
-        if not np.all(np.isfinite(node.data)):
+        if not np.isfinite(node.data).all():
             raise NumericError(f"non-finite values produced by op '{node.op}'")
     return loss
 

@@ -13,7 +13,8 @@ import numpy as np
 from dreamer import tensor as T
 from dreamer.attention import causal_mask
 from dreamer.errors import ConfigError, ContractError, ShapeError
-from dreamer.routing import RouterState, bank_apply, gated_experts, select_topk, update_balance
+from dreamer.routing import (RouterState, RoutingPlan, bank_apply, gated_experts, select_topk,
+                             update_balance)
 from dreamer.tensor import Tensor
 
 
@@ -277,7 +278,7 @@ def moe_linear_forward(x: Tensor, sigma: Tensor, experts: Tensor, shared: Tensor
         raise ContractError(f"sigma must have exactly one nonzero, got {nz.size}")
     e = int(nz[0])
     gate = sigma[e]
-    out = bank_apply(x.reshape(1, x.shape[0]), np.array([e]), gate.reshape(1),
+    out = bank_apply(x.reshape(1, x.shape[0]), RoutingPlan([[e]]), gate.reshape(1),
                      experts, shared)
     return out.reshape(out.shape[1])
 
@@ -296,7 +297,8 @@ def fold_shared(experts: Tensor, shared: Tensor) -> Tensor:
 def folded_bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, folded: Tensor) -> Tensor:
     """Bank forward on folded weights: one expert matmul per row, no shared term."""
     n = x.shape[0]
-    return gated_experts(x, idx.reshape(n, 1), gates.reshape(n, 1), (folded,), T.matmul)
+    return gated_experts(x, RoutingPlan(idx.reshape(n, 1)), gates.reshape(n, 1), (folded,),
+                         T.matmul)
 
 
 def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, expert) -> Tensor:
@@ -305,9 +307,10 @@ def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, exper
     The library's grouping before runs of equal-size groups were batched:
     each used expert gathers its own rows and calls `expert(u [1, m, din],
     *(w[e:e + 1] for w in weights))`, ascending in e; a singleton's row
-    runs twice. It sorts and counts the ids itself, and its gathers sum
-    repeated rows with `np.add.at`. The batched primitive must equal this
-    bitwise, forward and backward.
+    runs twice. It sorts and counts the ids itself, takes `gated_experts`'
+    plan's `idx`, gates the grouped outputs before it gathers them back
+    into row order, and its gathers sum repeated rows with `np.add.at`.
+    The batched primitive must equal this bitwise, forward and backward.
     """
     n, top_k = idx.shape
     flat = idx.reshape(-1)

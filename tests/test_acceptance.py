@@ -18,7 +18,7 @@ from dreamer.costs import (count_flops, count_params, match_model,
                            _nearest_monotone)
 from dreamer.model import DepthCache, DreamerModel
 from dreamer.params import init_parameters, learnable
-from dreamer.routing import RouterState, bank_apply
+from dreamer.routing import RouterState, RoutingPlan, bank_apply
 from dreamer.telemetry import (TelemetryLog, da_score_map, gini,
                                joint_to_conditionals, lorenz, support_size)
 from dreamer.tensor import Tensor
@@ -150,7 +150,8 @@ def test_05_shared_expert_folding():
         idx = rng.integers(0, E, n)
         gates = Tensor(rng.uniform(0.1, 1.0, n))
         with T.no_grad():
-            unfolded = bank_apply(x, idx, gates, Tensor(experts), Tensor(shared)).data
+            unfolded = bank_apply(x, RoutingPlan(idx[:, None]), gates, Tensor(experts),
+                                  Tensor(shared)).data
             folded = folded_bank_apply(x, idx, gates,
                                        fold_shared(Tensor(experts), Tensor(shared))).data
         scale = max(1.0, float(np.max(np.abs(unfolded))))
@@ -160,7 +161,7 @@ def test_05_shared_expert_folding():
     shared = Tensor(rng.normal(0.0, 1.0, (4, 5)), requires_grad=True)
     x = Tensor(rng.normal(0.0, 1.0, (2, 4)))
     gate = Tensor(np.array([0.6, 0.3]), requires_grad=True)
-    out = bank_apply(x, np.array([1, 0]), gate, experts, shared)
+    out = bank_apply(x, RoutingPlan([[1], [0]]), gate, experts, shared)
     grad = T.backward((out * out).sum(), {"gate": gate})["gate"]
     np.testing.assert_array_equal(grad, np.zeros(2))
 

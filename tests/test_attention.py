@@ -116,6 +116,24 @@ def test_gqa_grouping_matches_loop_oracle():
             np.testing.assert_allclose(out.data[bi, h], wref @ v[bi, kv], atol=1e-12)
 
 
+@pytest.mark.parametrize("m, n, offset", [(3, 3, 0), (2, 5, 1), (1, 4, 3), (2, 4, 2)])
+def test_gqa_passed_mask_and_unmasked_rows_are_bitwise_the_built_mask(m, n, offset):
+    # a caller's shared mask gives the same weights as the one built per
+    # call; once every row sees every key (offset >= n - 1) no mask is
+    # added, and the weights still equal the all-zero mask's bit for bit
+    rng = np.random.default_rng(5)
+    q = Tensor(rng.normal(0, 1, (2, 4, m, 8)).astype(np.float32))
+    k = Tensor(rng.normal(0, 1, (2, 2, n, 8)).astype(np.float32))
+    v = Tensor(rng.normal(0, 1, (2, 2, n, 8)).astype(np.float32))
+    mask = causal_mask(m, n, offset, np.float32)
+    with pytest.raises(ValueError):
+        mask[0, 0] = 1.0  # read-only: callers share it
+    built = grouped_query_attention(q, k, v, pos_offset=offset)
+    passed = grouped_query_attention(q, k, v, pos_offset=offset, mask=mask)
+    for a, b in zip(built, passed):
+        assert a.data.tobytes() == b.data.tobytes()
+
+
 def test_gqa_bad_head_counts_rejected():
     q = Tensor(np.zeros((1, 3, 2, 4)))
     kv = Tensor(np.zeros((1, 2, 2, 4)))

@@ -538,12 +538,102 @@ def test_model_equals_the_per_expert_loop_bitwise(variant, dtype, monkeypatch):
     batched = digest()
     calls = []
 
-    def loop(*args):
-        calls.append(args[1].shape)
-        return gated_experts_loop(*args)
+    def loop(x, plan, *args):
+        calls.append(plan.idx.shape)
+        return gated_experts_loop(x, plan.idx, *args)
 
     monkeypatch.setattr(dreamer.routing, "gated_experts", loop)
     monkeypatch.setattr(dreamer.model, "gated_experts", loop)
     assert digest() == batched
     assert (1, cfg.ea_active_experts) in calls
     assert (1, 1) in calls or variant == "LA"
+
+
+# -- decode bookkeeping ------------------------------------------------------------
+
+def prompted_caches(model, seed=0, prompt_len=16):
+    """Caches after a prompt, and the greedy next token [1, 1]."""
+    rng = np.random.default_rng(seed)
+    prompt = rng.integers(0, model.cfg.vocab_size, (1, prompt_len))
+    caches = model.new_caches()
+    logits = model.model_forward(prompt, caches)
+    return caches, np.argmax(logits.data[:, -1, :], axis=-1)[:, None]
+
+
+@pytest.mark.parametrize("variant, plans", [("DR_DA", 12), ("DR", 8), ("LA", 4)])
+def test_each_selection_is_grouped_once(variant, plans, monkeypatch):
+    # one routing plan per selection, shared by a module's qkv and out
+    # banks: SA, DA and EA each select once per depth, and LA routes only EA
+    cfg = desk_config(variant, 4)
+    model = DreamerModel(cfg, seed=0)
+    with T.no_grad():
+        caches, nxt = prompted_caches(model)
+    grouped = []
+    original = T.group_ids
+
+    def counting(flat):
+        grouped.append(flat.size)
+        return original(flat)
+
+    monkeypatch.setattr(T, "group_ids", counting)
+    with T.no_grad():
+        model.model_forward(nxt, caches)
+    assert len(grouped) == plans
+    grouped.clear()
+    model.model_forward(np.arange(12).reshape(2, 6))  # a training forward
+    assert len(grouped) == plans
+
+
+def test_sa_tables_and_mask_are_built_once_per_forward(monkeypatch):
+    cfg = desk_config("DR_DA", 4)
+    model = DreamerModel(cfg, seed=0)
+    rotations, masks = [], []
+    rope, gqa = dreamer.model.rope_apply, dreamer.model.grouped_query_attention
+
+    def recording_rope(x, positions, base, *, tables=None):
+        rotations.append(tables)
+        return rope(x, positions, base, tables=tables)
+
+    def recording_gqa(q, k, v, *, pos_offset=0, mask=None):
+        masks.append(mask)
+        return gqa(q, k, v, pos_offset=pos_offset, mask=mask)
+
+    monkeypatch.setattr(dreamer.model, "rope_apply", recording_rope)
+    monkeypatch.setattr(dreamer.model, "grouped_query_attention", recording_gqa)
+    model.model_forward(np.arange(12).reshape(2, 6))
+    # q and k at every depth rotate with one (cos, sin) pair
+    assert len(rotations) == 2 * cfg.depth
+    assert all(t is rotations[0] for t in rotations)
+    # SA's causal mask is one object; DA sees all of its depths, unmasked
+    sa_masks = [m for m in masks if m is not None]
+    assert len(sa_masks) == cfg.depth and len(masks) == 2 * cfg.depth
+    assert all(m is sa_masks[0] for m in sa_masks)
+    for shared in (*rotations[0], sa_masks[0]):
+        with pytest.raises(ValueError):
+            shared[0, 0] = 1.0
+
+    # a decode step's one token sees every cached key: no mask at all
+    with T.no_grad():
+        caches, nxt = prompted_caches(model)
+        masks.clear()
+        model.model_forward(nxt, caches)
+    assert masks == [None] * (2 * cfg.depth)
+
+
+def test_decode_step_engine_op_ceiling(monkeypatch):
+    # A cached desk DR_DA-4 step records at most 520 engine ops, each a
+    # fixed Python cost on arrays of a few hundred elements; bookkeeping
+    # that creeps back in shows here first.
+    model = DreamerModel(desk_config("DR_DA", 4), seed=0)
+    with T.no_grad():
+        caches, nxt = prompted_caches(model, prompt_len=32)
+        ops = []
+        original = T.node
+
+        def counting(data, parents, vjp, op):
+            ops.append(op)
+            return original(data, parents, vjp, op)
+
+        monkeypatch.setattr(T, "node", counting)
+        model.model_forward(nxt, caches)
+    assert len(ops) <= 520, len(ops)

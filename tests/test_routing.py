@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from dreamer import tensor as T
 from dreamer.model import swiglu_expert
-from dreamer.routing import (RouterState, bank_apply, depth_router_logits, gated_experts,
-                             select_topk, update_balance)
+from dreamer.routing import (RouterState, RoutingPlan, bank_apply, depth_router_logits,
+                             gated_experts, select_topk, update_balance)
 from dreamer.errors import ConfigError, ContractError
 from dreamer.tensor import Tensor
 from reference import (ea_select, fold_shared, folded_bank_apply, gated_experts_loop,
@@ -204,7 +204,7 @@ def test_shared_term_gate_gradient_is_exactly_zero():
     experts.data[:] = 0.0  # only the shared path contributes
     x = Tensor(rng.normal(0, 1, (2, 4)))
     gate = Tensor(np.array([0.6, 0.3]), requires_grad=True)
-    out = bank_apply(x, np.array([1, 0]), gate, experts, shared)
+    out = bank_apply(x, RoutingPlan([[1], [0]]), gate, experts, shared)
     grad = T.backward((out * out).sum(), {"gate": gate})["gate"]
     assert grad is not None
     np.testing.assert_array_equal(grad, np.zeros(2))
@@ -216,7 +216,7 @@ def test_routable_term_gate_gradient_is_nonzero():
     shared.data[:] = 0.0
     x = Tensor(rng.normal(0, 1, (2, 4)))
     gate = Tensor(np.array([0.6, 0.3]), requires_grad=True)
-    out = bank_apply(x, np.array([1, 0]), gate, experts, shared)
+    out = bank_apply(x, RoutingPlan([[1], [0]]), gate, experts, shared)
     grad = T.backward((out * out).sum(), {"gate": gate})["gate"]
     assert np.all(np.abs(grad) > 1e-8)
 
@@ -236,6 +236,25 @@ def distinct_choices(rng, n, E, k):
     return np.stack([rng.permutation(E)[:k] for _ in range(n)])
 
 
+def test_routing_plan_groups_once_for_every_consumer():
+    # id 1 has three rows; 2 has two and 3 one, run twice: a run of two, a slice
+    idx = np.array([[1], [2], [2], [1], [1], [3]])
+    plan = RoutingPlan(idx)
+    assert np.asarray(plan) is idx  # what the benchmark's bank counter reads
+    assert plan.rows.tolist() == [0, 3, 4, 1, 2, 5, 5]
+    assert plan.out.tolist() == [0, 3, 4, 1, 2, 5]
+    assert plan.gate_rows is None  # top-1 gates need no gather
+    assert plan.runs == ((1, 3, 0, slice(1, 2)), (2, 2, 3, slice(2, 4)))
+    # top-2: each row's slots in ascending id, gates gathered to match
+    plan = RoutingPlan(np.array([[3, 0], [0, 2]]))
+    assert plan.out.tolist() == [0, 4, 1, 2]
+    assert plan.gate_rows.tolist() == [1, 0, 2, 3]
+    (b, m, start, ids), = plan.runs
+    assert (b, m, start, ids.tolist()) == (3, 2, 0, [0, 2, 3])
+    with pytest.raises(ContractError):
+        RoutingPlan(np.array([1, 2]))
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_gated_experts_matches_per_row_oracle(k):
     rng = np.random.default_rng(20 + k)
@@ -244,7 +263,8 @@ def test_gated_experts_matches_per_row_oracle(k):
         x = rng.normal(0, 1, (6, 3)).astype(np.float32)
         idx = distinct_choices(rng, 6, 4, k)
         gates = rng.uniform(0.1, 1.0, (6, k)).astype(np.float32)
-        out = gated_experts(Tensor(x), idx, Tensor(gates), [stacked], silu_expert).data
+        out = gated_experts(Tensor(x), RoutingPlan(idx), Tensor(gates), [stacked],
+                            silu_expert).data
         assert out.dtype == np.float32
         for r in range(6):
             ref = np.zeros(5, dtype=np.float64)
@@ -263,10 +283,10 @@ def test_gated_experts_row_ignores_other_rows_routing(k):
     x = Tensor(rng.normal(0, 1, (6, 32)).astype(np.float32))
     gates = Tensor(rng.uniform(0.1, 1.0, (6, k)).astype(np.float32))
     idx = distinct_choices(rng, 6, 4, k)
-    row0 = gated_experts(x, idx, gates, [stacked], silu_expert).data[0].copy()
+    row0 = gated_experts(x, RoutingPlan(idx), gates, [stacked], silu_expert).data[0].copy()
     for _ in range(20):
         idx[1:] = distinct_choices(rng, 5, 4, k)
-        out = gated_experts(x, idx, gates, [stacked], silu_expert)
+        out = gated_experts(x, RoutingPlan(idx), gates, [stacked], silu_expert)
         assert out.data[0].tobytes() == row0.tobytes()
 
 
@@ -281,7 +301,7 @@ def test_gated_experts_is_the_dense_ascending_sum_bitwise(k):
     dense = [silu_expert(x.reshape(1, 7, 32), stacked[e:e + 1]).data[0] for e in range(4)]
     for _ in range(10):
         idx = distinct_choices(rng, 7, 4, k)
-        out = gated_experts(x, idx, Tensor(gates), [stacked], silu_expert).data
+        out = gated_experts(x, RoutingPlan(idx), Tensor(gates), [stacked], silu_expert).data
         for r in range(7):
             terms = [gates[r, j] * dense[idx[r, j]][r] for j in np.argsort(idx[r])]
             ref = terms[0]
@@ -331,8 +351,8 @@ def test_gated_experts_equals_the_per_expert_loop_bitwise(dtype, k):
         c = Tensor(rng.normal(0, 1, (n, 40)).astype(dtype))
         inputs = {"x": x, "gates": gates, **weights}
         results = []
-        for mix in (gated_experts, gated_experts_loop):
-            out = mix(x, idx, gates, [weights[w] for w in ("gate", "up", "down")], expert)
+        for mix, route in ((gated_experts, RoutingPlan(idx)), (gated_experts_loop, idx)):
+            out = mix(x, route, gates, [weights[w] for w in ("gate", "up", "down")], expert)
             assert out.dtype == dtype
             grads = T.backward((out * c).sum(), inputs)
             results.append([out.data.tobytes()] + [grads[w].tobytes() for w in sorted(grads)])
@@ -367,7 +387,7 @@ def test_gated_experts_never_issues_a_one_row_product(n, k, idx):
     rng = np.random.default_rng(40 + n + k)
     weights, expert, seen = recording_experts(rng, E=32)
     idx = np.array(idx)
-    gated_experts(Tensor(rng.normal(0, 1, (n, 3))), idx,
+    gated_experts(Tensor(rng.normal(0, 1, (n, 3))), RoutingPlan(idx),
                   Tensor(rng.uniform(0.1, 1.0, (n, k))), [weights], expert)
     counts = np.bincount(idx.reshape(-1))
     assert min(m for _, m in seen) >= 2
@@ -385,7 +405,7 @@ def test_gated_experts_gradcheck_singleton_and_unused_expert():
     idx = np.array([[0, 1], [1, 0], [0, 2], [1, 0]])
 
     def fn(inp):
-        out = gated_experts(inp["x"], idx, inp["gates"], [inp["w"]], expert)
+        out = gated_experts(inp["x"], RoutingPlan(idx), inp["gates"], [inp["w"]], expert)
         return (out * out).sum()
 
     inputs = {
@@ -404,7 +424,7 @@ def test_bank_apply_matches_dense_oracle():
     x = rng.normal(0, 1, (6, 3))
     idx = rng.integers(0, 4, 6)
     gates = rng.uniform(0.1, 1.0, 6)
-    out = bank_apply(Tensor(x), idx, Tensor(gates), experts, shared).data
+    out = bank_apply(Tensor(x), RoutingPlan(idx[:, None]), Tensor(gates), experts, shared).data
     for i in range(6):
         ref = gates[i] * (x[i] @ experts.data[idx[i]]) + gates[i] * (x[i] @ shared.data)
         np.testing.assert_allclose(out[i], ref, rtol=1e-6)
@@ -421,7 +441,8 @@ def test_bank_gradcheck():
     def fn(inp):
         logits = T.matmul(inp["x"], inp["router"])
         gates = T.sigmoid(T.take_rows(logits.reshape(9), np.arange(3) * 3 + idx))
-        out = bank_apply(inp["x"], idx, gates, inp["experts"], inp["shared"])
+        out = bank_apply(inp["x"], RoutingPlan(idx[:, None]), gates, inp["experts"],
+                         inp["shared"])
         return (out * out).sum()
 
     inputs = {
