@@ -47,24 +47,30 @@ from .telemetry import TelemetryLog
 from .tensor import Tensor
 
 
-def swiglu(a: Tensor, b: Tensor) -> Tensor:
-    """silu(a) * b, the SwiGLU expert's hidden layer, as one tape node."""
+def swiglu_expert(u: np.ndarray, gate: np.ndarray, up: np.ndarray, down: np.ndarray):
+    """B SwiGLU experts on their own rows: u [B, m, h] -> [B, m, h].
+
+    (silu(u gate) * (u up)) down. Returns (out, vjp), vjp(g) -> (du, dgate,
+    dup, ddown); under no_grad vjp is None and the hidden activations are
+    freed before the output product.
+    """
+    a, b = u @ gate, u @ up
     with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-a.data))
-    ad, bd = a.data, b.data
-    out = ad * sig * bd
+        sig = 1.0 / (1.0 + np.exp(-a))
+    hidden = a * sig * b
+    if not T.grad_enabled():
+        del a, b, sig
+        return hidden @ down, None
 
     def vjp(g):
-        ga = g * bd * sig * (1.0 + ad * (1.0 - sig)) if a.requires_grad else None
-        gb = g * (ad * sig) if b.requires_grad else None
-        return ga, gb
+        dh = g @ np.swapaxes(down, -1, -2)
+        da = dh * b * sig * (1.0 + a * (1.0 - sig))
+        db = dh * (a * sig)
+        ut = np.swapaxes(u, -1, -2)
+        du = da @ np.swapaxes(gate, -1, -2) + db @ np.swapaxes(up, -1, -2)
+        return du, ut @ da, ut @ db, np.swapaxes(hidden, -1, -2) @ g
 
-    return T.node(out, (a, b), vjp, "swiglu")
-
-
-def swiglu_expert(u: Tensor, gate: Tensor, up: Tensor, down: Tensor) -> Tensor:
-    """B SwiGLU experts on their own rows: u [B, m, h] -> [B, m, h]."""
-    return T.matmul(swiglu(T.matmul(u, gate), T.matmul(u, up)), down)
+    return hidden @ down, vjp
 
 
 class SeqCache:

@@ -111,13 +111,14 @@ class RoutingPlan:
                  ascending expert id
       gate_rows  [n * k] the flat (row, slot) gate of each entry of `out`;
                  None for top-1, where it is the row itself
+      experts    the ids present, ascending
       runs       (B, m, start, experts) per run of B adjacent groups of m
                  pairs from pair `start` on; `experts` is a slice of the
                  stacked weights for consecutive ids, else the id array
     `np.asarray(plan)` is `idx`.
     """
 
-    __slots__ = ("idx", "rows", "out", "gate_rows", "runs")
+    __slots__ = ("idx", "rows", "out", "gate_rows", "experts", "runs")
 
     def __init__(self, idx: np.ndarray):
         idx = np.asarray(idx)
@@ -140,6 +141,7 @@ class RoutingPlan:
             # their rank
             self.out = np.sort(pos.reshape(n, top_k), axis=1).reshape(-1)
             self.gate_rows = pairs[self.out]
+        self.experts = experts
         ids = experts.tolist()
         runs, first, start = [], 0, 0
         for m, same in itertools.groupby(sizes.tolist()):
@@ -154,6 +156,21 @@ class RoutingPlan:
         return np.asarray(self.idx, dtype)
 
 
+def linear_expert(u: np.ndarray, w: np.ndarray):
+    """B linear experts on their own rows: u [B, m, din] @ w [B, din, dout].
+
+    Returns (out, vjp), vjp(g) -> (du, dw); vjp is None under no_grad.
+    """
+    out = u @ w
+    if not T.grad_enabled():
+        return out, None
+
+    def vjp(g):
+        return g @ np.swapaxes(w, -1, -2), np.swapaxes(u, -1, -2) @ g
+
+    return out, vjp
+
+
 def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert) -> Tensor:
     """Routed mixture: x [n, din], gates [n, k] -> [n, dout] for `plan`'s idx [n, k].
 
@@ -161,15 +178,23 @@ def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert) 
     weights)), summed in ascending expert id; each of `weights` is stacked
     [E, ...]. Each expert runs on its own rows only.
 
-    `x` is gathered once, in the plan's expert-major order. Each of the
-    plan's runs is one batched call `expert(u, *run)`: u is [B, m, din], a
-    view of the gather, and `run` holds each weight's [B, ...] for the
-    run's B experts in ascending id: a view `w[a:b]` when the ids are
-    consecutive, a `take_rows` gather otherwise. It returns [B, m, dout].
-    Groups are never padded to a common size: a padded product costs
-    work and memory, and BLAS may round a group's real rows differently
-    once padding changes the product's shape. The gates scale the outputs
-    after they are gathered back into row order.
+    `x` is gathered once, in the plan's expert-major order, as an engine
+    op; everything after it is one tape node, `gated_experts`, with a
+    closed-form vjp (the grouped operation of MegaBlocks, dropless). Each
+    of the plan's runs is one batched numpy call `expert(u, *run) -> (out,
+    vjp)`: u is [B, m, din], a view of the gather, and `run` holds each
+    weight's [B, ...] for the run's B experts in ascending id, a view
+    `w[a:b]` when the ids are consecutive and a gather otherwise; out is
+    [B, m, dout] and vjp(g) returns the gradients of u and of each run
+    weight (the expert returns no vjp under no_grad). Groups are never
+    padded to a common size: a padded product costs work and memory, and
+    BLAS may round a group's real rows differently once padding changes
+    the product's shape. The gates scale the outputs after they are
+    gathered back into row order. The vjp runs the vjps of the equivalent
+    chain of engine ops in reverse, with the same numpy calls, so every
+    gradient is bitwise that chain's (the tests hold it to the per-expert
+    chain `gated_experts_loop`); each weight's gradient is one indexed
+    record over the plan's experts.
 
     No product ever has one row. BLAS computes a 1-row product on its gemv
     path, which can round differently from the same row inside a larger
@@ -180,23 +205,67 @@ def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert) 
     """
     n, top_k = plan.idx.shape
     u = T.take_rows(x, plan.rows[None, :])   # [1, pairs, din], expert-major
-    parts = []
-    for b, m, start, key in plan.runs:
-        run = ([w[key] for w in weights] if isinstance(key, slice)
-               else [T.take_rows(w, key) for w in weights])
-        rows = u if len(plan.runs) == 1 else u[:, start:start + b * m]
-        part = expert(rows if b == 1 else rows.reshape(b, m, -1), *run)
+    parents = (u, *weights, gates)
+    record = T.grad_enabled() and any(p.requires_grad for p in parents)
+    ud, runs = u.data, plan.runs
+    parts, vjps = [], []
+    for b, m, start, key in runs:
+        rows = ud if len(runs) == 1 else ud[:, start:start + b * m]
+        part, vjp = expert(rows if b == 1 else rows.reshape(b, m, -1),
+                           *(w.data[key] for w in weights))
         parts.append(part if b == 1 else part.reshape(1, b * m, -1))
-    # Under no_grad the gathered rows and weights die here, before the
-    # concat, and the parts right after it: fewer live buffers and pages.
-    del u, rows, run, part
-    y = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
+        vjps.append(vjp)
+    # Without a tape the gathered rows die here, before the concat, the
+    # parts right after it and the ungated outputs before the slot sum:
+    # fewer live buffers and pages.
+    del rows, part
+    if not record:
+        del u, ud, vjps
+        parents = ()
+    y = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     del parts
-    y = T.take_rows(y.reshape(plan.rows.size, -1), plan.out)
-    if top_k == 1:
-        return y * gates.reshape(n, 1)
-    y = y * T.take_rows(gates.reshape(n * top_k, 1), plan.gate_rows)
-    return y.reshape(n, top_k, -1).sum(axis=1)
+    dout = y.shape[-1]
+    y = y.reshape(plan.rows.size, dout)[plan.out]
+    scale = (gates.data.reshape(n, 1) if top_k == 1
+             else gates.data.reshape(n * top_k, 1)[plan.gate_rows])
+    out = y * scale
+    if not record:
+        del y
+    if top_k > 1:
+        out = out.reshape(n, top_k, dout).sum(axis=1)
+
+    def grouped_vjp(g):
+        if top_k > 1:   # the slot sum's and its reshape's vjp
+            g = np.broadcast_to(g[:, None, :], (n, top_k, dout)).copy().reshape(-1, dout)
+        # the gathers' gradients are added into zeros, as the engine adds
+        # their indexed records, so a -0.0 turns +0.0 there as well
+        dgates = None
+        if gates.requires_grad:
+            dgates = (g * y).sum(axis=1, keepdims=True)
+            if top_k > 1:
+                acc = np.zeros_like(dgates)
+                acc[plan.gate_rows] += dgates
+                dgates = acc
+            dgates = dgates.reshape(gates.shape)
+        dy = np.zeros((plan.rows.size, dout), dtype=y.dtype)
+        dy[plan.out] += g * scale
+        du = np.zeros_like(ud) if len(runs) > 1 else None
+        dws = [[] for _ in weights]
+        for (b, m, start, _), vjp in zip(runs, vjps):
+            span = slice(start, start + b * m)
+            drows, *dw = vjp(dy[span].reshape(b, m, dout))
+            if du is None:
+                du = drows.reshape(ud.shape)
+            else:
+                du[:, span] += drows.reshape(1, b * m, -1)
+            for grads, d in zip(dws, dw):
+                grads.append(d)
+        dws = [T._Scatter(plan.experts, d[0] if len(d) == 1 else np.concatenate(d),
+                          w.shape, w.dtype) if w.requires_grad else None
+               for w, d in zip(weights, dws)]
+        return (du, *dws, dgates)
+
+    return T.node(out, parents, grouped_vjp, "gated_experts")
 
 
 def bank_apply(x: Tensor, plan: RoutingPlan, gates: Tensor, experts: Tensor,
@@ -210,5 +279,5 @@ def bank_apply(x: Tensor, plan: RoutingPlan, gates: Tensor, experts: Tensor,
     stopped, so the router learns only from the routable term.
     """
     gcol = gates.reshape(x.shape[0], 1)
-    out = gated_experts(x, plan, gcol, (experts,), T.matmul)
+    out = gated_experts(x, plan, gcol, (experts,), linear_expert)
     return out + T.stop_gradient(gcol) * T.matmul(x, shared)

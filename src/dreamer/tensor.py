@@ -13,14 +13,16 @@ ndarray}`, the gradient for each requires-grad leaf in `inputs`. The tape
 lives exactly as long as the caller holds `loss`.
 
 Fused ops: the model's hot composites (RMSNorm and RoPE in `attention`,
-the attention core's scaled, masked softmax, SwiGLU in `model`) compute
-their forward in numpy and record a single node through `node(data,
-parents, vjp, op)`, with a closed-form vjp. The vjp closes over only what
-the backward reads: the parents' arrays, which the tape keeps alive anyway,
-plus RoPE's angle tables or one array of the forward (RMSNorm's per-row
-`inv`, SwiGLU's `sigmoid(a)`, the attention weights, which are the node's
-own output). The scaled, masked or squared copies an op-by-op form would
-leave on the tape do not exist.
+the attention core's scaled, masked softmax, the routed mixture after its
+input gather in `routing.gated_experts`) compute their forward in numpy
+and record a single node through `node(data, parents, vjp, op)`, with a
+closed-form vjp. The vjp closes over only what the backward reads: the
+parents' arrays, which the tape keeps alive anyway, plus RoPE's angle
+tables or arrays of the forward (RMSNorm's per-row `inv`, the attention
+weights, which are the node's own output, the mixture's expert inputs,
+hidden activations, `sigmoid` of the gate projections and gathered
+outputs). The scaled, masked or squared copies, concats and product
+outputs an op-by-op form would leave on the tape do not exist.
 
 Numerics contract:
   * forward values are a pure function of the inputs, bit-identical across

@@ -13,8 +13,8 @@ import numpy as np
 from dreamer import tensor as T
 from dreamer.attention import causal_mask
 from dreamer.errors import ConfigError, ContractError, ShapeError
-from dreamer.routing import (RouterState, RoutingPlan, bank_apply, gated_experts, select_topk,
-                             update_balance)
+from dreamer.routing import (RouterState, RoutingPlan, bank_apply, gated_experts, linear_expert,
+                             select_topk, update_balance)
 from dreamer.tensor import Tensor
 
 
@@ -63,6 +63,12 @@ def take_rows_add_at(a: Tensor, idx: np.ndarray) -> Tensor:
         return (T._Scatter(rows, part, shape, dt),)
 
     return T.node(a.data[idx], (a,), vjp, "take_rows")
+
+
+def expert_node(expert, u: Tensor, *run: Tensor) -> Tensor:
+    """A numpy expert pair `expert(u, *run) -> (out, vjp)` recorded as one engine node."""
+    out, vjp = expert(u.data, *(w.data for w in run))
+    return T.node(out, (u, *run), vjp, "expert")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -298,19 +304,22 @@ def folded_bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, folded: Tensor)
     """Bank forward on folded weights: one expert matmul per row, no shared term."""
     n = x.shape[0]
     return gated_experts(x, RoutingPlan(idx.reshape(n, 1)), gates.reshape(n, 1), (folded,),
-                         T.matmul)
+                         linear_expert)
 
 
 def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, expert) -> Tensor:
     """`gated_experts` as one gather and one expert call per expert.
 
     The library's grouping before runs of equal-size groups were batched:
-    each used expert gathers its own rows and calls `expert(u [1, m, din],
-    *(w[e:e + 1] for w in weights))`, ascending in e; a singleton's row
-    runs twice. It sorts and counts the ids itself, takes `gated_experts`'
-    plan's `idx`, gates the grouped outputs before it gathers them back
-    into row order, and its gathers sum repeated rows with `np.add.at`.
-    The batched primitive must equal this bitwise, forward and backward.
+    each used expert gathers its own rows and calls the numpy pair `expert`
+    on `u [1, m, din]` and `w[e:e + 1]` for each of `weights`, recorded as
+    one engine node by `expert_node`, ascending in e; a singleton's row
+    runs twice. Everything around the expert calls is an engine op, so the
+    engine's vjps check the fused node's backward. It sorts and counts the
+    ids itself, takes `gated_experts`' plan's `idx`, gates the grouped
+    outputs before it gathers them back into row order, and its gathers
+    sum repeated rows with `np.add.at`. The batched primitive must equal
+    this bitwise, forward and backward.
     """
     n, top_k = idx.shape
     flat = idx.reshape(-1)
@@ -328,7 +337,8 @@ def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, exper
     parts = []
     for e, size, end in zip(experts, sizes, ends):
         u = take_rows_add_at(x, pairs[end - size:end] // top_k).reshape(1, size, x.shape[1])
-        parts.append(expert(u, *(w[e:e + 1] for w in weights)).reshape(size, -1))
+        run = (w[e:e + 1] for w in weights)
+        parts.append(expert_node(expert, u, *run).reshape(size, -1))
     y = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
     y = y * take_rows_add_at(gates.reshape(n * top_k, 1), pairs)
     out = take_rows_add_at(y, np.sort(pos.reshape(n, top_k), axis=1).reshape(-1))

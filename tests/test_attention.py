@@ -12,9 +12,9 @@ from dreamer import tensor as T
 from dreamer.attention import (_depth_rope_tables, _pair_freqs, causal_mask,
                                grouped_query_attention, rms_norm, rope_apply, rope_depth_apply)
 from dreamer.errors import ContractError, NumericError, ShapeError
-from dreamer.model import swiglu
+from dreamer.model import swiglu_expert
 from dreamer.tensor import Tensor
-from reference import attention, depth_rope_oracle, grad_check, rope_oracle
+from reference import attention, depth_rope_oracle, expert_node, grad_check, rope_oracle
 
 
 def np_softmax(x):
@@ -376,11 +376,19 @@ def test_rms_norm_gradcheck_3d_with_gain(x_grad):
 
 
 def test_swiglu_gradcheck():
+    # the numpy SwiGLU pair on two experts' rows; the gate pre-activations
+    # span about [-3, 3], so silu's curved part is checked
     rng = np.random.default_rng(15)
-    c = rng.uniform(-1, 1, (4, 5))
-    inputs = {"a": Tensor(rng.uniform(-3, 3, (4, 5)), requires_grad=True),
-              "b": param(rng, (4, 5))}
-    report = grad_check(lambda inp: (swiglu(inp["a"], inp["b"]) * Tensor(c)).sum(), inputs)
+    c = rng.uniform(-1, 1, (2, 4, 5))
+    inputs = {"u": param(rng, (2, 4, 3)),
+              "gate": Tensor(rng.uniform(-2, 2, (2, 3, 6)), requires_grad=True),
+              "up": param(rng, (2, 3, 6)), "down": param(rng, (2, 6, 5))}
+
+    def fn(inp):
+        out = expert_node(swiglu_expert, *(inp[k] for k in ("u", "gate", "up", "down")))
+        return (out * Tensor(c)).sum()
+
+    report = grad_check(fn, inputs)
     assert report.passed, str(report)
 
 
@@ -388,8 +396,7 @@ def test_swiglu_gradcheck():
     (lambda x, g: rms_norm(x, g), 2),
     (lambda x, g: rope_apply(x, np.arange(3), 100.0), 1),
     (lambda x, g: rope_depth_apply(x, 0, 2, 100.0), 1),
-    (lambda x, g: swiglu(x, x * 2.0), 1 + 1),  # x and the mul node
-], ids=["rms_norm", "rope_apply", "rope_depth_apply", "swiglu"])
+], ids=["rms_norm", "rope_apply", "rope_depth_apply"])
 def test_fused_op_adds_one_node(build, leaves):
     rng = np.random.default_rng(16)
     x, g = param(rng, (2, 3, 8)), param(rng, 8)

@@ -1,6 +1,7 @@
 """Layer composition, caching, recurrence, decoding, and model-level causality."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import dreamer.model
 import dreamer.routing
 from dreamer import tensor as T
 from dreamer.config import desk_config
-from dreamer.errors import ContractError, InputError
+from dreamer.errors import ContractError, InputError, NumericError
 from dreamer.model import CacheSet, DepthCache, DreamerModel, SeqCache
 from dreamer.params import init_parameters, learnable
 from dreamer.routing import RouterState
@@ -621,9 +622,10 @@ def test_sa_tables_and_mask_are_built_once_per_forward(monkeypatch):
 
 
 def test_decode_step_engine_op_ceiling(monkeypatch):
-    # A cached desk DR_DA-4 step records at most 520 engine ops, each a
+    # A cached desk DR_DA-4 step records at most 396 engine ops, each a
     # fixed Python cost on arrays of a few hundred elements; bookkeeping
-    # that creeps back in shows here first.
+    # that creeps back in shows here first. Each routed mixture is two: the
+    # gather and the `gated_experts` node.
     model = DreamerModel(desk_config("DR_DA", 4), seed=0)
     with T.no_grad():
         caches, nxt = prompted_caches(model, prompt_len=32)
@@ -636,4 +638,54 @@ def test_decode_step_engine_op_ceiling(monkeypatch):
 
         monkeypatch.setattr(T, "node", counting)
         model.model_forward(nxt, caches)
-    assert len(ops) <= 520, len(ops)
+    assert len(ops) <= 396, len(ops)
+
+
+def test_train_tape_node_ceiling():
+    # the routed mixtures' products, views, gathers and gate arithmetic are
+    # one node each, so a desk DR_DA-4 training forward at the benchmark's
+    # 8 x 64 records fewer than 900 tape nodes (419 when this was written;
+    # about 1,700 with the mixtures op by op)
+    model = DreamerModel(desk_config("DR_DA", 4), seed=0)
+    tokens, targets = make_batch(TaskSpec("copy", 64, 16), 0, 8)
+    loss = masked_cross_entropy(model.model_forward(tokens), targets)
+    assert len(T._topo(loss)) < 900, len(T._topo(loss))
+
+
+def test_ea_no_grad_peak_memory():
+    # One prefill-shaped EA call (8 x 256 rows of a desk LA model, top-8 of
+    # 32 experts) under no_grad: the gathered rows die before the concat,
+    # each expert's hidden activations before its output product and the
+    # ungated outputs before the slot sum. The peak measured 9.74 MiB.
+    cfg = desk_config("LA", 4)
+    model = DreamerModel(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(0.0, 1.0, (8, 256, cfg.hidden_size)).astype(np.float32))
+    with T.no_grad():
+        model.ea_forward(x, 0)  # first-use tables
+        tracemalloc.start()
+        try:
+            model.ea_forward(x, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 9.75 * 2**20, peak / 2**20
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nonfinite_expert_weight_names_gated_experts():
+    # An inf in one used expert's `down` weight is first produced by the
+    # routed mixture's node, so `eval` names it. The weight is frozen, so it
+    # is no tape leaf that `eval` would report first, and the loss ends at
+    # EA's output: an RMSNorm raises on a non-finite input in its forward.
+    cfg = tiny_config("DR")
+    model = DreamerModel(cfg, seed=3)
+    x = rand_x(np.random.default_rng(3), 2, 6, cfg.hidden_size)
+    model.ea_forward(x, 0)
+    used = int(np.flatnonzero(model.routers["layer.ea"].counts)[0])
+    down = model.params["layer.ea.experts.down"]
+    down.requires_grad = False
+    down.data[used, 0, 0] = np.inf
+    out = model.ea_forward(x, 0)
+    with pytest.raises(NumericError, match="'gated_experts'"):
+        T.eval((out * out).sum())

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 from dreamer import tensor as T
 from dreamer.model import swiglu_expert
 from dreamer.routing import (RouterState, RoutingPlan, bank_apply, depth_router_logits,
-                             gated_experts, select_topk, update_balance)
+                             gated_experts, linear_expert, select_topk, update_balance)
 from dreamer.errors import ConfigError, ContractError
 from dreamer.tensor import Tensor
-from reference import (ea_select, fold_shared, folded_bank_apply, gated_experts_loop,
-                       grad_check, moe_linear_forward, silu, simulate_balancing)
+from reference import (ea_select, expert_node, fold_shared, folded_bank_apply,
+                       gated_experts_loop, grad_check, moe_linear_forward, simulate_balancing)
 
 
 def sigmoid(v):
@@ -222,8 +223,15 @@ def test_routable_term_gate_gradient_is_nonzero():
 
 
 def silu_expert(u, w):
-    """B SiLU experts on their own rows: u [B, m, din], w [B, din, dout]."""
-    return silu(T.matmul(u, w))
+    """B SiLU experts on their own rows, a numpy pair: u [B, m, din], w [B, din, dout]."""
+    pre = u @ w
+    sig = 1.0 / (1.0 + np.exp(-pre))
+
+    def vjp(g):
+        dpre = g * sig * (1.0 + pre * (1.0 - sig))
+        return dpre @ np.swapaxes(w, -1, -2), np.swapaxes(u, -1, -2) @ dpre
+
+    return pre * sig, vjp
 
 
 def silu_experts(rng, E=4, din=3, dout=5):
@@ -245,6 +253,7 @@ def test_routing_plan_groups_once_for_every_consumer():
     assert plan.out.tolist() == [0, 3, 4, 1, 2, 5]
     assert plan.gate_rows is None  # top-1 gates need no gather
     assert plan.runs == ((1, 3, 0, slice(1, 2)), (2, 2, 3, slice(2, 4)))
+    assert plan.experts.tolist() == [1, 2, 3]  # whose weights get a gradient
     # top-2: each row's slots in ascending id, gates gathered to match
     plan = RoutingPlan(np.array([[3, 0], [0, 2]]))
     assert plan.out.tolist() == [0, 4, 1, 2]
@@ -298,7 +307,8 @@ def test_gated_experts_is_the_dense_ascending_sum_bitwise(k):
     _, stacked = silu_experts(rng, din=32, dout=24)
     x = Tensor(rng.normal(0, 1, (7, 32)).astype(np.float32))
     gates = rng.uniform(0.1, 1.0, (7, k)).astype(np.float32)
-    dense = [silu_expert(x.reshape(1, 7, 32), stacked[e:e + 1]).data[0] for e in range(4)]
+    dense = [silu_expert(x.data.reshape(1, 7, 32), stacked.data[e:e + 1])[0][0]
+             for e in range(4)]
     for _ in range(10):
         idx = distinct_choices(rng, 7, 4, k)
         out = gated_experts(x, RoutingPlan(idx), Tensor(gates), [stacked], silu_expert).data
@@ -311,13 +321,15 @@ def test_gated_experts_is_the_dense_ascending_sum_bitwise(k):
 
 
 def swiglu_experts(rng, E, din, dff, dout, dtype, calls):
-    """EA-shaped SwiGLU weights, and `swiglu_expert` logging each call's B and weight ops."""
+    """EA-shaped SwiGLU weights, and `swiglu_expert` logging each call's B and
+    whether its run weights are views of the stacked weights or gathers."""
     weights = {name: Tensor(rng.normal(0, 0.3, shape).astype(dtype), requires_grad=True)
                for name, shape in (("gate", (E, din, dff)), ("up", (E, din, dff)),
                                    ("down", (E, dff, dout)))}
 
     def expert(u, *run):
-        calls.append((u.shape[0], {w.op for w in run}))
+        calls.append((u.shape[0], {"view" if np.shares_memory(w, weights[name].data)
+                                   else "gather" for w, name in zip(run, ("gate", "up", "down"))}))
         return swiglu_expert(u, *run)
 
     return weights, expert
@@ -359,8 +371,8 @@ def test_gated_experts_equals_the_per_expert_loop_bitwise(dtype, k):
         assert results[0] == results[1], idx.tolist()
     # the batched calls above include runs of several experts, whose weights
     # are views (consecutive ids) and gathers (non-consecutive ids)
-    assert any(b > 1 and ops == {"getitem"} for b, ops in calls)
-    assert any(b > 1 and ops == {"take_rows"} for b, ops in calls)
+    assert any(b > 1 and kinds == {"view"} for b, kinds in calls)
+    assert any(b > 1 and kinds == {"gather"} for b, kinds in calls)
 
 
 def recording_experts(rng, E=4, din=3, dout=5):
@@ -370,7 +382,7 @@ def recording_experts(rng, E=4, din=3, dout=5):
     def expert(u, w):
         assert w.shape[0] == u.shape[0]
         seen.append(u.shape[:2])
-        return silu(T.matmul(u, w))
+        return silu_expert(u, w)
 
     return weights, expert, seen
 
@@ -416,6 +428,75 @@ def test_gated_experts_gradcheck_singleton_and_unused_expert():
     report = grad_check(fn, inputs)
     assert report.passed, str(report)
     assert not T.backward(fn(inputs), inputs)["w"][3].any()
+
+
+# 9 (row, slot) pairs over 6 experts, top-1 and top-3 alike: experts 0 and 1
+# have 3 pairs each (a run of B = 2 on a slice of the weights), 2 has one
+# (a singleton, run twice) and 4 has two (a run of B = 2 on ids 2, 4, a
+# gather); 3 and 5 are unused. The two runs are joined by the concat.
+RUNS_ROUTINGS = {1: [[0], [0], [0], [1], [1], [1], [2], [4], [4]],
+                 3: [[0, 1, 2], [1, 0, 4], [4, 1, 0]]}
+
+
+def swiglu_leaves(rng, E=6, din=3, dff=4, dout=5):
+    return {name: Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+            for name, shape in (("gate", (E, din, dff)), ("up", (E, din, dff)),
+                                ("down", (E, dff, dout)))}
+
+
+def test_gated_experts_adds_one_node():
+    # everything after the gather is one node: the tape is x, the gather,
+    # the weights, the gates and the node, with runs that need the concat
+    rng = np.random.default_rng(16)
+    idx = np.array(RUNS_ROUTINGS[3])
+    weights = list(swiglu_leaves(rng).values())
+    x = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    gates = Tensor(rng.uniform(0.1, 1.0, (3, 3)), requires_grad=True)
+    out = gated_experts(x, RoutingPlan(idx), gates, weights, swiglu_expert)
+    order = T._topo(out)
+    assert order[-1] is out and out.op == "gated_experts"
+    assert Counter(node.op for node in order) == {"leaf": 5, "take_rows": 1, "gated_experts": 1}
+    gather = out.parents[0]
+    assert gather.op == "take_rows" and gather.parents == (x,)
+    assert {id(t) for t in out.parents[1:]} == {id(t) for t in (*weights, gates)}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_gated_experts_gradcheck_runs(k):
+    # the fused node's vjp against central differences in float64, with
+    # respect to x, the gates and each SwiGLU weight
+    rng = np.random.default_rng(42 + k)
+    idx = np.array(RUNS_ROUTINGS[k])
+    n = idx.shape[0]
+    plan = RoutingPlan(idx)
+    (b0, m0, _, key0), (b1, m1, _, key1) = plan.runs
+    assert (b0, m0, key0) == (2, 3, slice(0, 2)) and (b1, m1) == (2, 2)
+    assert key1.tolist() == [2, 4]
+    c = Tensor(rng.uniform(-1, 1, (n, 5)))
+
+    def fn(inp):
+        weights = [inp[w] for w in ("gate", "up", "down")]
+        return (gated_experts(inp["x"], plan, inp["gates"], weights, swiglu_expert) * c).sum()
+
+    inputs = {"x": Tensor(rng.uniform(-1, 1, (n, 3)), requires_grad=True),
+              "gates": Tensor(rng.uniform(0.1, 1.0, (n, k)), requires_grad=True),
+              **swiglu_leaves(rng)}
+    report = grad_check(fn, inputs)
+    assert report.passed, str(report)
+    grads = T.backward(fn(inputs), inputs)
+    for w in ("gate", "up", "down"):
+        assert not grads[w][[3, 5]].any(), w
+        assert grads[w][[0, 1, 2, 4]].all(axis=(1, 2)).all(), w
+
+
+def test_linear_expert_gradcheck():
+    rng = np.random.default_rng(43)
+    inputs = {"u": Tensor(rng.uniform(-1, 1, (2, 4, 3)), requires_grad=True),
+              "w": Tensor(rng.uniform(-1, 1, (2, 3, 5)), requires_grad=True)}
+    c = Tensor(rng.uniform(-1, 1, (2, 4, 5)))
+    report = grad_check(
+        lambda inp: (expert_node(linear_expert, inp["u"], inp["w"]) * c).sum(), inputs)
+    assert report.passed, str(report)
 
 
 def test_bank_apply_matches_dense_oracle():
