@@ -14,13 +14,13 @@ input and per-row `inv = 1/rms`; the rotation keeps its angle tables; the
 attention core keeps only the softmax weights.
 
 The rotary pair frequencies and the depth cos/sin tables are memoized on
-first use and read-only. Sequence RoPE tables (`rope_tables`) and causal
-masks are read-only too, and a caller that rotates or masks several
-tensors alike, as the model does at every depth of one forward, builds
-them once and passes them in.
+first use and read-only. Callers build the sequence RoPE tables
+(`rope_tables`) and causal masks (`causal_mask`), read-only too, and pass
+them in; the primitives build none and decide nothing about masking.
 
 Two position encodings are supported:
-  * `rope_apply`: every pair rotates by sequence position * theta_i,
+  * `rope_apply` with `rope_tables(positions, ...)`: every pair rotates by
+    sequence position * theta_i,
   * `rope_depth_apply`: pairs are split again; the first half of the pairs
     rotates forward with the depth index, the second half rotates with the
     reversed index (depths - 1 - depth). At depths == 1 both halves sit at
@@ -45,22 +45,6 @@ def _pair_freqs(dim: int, base: float) -> np.ndarray:
     return freqs
 
 
-def _apply_rotation(x: Tensor, c: np.ndarray, s: np.ndarray) -> Tensor:
-    """Rotate each channel pair (x1, x2) by its angle; the vjp rotates back.
-
-    `c` and `s` are the angles' cos and sin in `x`'s dtype.
-    """
-    half = x.shape[-1] // 2
-    x1, x2 = x.data[..., :half], x.data[..., half:]
-    out = np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
-
-    def vjp(g):
-        g1, g2 = g[..., :half], g[..., half:]
-        return (np.concatenate([g1 * c + g2 * s, g2 * c - g1 * s], axis=-1),)
-
-    return T.node(out, (x,), vjp, "rope")
-
-
 def rope_tables(positions: np.ndarray, dim: int, base: float, dtype) -> tuple:
     """Read-only (cos, sin) [m, dim/2] in `dtype` of the angles positions * theta_i."""
     angles = np.asarray(positions, dtype=np.float64)[:, None] * _pair_freqs(dim, base)[None, :]
@@ -70,25 +54,30 @@ def rope_tables(positions: np.ndarray, dim: int, base: float, dtype) -> tuple:
     return tables
 
 
-def rope_apply(x: Tensor, positions: np.ndarray, base: float, *,
-               tables: tuple | None = None) -> Tensor:
-    """Rotate `x[..., m, dim]` by per-row sequence positions.
+def rope_apply(x: Tensor, tables: tuple) -> Tensor:
+    """Rotate each channel pair (x1, x2) of `x[..., dim]` by its angle; the vjp rotates back.
 
-    Rotation preserves pair norms, and scores between rotated vectors
-    depend on position differences only. `tables` are `rope_tables(
-    positions, dim, base, x.dtype)`, for a caller that rotates several
-    tensors at the same positions; they are built here when None.
+    `tables` are the angles' (cos, sin) in `x`'s dtype, with the shape of
+    `x`'s trailing axes and dim/2 pairs: `rope_tables(positions, ...)`
+    [m, dim/2] rotate row i of `x[..., m, dim]` by positions[i]. Rotation
+    preserves pair norms, and scores between rotated vectors depend on
+    position differences only.
     """
+    c, s = tables
     dim = x.shape[-1]
     if dim % 2 != 0:
         raise ShapeError(f"rope_apply: last dim {dim} must be even")
-    positions = np.asarray(positions)
-    if positions.ndim != 1 or positions.shape[0] != x.shape[-2]:
-        raise ShapeError(
-            f"rope_apply: need one position per row, got {positions.shape} for {x.shape}")
-    if tables is None:
-        tables = rope_tables(positions, dim, base, x.dtype)
-    return _apply_rotation(x, *tables)
+    half = dim // 2
+    if c.shape != x.shape[x.ndim - c.ndim:-1] + (half,):
+        raise ShapeError(f"rope_apply: tables {c.shape} do not fit {x.shape}")
+    x1, x2 = x.data[..., :half], x.data[..., half:]
+    out = np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+
+    def vjp(g):
+        g1, g2 = g[..., :half], g[..., half:]
+        return (np.concatenate([g1 * c + g2 * s, g2 * c - g1 * s], axis=-1),)
+
+    return T.node(out, (x,), vjp, "rope")
 
 
 @functools.cache
@@ -115,7 +104,7 @@ def _depth_rope_tables(depth: int, depths: int, dim: int, base: float, dtype) ->
 
 def rope_depth_apply(x: Tensor, depth: int, depths: int, base: float) -> Tensor:
     """Rotate `x[..., dim]` by a depth index instead of a sequence position."""
-    return _apply_rotation(x, *_depth_rope_tables(depth, depths, x.shape[-1], base, x.dtype))
+    return rope_apply(x, _depth_rope_tables(depth, depths, x.shape[-1], base, x.dtype))
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
@@ -192,22 +181,17 @@ def _masked_softmax(scores: Tensor, scale: float, mask: np.ndarray | None) -> Te
     return T.node(w, (scores,), vjp, "masked_softmax")
 
 
-def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int = 0,
-                            mask: np.ndarray | None = None):
-    """Causal attention where groups of query heads share one key/value head.
+def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None):
+    """Attention where groups of query heads share one key/value head.
 
-    Shapes: q [b, query_heads, m, d], k/v [b, kv_heads, n, d]; query row i
-    sees key rows j <= i + pos_offset. Returns (out [b, query_heads, m, d],
-    softmax weights [b, query_heads, m, n]). Equal head counts reduce to plain
-    per-head attention. The group axis is merged into the row axis so each
-    kv head attends all of its query heads in one batched product; each
-    query head's block gets the same [m, n] mask. The two products are
-    engine matmuls around one fused scale-mask-softmax node.
-
-    `mask` is `causal_mask(m, n, pos_offset, q.dtype)`, for a caller that
-    attends alike several times. When None it is built here, unless every
-    row sees every key (pos_offset >= n - 1): then no mask is added, which
-    leaves the softmax bitwise as it is with an all-zero mask.
+    Shapes: q [b, query_heads, m, d], k/v [b, kv_heads, n, d]. `mask` is an
+    additive [m, n] mask such as `causal_mask(m, n, offset, q.dtype)`,
+    added to every query head's scores; None adds none. Returns (out
+    [b, query_heads, m, d], the softmax weights as an array [b,
+    query_heads, m, n]). Equal head counts reduce to plain per-head
+    attention. The group axis is merged into the row axis so each kv head
+    attends all of its query heads in one batched product. The two
+    products are engine matmuls around one fused scale-mask-softmax node.
     """
     b, qh, m, d = q.shape
     if k.shape != v.shape:
@@ -218,8 +202,6 @@ def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, *, pos_offset: int 
     group = qh // kv_heads
     qg = q.reshape(b, kv_heads, group * m, d)
     scores = T.matmul(qg, T.transpose(k, _swap_last(k.ndim)))
-    if mask is None and pos_offset < n - 1:
-        mask = causal_mask(m, n, pos_offset, q.dtype)
     weights = _masked_softmax(scores, 1.0 / np.sqrt(d), mask)
     out = T.matmul(weights, v).reshape(b, qh, m, d)
-    return out, weights.reshape(b, qh, m, n)
+    return out, weights.data.reshape(b, qh, m, n)

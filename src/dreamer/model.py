@@ -208,8 +208,8 @@ class DreamerModel:
         Heads are laid out [batch, heads, seq, d]: SA passes (b, s) and
         attends along tokens, DA passes (b * s, 1) and attends along the
         depths in its cache. `encode(t)` position-encodes the RMS-normalized
-        q and k. `mask` is the causal mask for the entries cached before
-        this call, or None to let `grouped_query_attention` decide.
+        q and k. `mask` is SA's causal mask, or None when every query sees
+        every key.
         """
         cfg = self.cfg
         prefix = f"{cfg.set_name(depth)}.{module}"
@@ -219,7 +219,6 @@ class DreamerModel:
         flat = normed.reshape(b * s, h)
         selection = None if cfg.layered else self._route(flat, prefix, depth)
         qkv = self._project(flat, prefix, "qkv", selection)
-        offset = cache.length if cache is not None else 0
 
         # one split into heads [batch, q + 2 * kv heads, seq, d], sliced on the head axis
         heads = qkv.reshape(batch, seq, query_heads + 2 * kv_heads, head_dim)
@@ -235,9 +234,9 @@ class DreamerModel:
         if cache is not None:
             k, v = cache.append(k, v)
 
-        out, weights = grouped_query_attention(q, k, v, pos_offset=offset, mask=mask)
+        out, weights = grouped_query_attention(q, k, v, mask)
         if module == "da" and self.telemetry is not None:
-            scores = weights.data.mean(axis=(0, 1, 2)).astype(np.float64)
+            scores = weights.mean(axis=(0, 1, 2)).astype(np.float64)
             self.telemetry.add_depth_scores(depth, batch, scores)
         del weights  # the softmax weights must not outlive the attention core
         merged = out.transpose((0, 2, 1, 3)).reshape(batch * seq, out_dim)
@@ -245,27 +244,22 @@ class DreamerModel:
         return y.reshape(b, s, h)
 
     def sa_constants(self, offset: int, s: int, dtype) -> tuple:
-        """SA's (positions, RoPE tables, causal mask) for `s` tokens after
-        `offset` cached ones, read-only and shared by every depth of a
-        forward. No mask when each token sees every key (s == 1)."""
+        """SA's read-only (RoPE tables, causal mask) for `s` tokens after
+        `offset` cached ones. Their only builder: `model_forward` calls it once
+        and every depth shares them. No mask when each token sees every key (s == 1)."""
         positions = np.arange(offset, offset + s)
         tables = rope_tables(positions, self.cfg.sa_head_dim, self.cfg.sa_rope_base, dtype)
         mask = None if s == 1 else causal_mask(s, offset + s, offset, dtype)
-        return positions, tables, mask
+        return tables, mask
 
-    def sa_forward(self, x: Tensor, depth: int, seq_cache: SeqCache | None = None,
-                   constants: tuple | None = None) -> Tensor:
-        """Causal grouped-query attention over token positions; `constants`
-        are `sa_constants` for this call, built here when None."""
+    def sa_forward(self, x: Tensor, depth: int, sa_constants: tuple,
+                   seq_cache: SeqCache | None = None) -> Tensor:
+        """Causal grouped-query attention over token positions, with the
+        `sa_constants` for the tokens already in `seq_cache`."""
         b, s, _ = x.shape
-        if constants is None:
-            offset = seq_cache.length if seq_cache is not None else 0
-            constants = self.sa_constants(offset, s, x.dtype)
-        positions, tables, mask = constants
-        base = self.cfg.sa_rope_base
-        return self._attention(
-            x, depth, "sa", seq_cache, b, s,
-            lambda t: rope_apply(t, positions, base, tables=tables), mask)
+        tables, mask = sa_constants
+        return self._attention(x, depth, "sa", seq_cache, b, s,
+                               lambda t: rope_apply(t, tables), mask)
 
     def da_forward(self, x: Tensor, depth: int, depth_cache: DepthCache) -> Tensor:
         """Attention over each token's own depth history (sequence as batch)."""
@@ -288,10 +282,9 @@ class DreamerModel:
 
     # -- one depth step and the full stack --------------------------------------
 
-    def dreamer_step(self, x: Tensor, depth: int,
+    def dreamer_step(self, x: Tensor, depth: int, sa_constants: tuple,
                      seq_cache: SeqCache | None = None,
-                     depth_cache: DepthCache | None = None,
-                     sa_constants: tuple | None = None) -> Tensor:
+                     depth_cache: DepthCache | None = None) -> Tensor:
         """One depth step; `sa_constants` as for `sa_forward`."""
         cfg = self.cfg
         if not 0 <= depth < cfg.depth:
@@ -300,7 +293,7 @@ class DreamerModel:
             raise ContractError("depth-attention variant needs a depth cache")
 
         def sa(u):
-            return self.sa_forward(u, depth, seq_cache, sa_constants)
+            return self.sa_forward(u, depth, sa_constants, seq_cache)
 
         def da(u):
             return self.da_forward(u, depth, depth_cache)
@@ -362,7 +355,7 @@ class DreamerModel:
 
         for depth in range(cfg.depth):
             seq_cache = caches.seq[depth] if caches is not None else None
-            x = self.dreamer_step(x, depth, seq_cache, depth_cache, sa_constants)
+            x = self.dreamer_step(x, depth, sa_constants, seq_cache, depth_cache)
 
         x = rms_norm(x, self.params["final_norm.gain"], cfg.rms_eps)
         head = self.params["embed.weight" if cfg.tie_embeddings else "head.weight"]

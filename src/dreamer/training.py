@@ -78,6 +78,9 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     Decay is applied after the adaptive update but against the pre-step
     parameter value. Returns the learning rate used.
     """
+    unknown = [name for name in grads if name not in state.m]
+    if unknown:  # before any update: a rejected step leaves the state as it was
+        raise ConfigError(f"gradient for unknown parameter {unknown[0]}")
     cfg = state.cfg
     beta1, beta2 = cfg.adam_beta1, cfg.adam_beta2
     lr = lr_at(state.step, cfg.max_lr, cfg.warmup_steps)
@@ -86,8 +89,6 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     correct1 = 1.0 - beta1 ** t
     correct2 = 1.0 - beta2 ** t
     for name, g in grads.items():
-        if name not in state.m:
-            raise ConfigError(f"gradient for unknown parameter {name}")
         m = state.m[name]
         v = state.v[name]
         m *= beta1

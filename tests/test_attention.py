@@ -10,11 +10,17 @@ from hypothesis import strategies as st
 
 from dreamer import tensor as T
 from dreamer.attention import (_depth_rope_tables, _pair_freqs, causal_mask,
-                               grouped_query_attention, rms_norm, rope_apply, rope_depth_apply)
+                               grouped_query_attention, rms_norm, rope_apply, rope_depth_apply,
+                               rope_tables)
 from dreamer.errors import ContractError, NumericError, ShapeError
 from dreamer.model import swiglu_expert
 from dreamer.tensor import Tensor
 from reference import attention, depth_rope_oracle, expert_node, grad_check, rope_oracle
+
+
+def rope(x: Tensor, positions, base: float) -> Tensor:
+    """Sequence RoPE at `positions`, its tables built as the model builds them."""
+    return rope_apply(x, rope_tables(np.asarray(positions), x.shape[-1], base, x.dtype))
 
 
 def np_softmax(x):
@@ -92,7 +98,8 @@ def test_gqa_equal_heads_is_per_head_attention():
     q = rng.uniform(-1, 1, (1, 2, 5, 4))
     k = rng.uniform(-1, 1, (1, 2, 5, 4))
     v = rng.uniform(-1, 1, (1, 2, 5, 4))
-    out, _ = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v))
+    mask = causal_mask(5, 5, 0, np.float64)
+    out, _ = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v), mask)
     out = out.data
     for h in range(2):
         ref = attention(Tensor(q[0, h]), Tensor(k[0, h]), Tensor(v[0, h]), causal=True).data
@@ -105,22 +112,23 @@ def test_gqa_grouping_matches_loop_oracle():
     q = rng.uniform(-1, 1, (b, 4, m, 3))
     k = rng.uniform(-1, 1, (b, 2, n, 3))
     v = rng.uniform(-1, 1, (b, 2, n, 3))
-    out, w = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v))
+    out, w = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v),
+                                     causal_mask(m, n, 0, np.float64))
     mask = np.where(np.tril(np.ones((m, n), bool)), 0.0, -np.inf)
     for bi in range(b):
         for h in range(4):
             kv = h // 2  # query head h reads kv head h // group
             scores = q[bi, h] @ k[bi, kv].T / np.sqrt(3) + mask
             wref = np_softmax(scores)
-            np.testing.assert_allclose(w.data[bi, h], wref, atol=1e-12)
+            np.testing.assert_allclose(w[bi, h], wref, atol=1e-12)
             np.testing.assert_allclose(out.data[bi, h], wref @ v[bi, kv], atol=1e-12)
 
 
 @pytest.mark.parametrize("m, n, offset", [(3, 3, 0), (2, 5, 1), (1, 4, 3), (2, 4, 2)])
 def test_gqa_passed_mask_and_unmasked_rows_are_bitwise_the_built_mask(m, n, offset):
-    # a caller's shared mask gives the same weights as the one built per
-    # call; once every row sees every key (offset >= n - 1) no mask is
-    # added, and the weights still equal the all-zero mask's bit for bit
+    # the caller's built mask is read-only, so every call may share it;
+    # once every row sees every key (offset >= n - 1), no mask (None) gives
+    # the all-zero mask's output and weights bit for bit
     rng = np.random.default_rng(5)
     q = Tensor(rng.normal(0, 1, (2, 4, m, 8)).astype(np.float32))
     k = Tensor(rng.normal(0, 1, (2, 2, n, 8)).astype(np.float32))
@@ -128,20 +136,22 @@ def test_gqa_passed_mask_and_unmasked_rows_are_bitwise_the_built_mask(m, n, offs
     mask = causal_mask(m, n, offset, np.float32)
     with pytest.raises(ValueError):
         mask[0, 0] = 1.0  # read-only: callers share it
-    built = grouped_query_attention(q, k, v, pos_offset=offset)
-    passed = grouped_query_attention(q, k, v, pos_offset=offset, mask=mask)
-    for a, b in zip(built, passed):
-        assert a.data.tobytes() == b.data.tobytes()
+    passed = grouped_query_attention(q, k, v, mask)
+    assert (passed[1][..., mask < 0] == 0).all()  # masked keys weigh exactly nothing
+    if offset >= n - 1:
+        unmasked = grouped_query_attention(q, k, v, None)
+        assert passed[0].data.tobytes() == unmasked[0].data.tobytes()
+        assert passed[1].tobytes() == unmasked[1].tobytes()
 
 
 def test_gqa_bad_head_counts_rejected():
     q = Tensor(np.zeros((1, 3, 2, 4)))
     kv = Tensor(np.zeros((1, 2, 2, 4)))
     with pytest.raises(ShapeError):
-        grouped_query_attention(q, kv, kv)
+        grouped_query_attention(q, kv, kv, None)
     with pytest.raises(ShapeError):  # k and v must agree
         grouped_query_attention(Tensor(np.zeros((1, 2, 2, 4))), kv,
-                                Tensor(np.zeros((1, 1, 2, 4))))
+                                Tensor(np.zeros((1, 1, 2, 4))), None)
 
 
 # -- rotary -----------------------------------------------------------------
@@ -149,7 +159,7 @@ def test_gqa_bad_head_counts_rejected():
 def test_rope_position_zero_is_identity():
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, (1, 8))
-    out = rope_apply(Tensor(x), np.array([0]), 10000.0)
+    out = rope(Tensor(x), [0], 10000.0)
     assert out.data.tobytes() == x.astype(out.dtype).tobytes()
 
 
@@ -160,8 +170,8 @@ def test_rope_scores_depend_on_relative_position(m, n, shift):
     q = rng.uniform(-1, 1, (1, 8))
     k = rng.uniform(-1, 1, (1, 8))
     def score(pm, pn):
-        qr = rope_apply(Tensor(q), np.array([pm]), 100.0).data
-        kr = rope_apply(Tensor(k), np.array([pn]), 100.0).data
+        qr = rope(Tensor(q), [pm], 100.0).data
+        kr = rope(Tensor(k), [pn], 100.0).data
         return float((qr @ kr.T).item())
 
     assert abs(score(m, n) - score(m + shift, n + shift)) < 1e-6
@@ -172,7 +182,7 @@ def test_rope_scores_depend_on_relative_position(m, n, shift):
 def test_rope_preserves_norms(pos):
     rng = np.random.default_rng(23)
     x = rng.uniform(-1, 1, (3, 12))
-    out = rope_apply(Tensor(x), np.array([pos, pos + 1, 2 * pos]), 10000.0).data
+    out = rope(Tensor(x), [pos, pos + 1, 2 * pos], 10000.0).data
     np.testing.assert_allclose(np.linalg.norm(out, axis=-1),
                                np.linalg.norm(x, axis=-1), atol=1e-9)
 
@@ -191,8 +201,8 @@ def test_depth_rope_half_reversed_positions():
     x = rng.uniform(-1, 1, (1, dim))
     for l in range(L):
         got = rope_depth_apply(Tensor(x[0]), l, L, 500.0).data
-        fwd = rope_apply(Tensor(x), np.array([l]), 500.0).data[0]
-        rev = rope_apply(Tensor(x), np.array([L - 1 - l]), 500.0).data[0]
+        fwd = rope(Tensor(x), [l], 500.0).data[0]
+        rev = rope(Tensor(x), [L - 1 - l], 500.0).data[0]
         half, quarter = dim // 2, dim // 4
         fwd_ch = np.r_[0:quarter, half:half + quarter]
         rev_ch = np.r_[quarter:half, half + quarter:dim]
@@ -204,7 +214,19 @@ def test_depth_rope_requires_dim_multiple_of_four():
     with pytest.raises(ShapeError):
         rope_depth_apply(Tensor(np.zeros(6)), 0, 2, 500.0)
     with pytest.raises(ShapeError):  # sequence rope needs an even dim
-        rope_apply(Tensor(np.zeros((1, 5))), np.array([0]), 500.0)
+        rope(Tensor(np.zeros((1, 5))), [0], 500.0)
+
+
+def test_rope_rejects_tables_for_other_rows():
+    # [m, dim/2] tables rotate row i by position i: three positions cannot
+    # rotate four rows, nor one position several rows by broadcasting
+    tables = rope_tables(np.arange(3), 8, 500.0, np.float64)
+    with pytest.raises(ShapeError, match="rope_apply"):
+        rope_apply(Tensor(np.zeros((2, 4, 8))), tables)
+    with pytest.raises(ShapeError, match="rope_apply"):
+        rope_apply(Tensor(np.zeros((2, 4, 8))), rope_tables(np.arange(1), 8, 500.0, np.float64))
+    with pytest.raises(ShapeError, match="rope_apply"):  # pairs for another width
+        rope_apply(Tensor(np.zeros((2, 3, 12))), tables)
 
 
 def test_depth_rope_rejects_out_of_range_depth():
@@ -217,7 +239,7 @@ def test_rope_matches_the_uncached_formula_bitwise(dtype):
     x = np.random.default_rng(31).uniform(-2, 2, (2, 3, 5, 16)).astype(dtype)
     positions = np.arange(7, 12)
     for _ in range(2):  # the second round reads the memoized tables
-        got = rope_apply(Tensor(x), positions, 500.0).data
+        got = rope(Tensor(x), positions, 500.0).data
         assert got.dtype == dtype
         assert got.tobytes() == rope_oracle(x, positions, 500.0).tobytes()
         for depth in range(4):
@@ -339,7 +361,8 @@ def test_gqa_gradcheck_grouped_with_offset():
               "v": param(rng, (2, 2, 5, 3))}
 
     def fn(inp):
-        out, _ = grouped_query_attention(inp["q"], inp["k"], inp["v"], pos_offset=3)
+        out, _ = grouped_query_attention(inp["q"], inp["k"], inp["v"],
+                                         causal_mask(2, 5, 3, np.float64))
         return (out * out).sum()
 
     report = grad_check(fn, inputs)
@@ -351,7 +374,7 @@ def test_rope_apply_gradcheck():
     c = rng.uniform(-1, 1, (2, 3, 4, 8))
     inputs = {"x": param(rng, (2, 3, 4, 8))}
     report = grad_check(
-        lambda inp: (rope_apply(inp["x"], np.array([0, 1, 5, 9]), 100.0) * Tensor(c)).sum(),
+        lambda inp: (rope(inp["x"], [0, 1, 5, 9], 100.0) * Tensor(c)).sum(),
         inputs)
     assert report.passed, str(report)
 
@@ -394,7 +417,7 @@ def test_swiglu_gradcheck():
 
 @pytest.mark.parametrize("build, leaves", [
     (lambda x, g: rms_norm(x, g), 2),
-    (lambda x, g: rope_apply(x, np.arange(3), 100.0), 1),
+    (lambda x, g: rope(x, np.arange(3), 100.0), 1),
     (lambda x, g: rope_depth_apply(x, 0, 2, 100.0), 1),
 ], ids=["rms_norm", "rope_apply", "rope_depth_apply"])
 def test_fused_op_adds_one_node(build, leaves):
@@ -408,7 +431,7 @@ def test_fused_op_adds_one_node(build, leaves):
 def test_gqa_core_is_one_node_between_the_products():
     rng = np.random.default_rng(17)
     out, _ = grouped_query_attention(param(rng, (1, 4, 3, 4)), param(rng, (1, 2, 3, 4)),
-                                     param(rng, (1, 2, 3, 4)))
+                                     param(rng, (1, 2, 3, 4)), causal_mask(3, 3, 0, np.float64))
     ops = Counter(n.op for n in T._topo(out) if n.parents)
     assert ops == {"reshape": 2, "transpose": 1, "matmul": 2, "masked_softmax": 1}
 
@@ -424,7 +447,7 @@ def test_gqa_memory_keeps_only_scores_and_weights():
     S = b * 4 * m * m * 4
     tracemalloc.start()
     try:
-        out, _ = grouped_query_attention(q, k, v)
+        out, _ = grouped_query_attention(q, k, v, causal_mask(m, m, 0, np.float32))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -433,7 +456,7 @@ def test_gqa_memory_keeps_only_scores_and_weights():
     tracemalloc.start()
     try:
         with T.no_grad():
-            grouped_query_attention(q, k, v)
+            grouped_query_attention(q, k, v, causal_mask(m, m, 0, np.float32))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ def test_dreamer_step_depth_range():
     model = DreamerModel(tiny_config(depth=2), seed=0)
     x = rand_x(np.random.default_rng(0), 1, 2, 16)
     with pytest.raises(ContractError):
-        model.dreamer_step(x, 2, None, DepthCache(2))
+        model.dreamer_step(x, 2, model.sa_constants(0, 2, x.dtype), None, DepthCache(2))
     with pytest.raises(ContractError, match="depth cache"):
-        model.dreamer_step(x, 0, None, None)
+        model.dreamer_step(x, 0, model.sa_constants(0, 2, x.dtype), None, None)
 
 
 # -- sequence attention --------------------------------------------------------
@@ -82,8 +83,8 @@ def test_sa_single_token_is_prefix_of_sequence():
     model = DreamerModel(cfg, seed=1)
     rng = np.random.default_rng(1)
     x = rand_x(rng, 2, 4, cfg.hidden_size)
-    full = model.sa_forward(x, 0)
-    solo = model.sa_forward(x[:, :1, :], 0)
+    full = model.sa_forward(x, 0, model.sa_constants(0, 4, x.dtype))
+    solo = model.sa_forward(x[:, :1, :], 0, model.sa_constants(0, 1, x.dtype))
     assert np.max(np.abs(full.data[:, 0] - solo.data[:, 0])) < 1e-6
 
 
@@ -94,9 +95,10 @@ def test_sa_incremental_equals_full(variant):
     rng = np.random.default_rng(2)
     x = rand_x(rng, 2, 8, cfg.hidden_size)
     with T.no_grad():
-        full = model.sa_forward(x, 0)
+        full = model.sa_forward(x, 0, model.sa_constants(0, 8, x.dtype))
         cache = SeqCache(cfg.context_length)
-        steps = [model.sa_forward(x[:, t:t + 1, :], 0, cache) for t in range(8)]
+        steps = [model.sa_forward(x[:, t:t + 1, :], 0, model.sa_constants(t, 1, x.dtype), cache)
+                 for t in range(8)]
     inc = np.concatenate([s.data for s in steps], axis=1)
     assert np.max(np.abs(inc - full.data)) < 1e-5
 
@@ -106,10 +108,11 @@ def test_sa_causality_is_exact():
     model = DreamerModel(cfg, seed=3)
     rng = np.random.default_rng(3)
     base = rng.normal(0.0, 1.0, (1, 6, cfg.hidden_size)).astype(np.float32)
-    out = model.sa_forward(Tensor(base), 1)
+    constants = model.sa_constants(0, 6, np.float32)
+    out = model.sa_forward(Tensor(base), 1, constants)
     perturbed = base.copy()
     perturbed[:, 3] += rng.normal(0.0, 1.0, cfg.hidden_size).astype(np.float32)
-    out2 = model.sa_forward(Tensor(perturbed), 1)
+    out2 = model.sa_forward(Tensor(perturbed), 1, constants)
     assert np.array_equal(out.data[:, :3], out2.data[:, :3])
 
 
@@ -252,14 +255,15 @@ def test_step_residual_only_when_outputs_zero():
     model = DreamerModel(cfg, seed=10)
     zero_output_projections(model)
     x = rand_x(np.random.default_rng(10), 2, 3, cfg.hidden_size)
-    out = model.dreamer_step(x, 0, None, DepthCache(cfg.depth))
+    out = model.dreamer_step(x, 0, model.sa_constants(0, 3, x.dtype), None,
+                             DepthCache(cfg.depth))
     gain = model.params["layer.stream_norm.gain"].data
     want = x.data / np.sqrt((x.data ** 2).mean(-1, keepdims=True) + cfg.rms_eps) * gain
     assert np.max(np.abs(out.data - want)) < 1e-6
 
     la = DreamerModel(tiny_config("LA"), seed=10)
     zero_output_projections(la)
-    out_la = la.dreamer_step(x, 0)
+    out_la = la.dreamer_step(x, 0, la.sa_constants(0, 3, x.dtype))
     assert np.array_equal(out_la.data, x.data)
 
 
@@ -274,7 +278,8 @@ def test_compositions_coincide_with_sa_ea_silenced():
             if name.endswith((".sa.out_bank.experts", ".sa.out_bank.shared",
                               ".ea.experts.down")):
                 model.params[name].data[:] = 0.0
-        out = model.dreamer_step(Tensor(x_data), 0, None, DepthCache(1))
+        out = model.dreamer_step(Tensor(x_data), 0, model.sa_constants(0, 3, np.float32),
+                                 None, DepthCache(1))
         outs.append(out.data)
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
@@ -437,9 +442,10 @@ def test_stream_rms_stays_unit():
     rng = np.random.default_rng(21)
     x = rand_x(rng, 2, 5, cfg.hidden_size)
     cache = DepthCache(cfg.depth)
+    constants = model.sa_constants(0, 5, x.dtype)
     with T.no_grad():
         for depth in range(cfg.depth):
-            x = model.dreamer_step(x, depth, None, cache)
+            x = model.dreamer_step(x, depth, constants, None, cache)
             rms = np.sqrt((x.data.astype(np.float64) ** 2).mean(-1))
             assert np.max(np.abs(rms - 1.0)) < 1e-5, depth
 
@@ -586,22 +592,33 @@ def test_each_selection_is_grouped_once(variant, plans, monkeypatch):
 
 
 def test_sa_tables_and_mask_are_built_once_per_forward(monkeypatch):
+    # `sa_constants` is the one builder of SA's RoPE tables and causal mask;
+    # the attention primitives take what they are given
     cfg = desk_config("DR_DA", 4)
     model = DreamerModel(cfg, seed=0)
-    rotations, masks = [], []
+    rotations, masks, built = [], [], Counter()
     rope, gqa = dreamer.model.rope_apply, dreamer.model.grouped_query_attention
 
-    def recording_rope(x, positions, base, *, tables=None):
+    def recording_rope(x, tables):
         rotations.append(tables)
-        return rope(x, positions, base, tables=tables)
+        return rope(x, tables)
 
-    def recording_gqa(q, k, v, *, pos_offset=0, mask=None):
+    def recording_gqa(q, k, v, mask):
         masks.append(mask)
-        return gqa(q, k, v, pos_offset=pos_offset, mask=mask)
+        return gqa(q, k, v, mask)
+
+    def counting(name, builder):
+        def wrapper(*args):
+            built[name] += 1
+            return builder(*args)
+        return wrapper
 
     monkeypatch.setattr(dreamer.model, "rope_apply", recording_rope)
     monkeypatch.setattr(dreamer.model, "grouped_query_attention", recording_gqa)
+    for name in ("rope_tables", "causal_mask"):
+        monkeypatch.setattr(dreamer.model, name, counting(name, getattr(dreamer.model, name)))
     model.model_forward(np.arange(12).reshape(2, 6))
+    assert built == {"rope_tables": 1, "causal_mask": 1}
     # q and k at every depth rotate with one (cos, sin) pair
     assert len(rotations) == 2 * cfg.depth
     assert all(t is rotations[0] for t in rotations)
@@ -613,16 +630,18 @@ def test_sa_tables_and_mask_are_built_once_per_forward(monkeypatch):
         with pytest.raises(ValueError):
             shared[0, 0] = 1.0
 
-    # a decode step's one token sees every cached key: no mask at all
+    # a decode step's one token sees every cached key: one table, no mask at all
     with T.no_grad():
         caches, nxt = prompted_caches(model)
         masks.clear()
+        built.clear()
         model.model_forward(nxt, caches)
     assert masks == [None] * (2 * cfg.depth)
+    assert built == {"rope_tables": 1}
 
 
 def test_decode_step_engine_op_ceiling(monkeypatch):
-    # A cached desk DR_DA-4 step records at most 396 engine ops, each a
+    # A cached desk DR_DA-4 step records at most 392 engine ops, each a
     # fixed Python cost on arrays of a few hundred elements; bookkeeping
     # that creeps back in shows here first. Each routed mixture is two: the
     # gather and the `gated_experts` node.
@@ -638,7 +657,7 @@ def test_decode_step_engine_op_ceiling(monkeypatch):
 
         monkeypatch.setattr(T, "node", counting)
         model.model_forward(nxt, caches)
-    assert len(ops) <= 396, len(ops)
+    assert len(ops) <= 392, len(ops)
 
 
 def test_train_tape_node_ceiling():

@@ -106,6 +106,29 @@ def test_adamw_moment_shapes_and_step_counter():
     assert state.step == 0
 
 
+def test_adamw_unknown_gradient_changes_nothing():
+    # the unknown name comes last, after every real gradient: the step is
+    # still rejected before any parameter, moment or the counter moves
+    cfg = tiny_config()
+    store = init_parameters(cfg, seed=0)
+    state = OptimizerState.for_store(store, cfg)
+    rng = np.random.default_rng(0)
+    grads = {name: rng.normal(0, 1, t.data.shape).astype(t.dtype)
+             for name, t in learnable(store).items()}
+    adamw_step(store, dict(grads), state)  # moments and step away from their zeros
+    grads["bogus"] = np.ones(3, dtype=np.float32)
+
+    def snapshot():
+        return ({name: t.data.tobytes() for name, t in store.items()},
+                {name: m.tobytes() for name, m in state.m.items()},
+                {name: v.tobytes() for name, v in state.v.items()}, state.step)
+
+    before = snapshot()
+    with pytest.raises(ConfigError, match="bogus"):
+        adamw_step(store, grads, state)
+    assert snapshot() == before
+
+
 # -- tasks -----------------------------------------------------------------------
 
 def test_running_modular_sums_hand_check():
