@@ -7,11 +7,14 @@ the split-half pair layout: channel pair i is (x[i], x[i + dim/2]).
 Head counts and widths are read from the arrays; the scalars (rotary
 base, depth count) come from the model config, which validates them.
 
-RMSNorm, the RoPE rotation and the attention core (scale, causal mask and
-softmax, between two engine matmuls) are fused: each records one tape
-node with a closed-form backward via `tensor.node`. RMSNorm keeps its
-input and per-row `inv = 1/rms`; the rotation keeps its angle tables; the
-attention core keeps only the softmax weights.
+RMSNorm, the RoPE rotation and the attention core (both products and,
+between them, the scale, mask and softmax, done in place on the score
+product) are fused: each records one tape node with a closed-form
+backward via `tensor.node`. RMSNorm keeps its input and per-row `inv =
+1/rms`; the rotation keeps its angle tables; the attention core keeps
+only the softmax weights, and no raw or scaled score array exists beside
+them. `rotate_pairs` is the rotation formula in numpy, shared with the
+router logits of `routing`.
 
 The rotary pair frequencies and the depth cos/sin tables are memoized on
 first use and read-only. Callers build the sequence RoPE tables
@@ -70,14 +73,21 @@ def rope_apply(x: Tensor, tables: tuple) -> Tensor:
     half = dim // 2
     if c.shape != x.shape[x.ndim - c.ndim:-1] + (half,):
         raise ShapeError(f"rope_apply: tables {c.shape} do not fit {x.shape}")
-    x1, x2 = x.data[..., :half], x.data[..., half:]
-    out = np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+    return T.node(rotate_pairs(x.data, c, s), (x,), lambda g: (rotate_pairs(g, c, -s),),
+                  "rope")
 
-    def vjp(g):
-        g1, g2 = g[..., :half], g[..., half:]
-        return (np.concatenate([g1 * c + g2 * s, g2 * c - g1 * s], axis=-1),)
 
-    return T.node(out, (x,), vjp, "rope")
+def rotate_pairs(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The rotation itself, in numpy: each split-half pair (x1, x2) of
+    `x[..., dim]` by the angles whose (cos, sin) are (c, s) [..., dim/2].
+
+    Called with -s it rotates back, which is the vjp: bitwise the
+    transposed formula (g1 c + g2 s, g2 c - g1 s), since negating a
+    product is exact and a - (-b) is a + b.
+    """
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
 
 
 @functools.cache
@@ -152,56 +162,63 @@ def causal_mask(m: int, n: int, offset: int, dtype) -> np.ndarray:
     return mask
 
 
-def _swap_last(ndim: int) -> tuple:
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
-
-
-def _masked_softmax(scores: Tensor, scale: float, mask: np.ndarray | None) -> Tensor:
-    """softmax(scores * scale + mask) over the last axis; the node keeps only it.
-
-    `scores` [..., group * m, n] hold `group` query heads' [m, n] blocks,
-    and the [m, n] `mask` is added to each; None adds nothing. Works in
-    place on one new array: no scaled or masked copy of the scores outlives
-    the call.
-    """
-    scale = np.asarray(scale, dtype=scores.dtype)
-    w = scores.data * scale
-    if mask is not None:
-        blocks = w.reshape(w.shape[:-2] + (-1,) + mask.shape)  # a view: w is new
-        blocks += mask
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        return (w * (g - (g * w).sum(axis=-1, keepdims=True)) * scale,)
-
-    return T.node(w, (scores,), vjp, "masked_softmax")
-
-
 def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None):
     """Attention where groups of query heads share one key/value head.
 
-    Shapes: q [b, query_heads, m, d], k/v [b, kv_heads, n, d]. `mask` is an
-    additive [m, n] mask such as `causal_mask(m, n, offset, q.dtype)`,
-    added to every query head's scores; None adds none. Returns (out
-    [b, query_heads, m, d], the softmax weights as an array [b,
-    query_heads, m, n]). Equal head counts reduce to plain per-head
-    attention. The group axis is merged into the row axis so each kv head
-    attends all of its query heads in one batched product. The two
-    products are engine matmuls around one fused scale-mask-softmax node.
+    Shapes: q [b, query_heads, m, d], k/v [b, kv_heads, n, d], one dtype.
+    `mask` is an additive [m, n] mask in q's dtype, such as `causal_mask(m,
+    n, offset, q.dtype)`, added to every query head's scores; None adds
+    none. Returns (out [b, query_heads, m, d], the softmax weights as an
+    array [b, query_heads, m, n]). Equal head counts reduce to plain
+    per-head attention. The group axis is merged into the row axis so each
+    kv head attends all of its query heads in one batched product.
+
+    The whole core is one tape node, `attention`, over (q, k, v): the
+    score product is scaled, masked and softmaxed in place, so no raw or
+    scaled score array exists beside the weights, which are all the node
+    keeps. Its vjp runs the vjps of the engine-op chain (reshape,
+    transpose, two matmuls around the scaled, masked softmax) in reverse
+    with the same numpy calls, so every gradient is bitwise that chain's.
     """
     b, qh, m, d = q.shape
     if k.shape != v.shape:
         raise ShapeError(f"gqa: k shape {k.shape} != v shape {v.shape}")
-    kv_heads, n = k.shape[1], k.shape[-2]
+    if k.ndim != 4 or k.shape[0] != b or k.shape[-1] != d:
+        raise ShapeError(f"gqa: k shape {k.shape} does not fit q shape {q.shape}")
+    if not q.dtype == k.dtype == v.dtype:
+        raise ShapeError(f"gqa: dtypes {q.dtype.name}, {k.dtype.name}, {v.dtype.name} differ")
+    _, kv_heads, n, _ = k.shape
     if qh % kv_heads != 0:
         raise ShapeError(f"gqa: {qh} query heads not a multiple of {kv_heads} kv heads")
+    if mask is not None and (mask.shape != (m, n) or mask.dtype != q.dtype):
+        raise ShapeError(f"gqa: mask {mask.shape} {mask.dtype.name} is not ({m}, {n}) "
+                         f"{q.dtype.name}")
     group = qh // kv_heads
-    qg = q.reshape(b, kv_heads, group * m, d)
-    scores = T.matmul(qg, T.transpose(k, _swap_last(k.ndim)))
-    weights = _masked_softmax(scores, 1.0 / np.sqrt(d), mask)
-    out = T.matmul(weights, v).reshape(b, qh, m, d)
-    return out, weights.data.reshape(b, qh, m, n)
+    qd, vd = q.data.reshape(b, kv_heads, group * m, d), v.data
+    kt = k.data.transpose(0, 1, 3, 2)
+    scale = np.asarray(1.0 / np.sqrt(d), dtype=q.dtype)
+    w = qd @ kt
+    w *= scale
+    if mask is not None:
+        blocks = w.reshape(b, kv_heads, group, m, n)  # a view: w is new
+        blocks += mask
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = (w @ vd).reshape(b, qh, m, d)
+
+    def vjp(g):
+        g = g.reshape(b, kv_heads, group * m, d)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = np.swapaxes(w, -1, -2) @ g
+        if q.requires_grad or k.requires_grad:
+            gw = g @ np.swapaxes(vd, -1, -2)
+            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                gq = (gs @ np.swapaxes(kt, -1, -2)).reshape(q.shape)
+            if k.requires_grad:
+                gk = (np.swapaxes(qd, -1, -2) @ gs).transpose(0, 1, 3, 2)
+        return gq, gk, gv
+
+    return T.node(out, (q, k, v), vjp, "attention"), w.reshape(b, qh, m, n)

@@ -10,6 +10,12 @@ The bias is a plain statistic, never part of the autodiff graph: it moves
 by +-update_rate toward the median usage count after each update and only
 steers future selections. Gradients reach the logits exclusively through
 the sigmoid gate values.
+
+Router logits are attention scores: a depth-rotated query against static
+keys. They and the gates are one fused tape node each (`router_logits`,
+`gates`), and so is the routed mixture after its input gather
+(`gated_experts`); each vjp replays the vjps of the engine-op chain it
+replaced, with the same numpy calls, so gradients are bitwise that chain's.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import rope_depth_apply
-from .errors import ConfigError, ContractError
+from .attention import _depth_rope_tables, rotate_pairs
+from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
 
 
@@ -57,6 +63,11 @@ def select_topk(logits: Tensor, state: RouterState):
     k selected logits only; with `normalize`, each row is divided by its
     selected-set sum. Usage counts accumulate per selected expert, but
     only while gradients are recorded: inference never moves balancing.
+
+    The gates are one tape node, `gates`, over `logits`: the gather, the
+    sigmoid and the renormalisation. Its vjp replays the vjps of that
+    engine-op chain in reverse with the same numpy calls and adds the
+    selected logits' gradients into a dense [n, E] zero array.
     """
     if logits.ndim != 2 or logits.shape[1] != state.num_experts:
         raise ConfigError(
@@ -67,10 +78,27 @@ def select_topk(logits: Tensor, state: RouterState):
     if T.grad_enabled():
         np.add.at(state.counts, idx.reshape(-1), 1)
     flat_idx = np.arange(len(idx))[:, None] * state.num_experts + idx
-    gates = T.sigmoid(T.take_rows(logits.reshape(-1), flat_idx))
-    if state.normalize:
-        gates = gates / gates.sum(axis=-1, keepdims=True)
-    return idx, gates
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-logits.data.reshape(-1)[flat_idx]))
+    normalize, top_k = state.normalize, state.top_k
+    if normalize:
+        total = sig.sum(axis=-1, keepdims=True)
+        gates = sig / total
+    else:
+        gates = sig
+
+    def vjp(g):
+        if normalize:
+            # the division's vjp for both operands, then the sum's
+            gtotal = -g * sig / (total * total)
+            if top_k > 1:
+                gtotal = gtotal.sum(axis=1, keepdims=True)
+            g = g / total + np.broadcast_to(gtotal, sig.shape).copy()
+        dlogits = np.zeros(logits.shape, dtype=logits.dtype)
+        dlogits.reshape(-1)[flat_idx] += g * sig * (1.0 - sig)
+        return (dlogits,)
+
+    return idx, T.node(gates, (logits,), vjp, "gates")
 
 
 def update_balance(state: RouterState) -> None:
@@ -89,13 +117,47 @@ def depth_router_logits(x: Tensor, query_weight: Tensor, keys: Tensor, depth: in
                         depths: int, base: float) -> Tensor:
     """Routing logits <rotate(x W_q, depth), key_e> / sqrt(qk_dim).
 
-    Queries are depth-position-encoded (`rope_depth_apply` with `depths`
-    and `base`); the learnable keys are static and deliberately not
-    encoded.
+    x [n, din], query_weight [din, qk_dim], keys [E, qk_dim], one dtype.
+    Queries are depth-position-encoded (the tables of `rope_depth_apply`
+    with `depths` and `base`); the learnable keys are static and
+    deliberately not encoded.
+
+    The query product, the rotation, the key product and the scale are
+    one tape node, `router_logits`, over (x, query_weight, keys^T); its
+    vjp replays the vjps of that engine-op chain in reverse with the same
+    numpy calls. keys^T stays an engine transpose: with the keys as a
+    direct parent, the tape walk would sum their gradient over the depths
+    in another order.
     """
-    q = rope_depth_apply(T.matmul(x, query_weight), depth, depths, base)
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    return T.matmul(q, T.transpose(keys, (1, 0))) * scale
+    keys_t = T.transpose(keys, (1, 0))
+    xd, wd, kd = x.data, query_weight.data, keys_t.data
+    if not xd.dtype == wd.dtype == kd.dtype:
+        raise ShapeError(f"router logits: dtypes {xd.dtype.name}, {wd.dtype.name}, "
+                         f"{kd.dtype.name} differ")
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or wd.shape[1] != kd.shape[0]:
+        raise ShapeError(f"router logits: inner dims differ for x {xd.shape} @ query weight "
+                         f"{wd.shape} @ keys^T {kd.shape}")
+    c, s = _depth_rope_tables(depth, depths, wd.shape[1], base, wd.dtype)
+    h = xd @ wd
+    q = rotate_pairs(h, c, s)
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=q.dtype)
+    logits = q @ kd
+    logits *= scale
+
+    def vjp(g):
+        g = g * scale
+        gx = gw = gkt = None
+        if keys_t.requires_grad:
+            gkt = np.swapaxes(q, -1, -2) @ g
+        if x.requires_grad or query_weight.requires_grad:
+            gh = rotate_pairs(g @ np.swapaxes(kd, -1, -2), c, -s)
+            if x.requires_grad:
+                gx = gh @ np.swapaxes(wd, -1, -2)
+            if query_weight.requires_grad:
+                gw = np.swapaxes(xd, -1, -2) @ gh
+        return gx, gw, gkt
+
+    return T.node(logits, (x, query_weight, keys_t), vjp, "router_logits")
 
 
 # -- routing plans, gated experts and linear expert banks ---------------------

@@ -12,17 +12,18 @@ returns `loss`, then `backward(loss, inputs)`, which returns `{name:
 ndarray}`, the gradient for each requires-grad leaf in `inputs`. The tape
 lives exactly as long as the caller holds `loss`.
 
-Fused ops: the model's hot composites (RMSNorm and RoPE in `attention`,
-the attention core's scaled, masked softmax, the routed mixture after its
-input gather in `routing.gated_experts`) compute their forward in numpy
-and record a single node through `node(data, parents, vjp, op)`, with a
-closed-form vjp. The vjp closes over only what the backward reads: the
-parents' arrays, which the tape keeps alive anyway, plus RoPE's angle
-tables or arrays of the forward (RMSNorm's per-row `inv`, the attention
-weights, which are the node's own output, the mixture's expert inputs,
-hidden activations, `sigmoid` of the gate projections and gathered
-outputs). The scaled, masked or squared copies, concats and product
-outputs an op-by-op form would leave on the tape do not exist.
+Fused ops: the model's hot composites (RMSNorm, RoPE and the attention
+core from its score product to its value product in `attention`; the
+router logits, the gates and the routed mixture after its input gather
+in `routing`) compute their forward in numpy and record a single node
+through `node(data, parents, vjp, op)`, with a closed-form vjp. The vjp
+closes over only what the backward reads: the parents' arrays, which the
+tape keeps alive anyway, plus angle tables or arrays of the forward
+(RMSNorm's per-row `inv`, the attention weights, the rotated router
+queries, the sigmoid of the selected logits, the mixture's expert
+inputs, hidden activations, `sigmoid` of the gate projections and
+gathered outputs). The raw, scaled, masked or squared copies, concats and
+product outputs an op-by-op form would leave on the tape do not exist.
 
 Numerics contract:
   * forward values are a pure function of the inputs, bit-identical across
@@ -378,16 +379,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 # -- nonlinearities ------------------------------------------------------------
-
-def sigmoid(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return node(out, (a,), vjp, "sigmoid")
-
 
 def logsumexp(a: Tensor) -> Tensor:
     """log(sum(exp(x))) over the last axis, stable against overflow."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dreamer import tensor as T
-from dreamer.attention import causal_mask
+from dreamer.attention import causal_mask, rope_depth_apply
 from dreamer.errors import ConfigError, ContractError, ShapeError
 from dreamer.routing import (RouterState, RoutingPlan, bank_apply, gated_experts, linear_expert,
                              select_topk, update_balance)
@@ -98,6 +98,16 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
         return (np.broadcast_to(g, shape) / n,)
 
     return T.node(out, (a,), vjp, "mean")
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-a.data))
+
+    def vjp(g):
+        return (g * out * (1.0 - out),)
+
+    return T.node(out, (a,), vjp, "sigmoid")
 
 
 def silu(a: Tensor) -> Tensor:
@@ -237,6 +247,54 @@ def attention(q: Tensor, k: Tensor, v: Tensor, *, causal: bool = True,
     return out
 
 
+def _swap_last(ndim: int) -> tuple:
+    axes = list(range(ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    return tuple(axes)
+
+
+def _masked_softmax(scores: Tensor, scale: float, mask: np.ndarray | None) -> Tensor:
+    """softmax(scores * scale + mask) over the last axis; the node keeps only it.
+
+    `scores` [..., group * m, n] hold `group` query heads' [m, n] blocks,
+    and the [m, n] `mask` is added to each; None adds nothing. Works in
+    place on one new array: no scaled or masked copy of the scores outlives
+    the call.
+    """
+    scale = np.asarray(scale, dtype=scores.dtype)
+    w = scores.data * scale
+    if mask is not None:
+        blocks = w.reshape(w.shape[:-2] + (-1,) + mask.shape)  # a view: w is new
+        blocks += mask
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        return (w * (g - (g * w).sum(axis=-1, keepdims=True)) * scale,)
+
+    return T.node(w, (scores,), vjp, "masked_softmax")
+
+
+def attention_chain(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None):
+    """`grouped_query_attention` as engine ops: two matmuls around the
+    scaled, masked softmax node, the group axis merged by engine reshapes.
+    The fused `attention` node must equal this bitwise, forward and backward.
+    """
+    b, qh, m, d = q.shape
+    if k.shape != v.shape:
+        raise ShapeError(f"gqa: k shape {k.shape} != v shape {v.shape}")
+    kv_heads, n = k.shape[1], k.shape[-2]
+    if qh % kv_heads != 0:
+        raise ShapeError(f"gqa: {qh} query heads not a multiple of {kv_heads} kv heads")
+    group = qh // kv_heads
+    qg = q.reshape(b, kv_heads, group * m, d)
+    scores = T.matmul(qg, T.transpose(k, _swap_last(k.ndim)))
+    weights = _masked_softmax(scores, 1.0 / np.sqrt(d), mask)
+    out = T.matmul(weights, v).reshape(b, qh, m, d)
+    return out, weights.data.reshape(b, qh, m, n)
+
+
 def _rotate_pairs(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Split-half pair rotation with cos/sin built from float64 angles on every call."""
     half = x.shape[-1] // 2
@@ -265,6 +323,37 @@ def depth_rope_oracle(x: np.ndarray, depth: int, depths: int, base: float) -> np
 
 
 # -- routing ---------------------------------------------------------------------
+
+def select_topk_chain(logits: Tensor, state: RouterState):
+    """`select_topk` with its gates as engine ops: a reshape, a gather,
+    the sigmoid and, with `normalize`, a sum and a division. The fused
+    `gates` node must equal this bitwise, forward and backward.
+    """
+    if logits.ndim != 2 or logits.shape[1] != state.num_experts:
+        raise ConfigError(
+            f"router {state.name}: logits shape {logits.shape} != (n, {state.num_experts})")
+    keyed = logits.data + state.bias[None, :]
+    order = np.argsort(-keyed, axis=-1, kind="stable")
+    idx = np.ascontiguousarray(order[:, :state.top_k])
+    if T.grad_enabled():
+        np.add.at(state.counts, idx.reshape(-1), 1)
+    flat_idx = np.arange(len(idx))[:, None] * state.num_experts + idx
+    gates = sigmoid(T.take_rows(logits.reshape(-1), flat_idx))
+    if state.normalize:
+        gates = gates / gates.sum(axis=-1, keepdims=True)
+    return idx, gates
+
+
+def router_logits_chain(x: Tensor, query_weight: Tensor, keys: Tensor, depth: int,
+                        depths: int, base: float) -> Tensor:
+    """`depth_router_logits` as engine ops: two matmuls around the depth
+    rotation node, then the scale. The fused `router_logits` node must
+    equal this bitwise, forward and backward.
+    """
+    q = rope_depth_apply(T.matmul(x, query_weight), depth, depths, base)
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    return T.matmul(q, T.transpose(keys, (1, 0))) * scale
+
 
 def ea_select(logits: Tensor, state: RouterState) -> Tensor:
     """Sparse gate vector for one token: [E] logits -> [E] gates, k nonzero."""

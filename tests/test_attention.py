@@ -15,7 +15,8 @@ from dreamer.attention import (_depth_rope_tables, _pair_freqs, causal_mask,
 from dreamer.errors import ContractError, NumericError, ShapeError
 from dreamer.model import swiglu_expert
 from dreamer.tensor import Tensor
-from reference import attention, depth_rope_oracle, expert_node, grad_check, rope_oracle
+from reference import (attention, attention_chain, depth_rope_oracle, expert_node, grad_check,
+                       rope_oracle, sigmoid)
 
 
 def rope(x: Tensor, positions, base: float) -> Tensor:
@@ -324,7 +325,7 @@ def test_rms_norm_gradcheck():
     rng = np.random.default_rng(9)
 
     def fn(inp):
-        return (rms_norm(inp["x"], inp["g"]) * T.sigmoid(inp["x"])).sum()
+        return (rms_norm(inp["x"], inp["g"]) * sigmoid(inp["x"])).sum()
 
     inputs = {"x": Tensor(rng.uniform(-1, 1, (2, 6)), requires_grad=True),
               "g": Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True)}
@@ -430,16 +431,17 @@ def test_fused_op_adds_one_node(build, leaves):
 
 def test_gqa_core_is_one_node_between_the_products():
     rng = np.random.default_rng(17)
-    out, _ = grouped_query_attention(param(rng, (1, 4, 3, 4)), param(rng, (1, 2, 3, 4)),
-                                     param(rng, (1, 2, 3, 4)), causal_mask(3, 3, 0, np.float64))
-    ops = Counter(n.op for n in T._topo(out) if n.parents)
-    assert ops == {"reshape": 2, "transpose": 1, "matmul": 2, "masked_softmax": 1}
+    q, k, v = param(rng, (1, 4, 3, 4)), param(rng, (1, 2, 3, 4)), param(rng, (1, 2, 3, 4))
+    out, _ = grouped_query_attention(q, k, v, causal_mask(3, 3, 0, np.float64))
+    order = T._topo(out)
+    assert len(order) == 4 and order[-1] is out
+    assert out.op == "attention" and out.parents == (q, k, v)
 
 
 def test_gqa_memory_keeps_only_scores_and_weights():
-    # One score array is S bytes. With a tape, only the raw scores (the
-    # first product's output) and the weights may stay alive; under no_grad
-    # the scaled and masked scores must not each take a fresh S.
+    # One score array is S bytes. With a tape, only the softmax weights may
+    # stay alive: the scores are scaled, masked and softmaxed in place, so
+    # no raw or scaled copy exists beside them, with or without a tape.
     rng = np.random.default_rng(18)
     b, m, d = 2, 256, 16
     q, k, v = (Tensor(rng.standard_normal((b, h, m, d)).astype(np.float32),
@@ -451,7 +453,7 @@ def test_gqa_memory_keeps_only_scores_and_weights():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= 2.5 * S, f"held {held / S:.2f} S with grad"
+    assert held <= 1.25 * S, f"held {held / S:.2f} S with grad"
     del out
     tracemalloc.start()
     try:
@@ -460,4 +462,68 @@ def test_gqa_memory_keeps_only_scores_and_weights():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * S, f"peaked at {peak / S:.2f} S under no_grad"
+    assert peak <= 1.5 * S, f"peaked at {peak / S:.2f} S under no_grad"
+
+
+@pytest.mark.parametrize("mask", [
+    causal_mask(8, 8, 0, np.float64),   # the merged [group * m, n] block's shape
+    causal_mask(4, 7, 3, np.float64),   # one key short
+    causal_mask(4, 8, 4, np.float32),   # another dtype
+], ids=["group_rows", "width", "dtype"])
+def test_gqa_rejects_a_mask_that_does_not_fit(mask):
+    # m = 4 rows of 2 query heads per kv head against n = 8 keys: an [8, 8]
+    # mask would be added across both heads' rows, so head 2 saw future keys
+    q = Tensor(np.zeros((1, 4, 4, 8)))
+    kv = Tensor(np.zeros((1, 2, 8, 8)))
+    with pytest.raises(ShapeError, match="mask"):
+        grouped_query_attention(q, kv, kv, mask)
+
+
+def test_gqa_rejects_operands_the_products_cannot_take():
+    q = Tensor(np.zeros((2, 4, 3, 8)))
+    kv = Tensor(np.zeros((2, 2, 5, 8)))
+    for bad_q, bad_kv in [(Tensor(np.zeros((2, 4, 3, 8), np.float32)), kv),
+                          (q, Tensor(np.zeros((2, 2, 5, 6)))),
+                          (q, Tensor(np.zeros((1, 2, 5, 8)))),
+                          (q, Tensor(np.zeros((5, 8))))]:
+        with pytest.raises(ShapeError):
+            grouped_query_attention(bad_q, bad_kv, bad_kv, None)
+
+
+@pytest.mark.parametrize("group", [1, 2], ids=["ungrouped", "grouped"])
+@pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+def test_attention_node_gradcheck(masked, group):
+    rng = np.random.default_rng(19)
+    m, n = 3, 5
+    c = rng.uniform(-1, 1, (2, 2 * group, m, 4))
+    mask = causal_mask(m, n, 1, np.float64) if masked else None
+    inputs = {"q": param(rng, (2, 2 * group, m, 4)), "k": param(rng, (2, 2, n, 4)),
+              "v": param(rng, (2, 2, n, 4))}
+
+    def fn(inp):
+        out, _ = grouped_query_attention(inp["q"], inp["k"], inp["v"], mask)
+        return (out * Tensor(c)).sum()
+
+    report = grad_check(fn, inputs)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("trained", ["qkv", "q", "k", "v", "qk"])
+def test_attention_node_equals_the_chain_bitwise(dtype, trained):
+    # the fused node against the engine-op chain it replaced, grouped and
+    # not, masked and not, with some operands frozen
+    rng = np.random.default_rng(20)
+    for qh, mask in [(4, causal_mask(3, 5, 2, dtype)), (2, None)]:
+        data = [rng.normal(0, 1, shape).astype(dtype)
+                for shape in ((2, qh, 3, 8), (2, 2, 5, 8), (2, 2, 5, 8))]
+        c = Tensor(rng.normal(0, 1, (2, qh, 3, 8)).astype(dtype))
+        results = []
+        for gqa in (grouped_query_attention, attention_chain):
+            inputs = {name: Tensor(a.copy(), requires_grad=name in trained)
+                      for name, a in zip("qkv", data)}
+            out, weights = gqa(inputs["q"], inputs["k"], inputs["v"], mask)
+            grads = T.backward((out * c).sum(), inputs)
+            results.append([out.data.tobytes(), weights.tobytes()]
+                           + [grads[name].tobytes() for name in sorted(grads)])
+        assert results[0] == results[1]

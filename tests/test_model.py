@@ -18,7 +18,8 @@ from dreamer.routing import RouterState
 from dreamer.tensor import Tensor
 from dreamer.telemetry import TelemetryLog
 from dreamer.training import TaskSpec, make_batch, masked_cross_entropy
-from reference import dense_backward, ea_select, gated_experts_loop, grad_check, mean
+from reference import (attention_chain, dense_backward, ea_select, gated_experts_loop, grad_check,
+                       mean, router_logits_chain, select_topk_chain)
 
 VARIANTS = ("LA", "DR", "DR_DA")
 
@@ -519,6 +520,21 @@ def test_parameter_gradients_equal_dense_accumulation_bitwise(variant, depth, se
         assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name
 
 
+def model_digest(cfg, dtype, tokens, targets) -> str:
+    """A hash of the loss, every gradient, a greedy decode and no_grad logits."""
+    model = DreamerModel(cfg, init_parameters(cfg, seed=5, dtype=dtype))
+    inputs = learnable(model.params)
+    loss = T.eval(masked_cross_entropy(model.model_forward(tokens), targets))
+    grads = T.backward(loss, inputs)
+    h = hashlib.sha256(loss.data.tobytes())
+    for name in sorted(grads):
+        h.update(grads[name].tobytes())
+    h.update(model.decode(tokens[:1, :5], 6).tobytes())
+    with T.no_grad():
+        h.update(model.model_forward(tokens).data.tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_model_equals_the_per_expert_loop_bitwise(variant, dtype, monkeypatch):
@@ -528,21 +544,7 @@ def test_model_equals_the_per_expert_loop_bitwise(variant, dtype, monkeypatch):
     # groups of equal size; a decode step's row makes every group a singleton.
     cfg = tiny_config(variant, 3, hidden_size=32, ea_num_experts=8, ea_active_experts=3)
     tokens, targets = make_batch(TaskSpec("copy", 12, 16), 0, 2)
-
-    def digest():
-        model = DreamerModel(cfg, init_parameters(cfg, seed=5, dtype=dtype))
-        inputs = learnable(model.params)
-        loss = T.eval(masked_cross_entropy(model.model_forward(tokens), targets))
-        grads = T.backward(loss, inputs)
-        h = hashlib.sha256(loss.data.tobytes())
-        for name in sorted(grads):
-            h.update(grads[name].tobytes())
-        h.update(model.decode(tokens[:1, :5], 6).tobytes())
-        with T.no_grad():
-            h.update(model.model_forward(tokens).data.tobytes())
-        return h.hexdigest()
-
-    batched = digest()
+    batched = model_digest(cfg, dtype, tokens, targets)
     calls = []
 
     def loop(x, plan, *args):
@@ -551,9 +553,37 @@ def test_model_equals_the_per_expert_loop_bitwise(variant, dtype, monkeypatch):
 
     monkeypatch.setattr(dreamer.routing, "gated_experts", loop)
     monkeypatch.setattr(dreamer.model, "gated_experts", loop)
-    assert digest() == batched
+    assert model_digest(cfg, dtype, tokens, targets) == batched
     assert (1, cfg.ea_active_experts) in calls
     assert (1, 1) in calls or variant == "LA"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_equals_the_engine_op_chains_bitwise(variant, dtype, monkeypatch):
+    # The fused attention core, router logits and gates against the chains
+    # of engine ops they replaced, swapped in for every SA, DA and router
+    # call: loss, every gradient, a greedy decode and no_grad logits hash
+    # equal. Masked SA, unmasked decode steps and DA, grouped query heads,
+    # top-1 and top-3 gates, normalized and not.
+    cfg = tiny_config(variant, 3, hidden_size=32, ea_num_experts=8, ea_active_experts=3)
+    tokens, targets = make_batch(TaskSpec("copy", 12, 16), 0, 2)
+    fused = model_digest(cfg, dtype, tokens, targets)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, chain in [("grouped_query_attention", attention_chain),
+                        ("depth_router_logits", router_logits_chain),
+                        ("select_topk", select_topk_chain)]:
+        monkeypatch.setattr(dreamer.model, name, counted(name, chain))
+    assert model_digest(cfg, dtype, tokens, targets) == fused
+    assert calls["grouped_query_attention"] > 0
+    assert calls["depth_router_logits"] == calls["select_topk"] > 0
 
 
 # -- decode bookkeeping ------------------------------------------------------------
@@ -641,10 +671,12 @@ def test_sa_tables_and_mask_are_built_once_per_forward(monkeypatch):
 
 
 def test_decode_step_engine_op_ceiling(monkeypatch):
-    # A cached desk DR_DA-4 step records at most 392 engine ops, each a
+    # A cached desk DR_DA-4 step records at most 292 engine ops, each a
     # fixed Python cost on arrays of a few hundred elements; bookkeeping
     # that creeps back in shows here first. Each routed mixture is two: the
-    # gather and the `gated_experts` node.
+    # gather and the `gated_experts` node; each attention core is one node,
+    # and each routing selection three: the keys' transpose, the logits and
+    # the gates.
     model = DreamerModel(desk_config("DR_DA", 4), seed=0)
     with T.no_grad():
         caches, nxt = prompted_caches(model, prompt_len=32)
@@ -657,18 +689,19 @@ def test_decode_step_engine_op_ceiling(monkeypatch):
 
         monkeypatch.setattr(T, "node", counting)
         model.model_forward(nxt, caches)
-    assert len(ops) <= 392, len(ops)
+    assert len(ops) <= 292, len(ops)
 
 
 def test_train_tape_node_ceiling():
-    # the routed mixtures' products, views, gathers and gate arithmetic are
-    # one node each, so a desk DR_DA-4 training forward at the benchmark's
-    # 8 x 64 records fewer than 900 tape nodes (419 when this was written;
-    # about 1,700 with the mixtures op by op)
+    # the routed mixtures, attention cores, router logits and gates are one
+    # node each, so a desk DR_DA-4 training forward at the benchmark's 8 x 64
+    # records fewer than 330 tape nodes (319 when this was written; 419 with
+    # the attention cores and routers op by op, about 1,700 with the
+    # mixtures op by op too)
     model = DreamerModel(desk_config("DR_DA", 4), seed=0)
     tokens, targets = make_batch(TaskSpec("copy", 64, 16), 0, 8)
     loss = masked_cross_entropy(model.model_forward(tokens), targets)
-    assert len(T._topo(loss)) < 900, len(T._topo(loss))
+    assert len(T._topo(loss)) < 330, len(T._topo(loss))
 
 
 def test_ea_no_grad_peak_memory():

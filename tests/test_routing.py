@@ -13,10 +13,12 @@ from dreamer import tensor as T
 from dreamer.model import swiglu_expert
 from dreamer.routing import (RouterState, RoutingPlan, bank_apply, depth_router_logits,
                              gated_experts, linear_expert, select_topk, update_balance)
-from dreamer.errors import ConfigError, ContractError
+from dreamer.errors import ConfigError, ContractError, ShapeError
 from dreamer.tensor import Tensor
 from reference import (ea_select, expert_node, fold_shared, folded_bank_apply,
                        gated_experts_loop, grad_check, moe_linear_forward, simulate_balancing)
+from reference import router_logits_chain, select_topk_chain
+from reference import sigmoid as sigmoid_node
 
 
 def sigmoid(v):
@@ -521,7 +523,7 @@ def test_bank_gradcheck():
 
     def fn(inp):
         logits = T.matmul(inp["x"], inp["router"])
-        gates = T.sigmoid(T.take_rows(logits.reshape(9), np.arange(3) * 3 + idx))
+        gates = sigmoid_node(T.take_rows(logits.reshape(9), np.arange(3) * 3 + idx))
         out = bank_apply(inp["x"], RoutingPlan(idx[:, None]), gates, inp["experts"],
                          inp["shared"])
         return (out * out).sum()
@@ -545,3 +547,68 @@ def test_depth_router_logits_scale_and_static_keys():
     # depth changes queries (and therefore logits), keys stay fixed
     out2 = depth_router_logits(x, wq, keys, 2, 4, 500.0).data
     assert not np.allclose(out, out2)
+
+
+def test_depth_router_logits_rejects_what_the_products_cannot_take():
+    rng = np.random.default_rng(12)
+    x, wq, keys = (rng.normal(0, 1, shape) for shape in ((5, 6), (6, 8), (3, 8)))
+    for bad in [(x.astype(np.float32), wq, keys),   # dtypes differ
+                (x, wq, keys.astype(np.float32)),
+                (x[:, :4], wq, keys),                # x against the query weight
+                (x, wq, rng.normal(0, 1, (3, 12)))]:  # queries against the keys
+        with pytest.raises(ShapeError):
+            depth_router_logits(*(Tensor(a) for a in bad), 0, 4, 500.0)
+
+
+def test_router_logits_gradcheck():
+    rng = np.random.default_rng(13)
+    c = rng.uniform(-1, 1, (5, 3))
+    inputs = {"x": Tensor(rng.uniform(-1, 1, (5, 6)), requires_grad=True),
+              "wq": Tensor(rng.uniform(-1, 1, (6, 8)), requires_grad=True),
+              "keys": Tensor(rng.uniform(-1, 1, (3, 8)), requires_grad=True)}
+
+    def fn(inp):
+        logits = depth_router_logits(inp["x"], inp["wq"], inp["keys"], 1, 3, 500.0)
+        return (logits * Tensor(c)).sum()
+
+    report = grad_check(fn, inputs)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("k, normalize", [(1, False), (1, True), (3, False), (3, True)])
+def test_gates_gradcheck(k, normalize):
+    # logits well apart, so no step of the finite differences flips a selection
+    rng = np.random.default_rng(14)
+    logits = rng.permutation(np.arange(24.0)).reshape(4, 6) * 0.3 - 3.0
+    c = rng.uniform(-1, 1, (4, k))
+    inputs = {"logits": Tensor(logits, requires_grad=True)}
+
+    def fn(inp):
+        _, gates = select_topk(inp["logits"], state(6, k, normalize=normalize))
+        return (gates * Tensor(c)).sum()
+
+    report = grad_check(fn, inputs)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_router_nodes_equal_the_chains_bitwise(dtype):
+    # the fused logits and gates against the engine-op chains they replaced,
+    # top-1 and top-k, normalized and not, with some operands frozen
+    rng = np.random.default_rng(15)
+    data = [rng.normal(0, 1, shape).astype(dtype) for shape in ((7, 6), (6, 8), (5, 8))]
+    for trained in ("x", "wq", "keys", "x wq keys"):
+        for k, normalize in [(1, False), (2, True), (5, True), (2, False)]:
+            results = []
+            for logits_fn, select in [(depth_router_logits, select_topk),
+                                      (router_logits_chain, select_topk_chain)]:
+                inputs = {name: Tensor(a.copy(), requires_grad=name in trained.split())
+                          for name, a in zip(("x", "wq", "keys"), data)}
+                logits = logits_fn(*inputs.values(), 2, 3, 500.0)
+                idx, gates = select(logits, state(5, k, normalize=normalize))
+                loss = (gates * Tensor(np.linspace(-1, 1, 7 * k).reshape(7, k).astype(dtype))
+                        + logits.sum()).sum()
+                grads = T.backward(loss, inputs)
+                results.append([logits.data.tobytes(), idx.tobytes(), gates.data.tobytes()]
+                               + [grads[name].tobytes() for name in sorted(grads)])
+            assert results[0] == results[1], (trained, k, normalize)

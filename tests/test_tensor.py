@@ -12,7 +12,7 @@ from dreamer import tensor as T
 from dreamer.config import desk_config
 from dreamer.errors import ContractError, NumericError, ShapeError
 from dreamer.training import TaskSpec, clip_grad_norm, train
-from reference import (grad_check, mean, neg, power, scatter_last, silu, softmax, stack,
+from reference import (grad_check, mean, neg, power, scatter_last, sigmoid, silu, softmax, stack,
                        take_rows_add_at)
 
 
@@ -95,7 +95,7 @@ def test_softmax_cross_entropy_grad_matches_finite_differences():
 @pytest.mark.parametrize("build", [
     lambda x: (x * x).sum(),
     lambda x: mean(x + x * 2.0),
-    lambda x: T.sigmoid(x).sum(),
+    lambda x: sigmoid(x).sum(),
     lambda x: silu(x).sum(),
     lambda x: softmax(x).reshape(-1)[1] * 3.0,
     lambda x: T.logsumexp(x).sum(),
@@ -181,7 +181,7 @@ def test_eval_is_deterministic_bitwise():
 def test_nonfinite_intermediate_raises():
     x = T.Tensor(np.array([1000.0], dtype=np.float32), requires_grad=True)
     with pytest.raises(NumericError):
-        T.eval((T.sigmoid(x * x) / (x - 1000.0)).sum())
+        T.eval((sigmoid(x * x) / (x - 1000.0)).sum())
 
 
 def test_shape_mismatch_raises_shape_error():
@@ -337,7 +337,7 @@ def test_dense_and_indexed_gradients_into_one_parent_match_finite_differences(de
 
     def build(x):
         p = x * 1.5
-        dense = T.sigmoid(p).sum()
+        dense = sigmoid(p).sum()
         indexed = power(p[1:3], 2.0).sum() + (T.take_rows(p, np.array([2, 0, 2])) * 0.5).sum()
         return (dense + indexed if dense_first else indexed + dense), p
 
