@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -111,6 +113,31 @@ def _resolve_out(args) -> Path:
     return out
 
 
+def _blas_info() -> dict:
+    """numpy's version, and the name, version and live thread count of its
+    bundled OpenBLAS, read through ctypes; None where they cannot be read.
+
+    Float results can depend on the BLAS thread count, so a run reproduces
+    bit for bit only with the count it was made with.
+    """
+    info = {"numpy": np.__version__, "blas_name": None, "blas_version": None,
+            "blas_threads": None}
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        config = lib.scipy_openblas_get_config64_
+        threads = lib.scipy_openblas_get_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return info
+    config.restype = ctypes.c_char_p
+    threads.restype = ctypes.c_int
+    words = config().decode().split()   # "OpenBLAS 0.3.27 DYNAMIC_ARCH ..."
+    info["blas_name"], info["blas_version"] = (words + [None, None])[:2]
+    info["blas_threads"] = threads()
+    return info
+
+
 def _write_manifest(out: Path, args, config_source: str,
                     cfg: ModelConfig | None, seed: int | None):
     manifest = {
@@ -120,6 +147,7 @@ def _write_manifest(out: Path, args, config_source: str,
         "seed": seed,
         "out_dir": str(out),
         "version": __version__,
+        **_blas_info(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

@@ -47,22 +47,31 @@ from .telemetry import TelemetryLog
 from .tensor import Tensor
 
 
+def _silu_gated(a: np.ndarray, b: np.ndarray):
+    """(sigmoid(a), silu(a) * b): SwiGLU's gate and hidden activations."""
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-a))
+    return sig, a * sig * b
+
+
 def swiglu_expert(u: np.ndarray, gate: np.ndarray, up: np.ndarray, down: np.ndarray):
     """B SwiGLU experts on their own rows: u [B, m, h] -> [B, m, h].
 
     (silu(u gate) * (u up)) down. Returns (out, vjp), vjp(g) -> (du, dgate,
     dup, ddown); under no_grad vjp is None and the hidden activations are
-    freed before the output product.
+    freed before the output product. The vjp keeps only u, a = u gate and
+    b = u up and recomputes the sigmoid and the hidden activations from a
+    and b, bitwise the forward's, so neither is held between the forward
+    and the backward.
     """
     a, b = u @ gate, u @ up
-    with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-a))
-    hidden = a * sig * b
+    sig, hidden = _silu_gated(a, b)
     if not T.grad_enabled():
         del a, b, sig
         return hidden @ down, None
 
     def vjp(g):
+        sig, hidden = _silu_gated(a, b)
         dh = g @ np.swapaxes(down, -1, -2)
         da = dh * b * sig * (1.0 + a * (1.0 - sig))
         db = dh * (a * sig)

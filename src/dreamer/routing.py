@@ -14,8 +14,9 @@ the sigmoid gate values.
 Router logits are attention scores: a depth-rotated query against static
 keys. They and the gates are one fused tape node each (`router_logits`,
 `gates`), and so is the routed mixture after its input gather
-(`gated_experts`); each vjp replays the vjps of the engine-op chain it
-replaced, with the same numpy calls, so gradients are bitwise that chain's.
+(`gated_experts`), in a bank with the gated shared term; each vjp replays
+the vjps of the engine-op chain it replaced, with the same numpy calls, so
+gradients are bitwise that chain's.
 """
 
 from __future__ import annotations
@@ -233,7 +234,8 @@ def linear_expert(u: np.ndarray, w: np.ndarray):
     return out, vjp
 
 
-def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert) -> Tensor:
+def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert,
+                  shared: Tensor | None = None) -> Tensor:
     """Routed mixture: x [n, din], gates [n, k] -> [n, dout] for `plan`'s idx [n, k].
 
     Row r gets sum_j gates[r, j] * expert(x[r], *(w[idx[r, j]] for w in
@@ -264,10 +266,19 @@ def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert) 
     bitwise, also as one slice of a batched product. So an expert picked
     by a single row runs on that row twice, and the copy is never read. A
     row's result then never depends on how other rows are routed.
+
+    `shared` [n, dout], for a top-1 plan only, is an always-on term that
+    the node adds scaled by each row's gate, with the gate's gradient
+    stopped: its own gradient is g * gate, and the gate learns only from
+    the routed term. It is the node's last parent, so the tape walk reaches
+    its producer's inputs in the order it would reach a separate product,
+    multiply and add.
     """
     n, top_k = plan.idx.shape
+    if shared is not None and top_k != 1:
+        raise ContractError(f"gated_experts: a shared term needs a top-1 plan, got top-{top_k}")
     u = T.take_rows(x, plan.rows[None, :])   # [1, pairs, din], expert-major
-    parents = (u, *weights, gates)
+    parents = (u, *weights, gates) + (() if shared is None else (shared,))
     record = T.grad_enabled() and any(p.requires_grad for p in parents)
     ud, runs = u.data, plan.runs
     parts, vjps = [], []
@@ -293,6 +304,8 @@ def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert) 
     out = y * scale
     if not record:
         del y
+    if shared is not None:
+        out += scale * shared.data
     if top_k > 1:
         out = out.reshape(n, top_k, dout).sum(axis=1)
 
@@ -309,8 +322,12 @@ def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert) 
                 acc[plan.gate_rows] += dgates
                 dgates = acc
             dgates = dgates.reshape(gates.shape)
+        gscaled = g * scale
+        del g   # g and its scaled copy die before the expert vjps run
         dy = np.zeros((plan.rows.size, dout), dtype=y.dtype)
-        dy[plan.out] += g * scale
+        dy[plan.out] += gscaled
+        dshared = gscaled if shared is not None and shared.requires_grad else None
+        del gscaled
         du = np.zeros_like(ud) if len(runs) > 1 else None
         dws = [[] for _ in weights]
         for (b, m, start, _), vjp in zip(runs, vjps):
@@ -325,7 +342,7 @@ def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert) 
         dws = [T._Scatter(plan.experts, d[0] if len(d) == 1 else np.concatenate(d),
                           w.shape, w.dtype) if w.requires_grad else None
                for w, d in zip(weights, dws)]
-        return (du, *dws, dgates)
+        return (du, *dws, dgates) + (() if shared is None else (dshared,))
 
     return T.node(out, parents, grouped_vjp, "gated_experts")
 
@@ -338,8 +355,9 @@ def bank_apply(x: Tensor, plan: RoutingPlan, gates: Tensor, experts: Tensor,
     expert [din, dout]; `plan` groups the [n, 1] selection. Also takes
     `select_topk`'s [n, 1] gates. The routed expert is scaled by the gate;
     the shared expert is scaled by the same value with its gradient
-    stopped, so the router learns only from the routable term.
+    stopped, so the router learns only from the routable term. The shared
+    product x @ shared is an engine matmul; the gating and the sum of both
+    terms are the `gated_experts` node's.
     """
     gcol = gates.reshape(x.shape[0], 1)
-    out = gated_experts(x, plan, gcol, (experts,), linear_expert)
-    return out + T.stop_gradient(gcol) * T.matmul(x, shared)
+    return gated_experts(x, plan, gcol, (experts,), linear_expert, T.matmul(x, shared))

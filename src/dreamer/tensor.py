@@ -7,30 +7,35 @@ the leaves it was asked for. Only float32/float64 arrays participate;
 integer index arrays (token ids, routing selections) stay outside the
 graph as plain numpy.
 
-A step calls `eval(loss)`, which checks every node of the loss's tape and
-returns `loss`, then `backward(loss, inputs)`, which returns `{name:
-ndarray}`, the gradient for each requires-grad leaf in `inputs`. The tape
-lives exactly as long as the caller holds `loss`.
+A step calls `eval(loss, inputs)`, which checks every node of the loss's
+tape and returns `loss`, then `backward(loss, inputs)`, which returns
+`{name: ndarray}`, the gradient for each requires-grad leaf in `inputs`.
+`backward` consumes the tape: each node it passes drops its vjp and
+parents, so what the node saved dies as the walk goes on, and a second
+`backward` over the tape raises ContractError.
 
 Fused ops: the model's hot composites (RMSNorm, RoPE and the attention
 core from its score product to its value product in `attention`; the
 router logits, the gates and the routed mixture after its input gather
-in `routing`) compute their forward in numpy and record a single node
-through `node(data, parents, vjp, op)`, with a closed-form vjp. The vjp
-closes over only what the backward reads: the parents' arrays, which the
-tape keeps alive anyway, plus angle tables or arrays of the forward
-(RMSNorm's per-row `inv`, the attention weights, the rotated router
-queries, the sigmoid of the selected logits, the mixture's expert
-inputs, hidden activations, `sigmoid` of the gate projections and
-gathered outputs). The raw, scaled, masked or squared copies, concats and
-product outputs an op-by-op form would leave on the tape do not exist.
+in `routing`, a bank's shared term included) compute their forward in
+numpy and record a single node through `node(data, parents, vjp, op)`,
+with a closed-form vjp. The vjp closes over only what the backward
+reads: the parents' arrays, which the tape keeps alive anyway, plus
+angle tables or arrays of the forward (RMSNorm's per-row `inv`, the
+attention weights, the rotated router queries, the sigmoid of the
+selected logits, the mixture's expert inputs, the SwiGLU experts' two
+input products, from which their vjp recomputes the sigmoid and the
+hidden activations, and gathered outputs). The raw, scaled, masked or
+squared copies, concats and product outputs an op-by-op form would
+leave on the tape do not exist.
 
 Numerics contract:
   * forward values are a pure function of the inputs, bit-identical across
     repeated calls (numpy's reduction order is fixed),
   * training runs in float32, gradient checking in float64,
   * `eval` surfaces any non-finite node as a NumericError instead of
-    letting NaN/Inf propagate silently.
+    letting NaN/Inf propagate silently, naming a leaf of `inputs` by its
+    key and any other node by its op.
 
 Accumulation contract (what `backward` relies on):
   * a vjp returns, per parent, a dense array, None (no gradient), or an
@@ -95,8 +100,8 @@ class Tensor:
     """A numpy array plus autodiff bookkeeping.
 
     `parents` / `vjp` are populated only for non-leaf nodes created while
-    recording is enabled. `vjp(out_grad)` returns one gradient array (or
-    None) per parent.
+    recording is enabled, and `backward` clears them again. `vjp(out_grad)`
+    returns one gradient array (or None) per parent.
     """
 
     __slots__ = ("data", "requires_grad", "op", "parents", "vjp", "node_id")
@@ -438,11 +443,6 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return node(out, (a,), vjp, "take_rows")
 
 
-def stop_gradient(a: Tensor) -> Tensor:
-    """Identity in value, zero in gradient (returns a detached leaf)."""
-    return Tensor(a.data, False, op="stop_gradient")
-
-
 # -- backward ---------------------------------------------------------------------
 
 def _topo(root: Tensor) -> list:
@@ -485,32 +485,51 @@ def _accumulate(grads: dict, owned: set, pid: int, pg) -> None:
 
 # -- eval / backward ---------------------------------------------------------------
 
-def eval(loss: Tensor) -> Tensor:
-    """Return `loss`; raise NumericError if any node of its tape is non-finite."""
+def eval(loss: Tensor, inputs: dict[str, Tensor] | None = None) -> Tensor:
+    """Return `loss`; raise NumericError if any node of its tape is non-finite.
+
+    A non-finite leaf found among `inputs` is named by its key.
+    """
+    names = {t.node_id: name for name, t in (inputs or {}).items()}
     for node in _topo(loss):
         if not np.isfinite(node.data).all():
+            if node.node_id in names:
+                raise NumericError(f"non-finite values in input '{names[node.node_id]}'")
             raise NumericError(f"non-finite values produced by op '{node.op}'")
     return loss
+
+
+def _spent(g):
+    raise ContractError("backward: this tape was consumed by an earlier backward; "
+                        "record the forward again")
 
 
 def backward(loss: Tensor, inputs: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """d(loss)/d(input) for every requires-grad input, as plain arrays.
 
-    Inputs the loss does not depend on get explicit zero gradients.
+    Inputs the loss does not depend on get explicit zero gradients. The walk
+    consumes the tape: each node it passes drops its vjp and its parents,
+    so what the node saved dies once its vjp has run. Another walk that
+    reaches a consumed node with a gradient raises ContractError.
     """
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     grads = {loss.node_id: np.ones_like(loss.data)}
     owned = {loss.node_id}  # accumulators this walk allocated; only these are written in place
     leaves = {}
-    for node in reversed(_topo(loss)):
+    order = _topo(loss)
+    while order:
+        node = order.pop()
         g = grads.pop(node.node_id, None)
+        parents, vjp = node.parents, node.vjp
+        if vjp is None:
+            if g is not None:
+                leaves[node.node_id] = g
+            continue
+        node.parents, node.vjp = (), _spent
         if g is None:
             continue
-        if node.vjp is None:
-            leaves[node.node_id] = g
-            continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
+        for parent, pg in zip(parents, vjp(g)):
             if pg is not None and parent.requires_grad:
                 _accumulate(grads, owned, parent.node_id, pg)
 

@@ -342,12 +342,13 @@ def train(cfg: ModelConfig, task: TaskSpec, steps: int, run_dir=None,
         for step in range(steps):
             tokens, targets = make_batch(task, step, cfg.batch_size)
             try:
-                loss = T.eval(masked_cross_entropy(model.model_forward(tokens), targets))
+                loss = T.eval(masked_cross_entropy(model.model_forward(tokens), targets),
+                              inputs)
             except NumericError as exc:
                 _abort(metrics, step, None, str(exc))
             loss_value = float(loss.data)
             grads = T.backward(loss, inputs)
-            del loss  # the step's tape dies here, before the next forward builds one
+            del loss  # backward consumed the tape; nothing of this forward is left
             usage = {name: state.counts.tolist()
                      for name, state in sorted(model.routers.items())}
             try:

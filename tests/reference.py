@@ -71,6 +71,11 @@ def expert_node(expert, u: Tensor, *run: Tensor) -> Tensor:
     return T.node(out, (u, *run), vjp, "expert")
 
 
+def stop_gradient(a: Tensor) -> Tensor:
+    """Identity in value, zero in gradient (returns a detached leaf)."""
+    return Tensor(a.data, False, op="stop_gradient")
+
+
 def neg(a: Tensor) -> Tensor:
     return T.node(-a.data, (a,), lambda g: (-g,), "neg")
 
@@ -396,7 +401,19 @@ def folded_bank_apply(x: Tensor, idx: np.ndarray, gates: Tensor, folded: Tensor)
                          linear_expert)
 
 
-def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, expert) -> Tensor:
+def bank_apply_chain(x: Tensor, plan: RoutingPlan, gates: Tensor, experts: Tensor,
+                     shared: Tensor) -> Tensor:
+    """`bank_apply` with its shared term as engine ops: the routed node,
+    then the shared product times the stopped gate, added. The fused bank
+    node must equal this bitwise, forward and backward.
+    """
+    gcol = gates.reshape(x.shape[0], 1)
+    out = gated_experts(x, plan, gcol, (experts,), linear_expert)
+    return out + stop_gradient(gcol) * T.matmul(x, shared)
+
+
+def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, expert,
+                       shared: Tensor | None = None) -> Tensor:
     """`gated_experts` as one gather and one expert call per expert.
 
     The library's grouping before runs of equal-size groups were batched:
@@ -407,7 +424,8 @@ def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, exper
     engine's vjps check the fused node's backward. It sorts and counts the
     ids itself, takes `gated_experts`' plan's `idx`, gates the grouped
     outputs before it gathers them back into row order, and its gathers
-    sum repeated rows with `np.add.at`. The batched primitive must equal
+    sum repeated rows with `np.add.at`. A top-1 `shared` term is added
+    as engine ops, times the stopped gate. The batched primitive must equal
     this bitwise, forward and backward.
     """
     n, top_k = idx.shape
@@ -431,6 +449,8 @@ def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, exper
     y = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
     y = y * take_rows_add_at(gates.reshape(n * top_k, 1), pairs)
     out = take_rows_add_at(y, np.sort(pos.reshape(n, top_k), axis=1).reshape(-1))
+    if shared is not None:
+        return out + stop_gradient(gates) * shared
     return out if top_k == 1 else out.reshape(n, top_k, -1).sum(axis=1)
 
 

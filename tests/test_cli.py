@@ -53,6 +53,27 @@ def test_train_writes_run_directory(tmp_path):
     assert ckpts == ["final.ckpt", "step_000000.ckpt"]
 
 
+def test_manifest_records_numpy_and_blas(tmp_path, monkeypatch):
+    # float results can depend on the BLAS thread count, so a run records it
+    code, out = run_train(tmp_path, steps=0)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["numpy"] == np.__version__
+    name, version, threads = (manifest[k] for k in ("blas_name", "blas_version", "blas_threads"))
+    if threads is None:  # a numpy without its bundled OpenBLAS
+        assert name is None and version is None
+    else:
+        assert name == "OpenBLAS" and version[0].isdigit()
+        assert isinstance(threads, int) and threads >= 1
+    # what cannot be read is recorded as null
+    monkeypatch.setattr(dreamer.cli.glob, "glob", lambda pattern: [])
+    code, out = run_train(tmp_path, out_name="unread", steps=0)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["numpy"] == np.__version__
+    assert [manifest[k] for k in ("blas_name", "blas_version", "blas_threads")] == [None] * 3
+
+
 def test_train_zero_steps(tmp_path):
     code, out = run_train(tmp_path, steps=0)
     assert code == 0

@@ -18,7 +18,7 @@ from dreamer.routing import RouterState
 from dreamer.tensor import Tensor
 from dreamer.telemetry import TelemetryLog
 from dreamer.training import TaskSpec, make_batch, masked_cross_entropy
-from reference import (attention_chain, dense_backward, ea_select, gated_experts_loop, grad_check,
+from reference import (attention_chain, bank_apply_chain, dense_backward, ea_select, gated_experts_loop, grad_check,
                        mean, router_logits_chain, select_topk_chain)
 
 VARIANTS = ("LA", "DR", "DR_DA")
@@ -561,11 +561,11 @@ def test_model_equals_the_per_expert_loop_bitwise(variant, dtype, monkeypatch):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_model_equals_the_engine_op_chains_bitwise(variant, dtype, monkeypatch):
-    # The fused attention core, router logits and gates against the chains
-    # of engine ops they replaced, swapped in for every SA, DA and router
-    # call: loss, every gradient, a greedy decode and no_grad logits hash
-    # equal. Masked SA, unmasked decode steps and DA, grouped query heads,
-    # top-1 and top-3 gates, normalized and not.
+    # The fused attention core, router logits, gates and bank against the
+    # chains of engine ops they replaced, swapped in for every SA, DA, router
+    # and bank call: loss, every gradient, a greedy decode and no_grad logits
+    # hash equal. Masked SA, unmasked decode steps and DA, grouped query
+    # heads, top-1 and top-3 gates, normalized and not.
     cfg = tiny_config(variant, 3, hidden_size=32, ea_num_experts=8, ea_active_experts=3)
     tokens, targets = make_batch(TaskSpec("copy", 12, 16), 0, 2)
     fused = model_digest(cfg, dtype, tokens, targets)
@@ -579,11 +579,13 @@ def test_model_equals_the_engine_op_chains_bitwise(variant, dtype, monkeypatch):
 
     for name, chain in [("grouped_query_attention", attention_chain),
                         ("depth_router_logits", router_logits_chain),
-                        ("select_topk", select_topk_chain)]:
+                        ("select_topk", select_topk_chain),
+                        ("bank_apply", bank_apply_chain)]:
         monkeypatch.setattr(dreamer.model, name, counted(name, chain))
     assert model_digest(cfg, dtype, tokens, targets) == fused
     assert calls["grouped_query_attention"] > 0
     assert calls["depth_router_logits"] == calls["select_topk"] > 0
+    assert (calls["bank_apply"] > 0) == (variant != "LA")
 
 
 # -- decode bookkeeping ------------------------------------------------------------
@@ -671,12 +673,12 @@ def test_sa_tables_and_mask_are_built_once_per_forward(monkeypatch):
 
 
 def test_decode_step_engine_op_ceiling(monkeypatch):
-    # A cached desk DR_DA-4 step records at most 292 engine ops, each a
+    # A cached desk DR_DA-4 step records at most 260 engine ops, each a
     # fixed Python cost on arrays of a few hundred elements; bookkeeping
     # that creeps back in shows here first. Each routed mixture is two: the
-    # gather and the `gated_experts` node; each attention core is one node,
-    # and each routing selection three: the keys' transpose, the logits and
-    # the gates.
+    # gather and the `gated_experts` node, and a bank adds its shared
+    # product; each attention core is one node, and each routing selection
+    # three: the keys' transpose, the logits and the gates.
     model = DreamerModel(desk_config("DR_DA", 4), seed=0)
     with T.no_grad():
         caches, nxt = prompted_caches(model, prompt_len=32)
@@ -689,19 +691,41 @@ def test_decode_step_engine_op_ceiling(monkeypatch):
 
         monkeypatch.setattr(T, "node", counting)
         model.model_forward(nxt, caches)
-    assert len(ops) <= 292, len(ops)
+    assert len(ops) <= 260, len(ops)
 
 
 def test_train_tape_node_ceiling():
-    # the routed mixtures, attention cores, router logits and gates are one
-    # node each, so a desk DR_DA-4 training forward at the benchmark's 8 x 64
-    # records fewer than 330 tape nodes (319 when this was written; 419 with
-    # the attention cores and routers op by op, about 1,700 with the
-    # mixtures op by op too)
+    # the routed mixtures with a bank's gated shared term, attention cores,
+    # router logits and gates are one node each, so a desk DR_DA-4 training
+    # forward at the benchmark's 8 x 64 records fewer than 290 tape nodes
+    # (287 when this was written; 319 with a bank's shared term op by op,
+    # 419 with the attention cores and routers op by op too, about 1,700
+    # with the mixtures op by op as well)
     model = DreamerModel(desk_config("DR_DA", 4), seed=0)
     tokens, targets = make_batch(TaskSpec("copy", 64, 16), 0, 8)
     loss = masked_cross_entropy(model.model_forward(tokens), targets)
-    assert len(T._topo(loss)) < 330, len(T._topo(loss))
+    assert len(T._topo(loss)) < 290, len(T._topo(loss))
+
+
+def test_train_step_peak_memory():
+    # A desk DR_DA-4 forward plus backward at the benchmark's 8 x 64, after
+    # a first step has built the tables: the tape keeps only what a vjp
+    # reads (no SwiGLU hidden activations, no bank product, multiply and
+    # sum) and backward frees each node's saved arrays as it passes it.
+    # The tracemalloc peak measured 42.3 MiB (60.5 MiB with the hidden
+    # activations held, the bank op by op and the tape kept whole).
+    model = DreamerModel(desk_config("DR_DA", 4), seed=0)
+    tokens, targets = make_batch(TaskSpec("copy", 64, 16), 0, 8)
+    inputs = learnable(model.params)
+    T.backward(masked_cross_entropy(model.model_forward(tokens), targets), inputs)
+    tracemalloc.start()
+    try:
+        loss = masked_cross_entropy(model.model_forward(tokens), targets)
+        T.backward(loss, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45 * 2**20, peak / 2**20
 
 
 def test_ea_no_grad_peak_memory():
@@ -741,3 +765,22 @@ def test_nonfinite_expert_weight_names_gated_experts():
     out = model.ea_forward(x, 0)
     with pytest.raises(NumericError, match="'gated_experts'"):
         T.eval((out * out).sum())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nonfinite_trainable_expert_weight_is_named():
+    # A trainable weight is a leaf of the tape, ahead of every node it feeds:
+    # `eval` names it by its key in `inputs` (`train` passes its learnable
+    # parameters); without `inputs` it can only call it a leaf.
+    cfg = tiny_config("DR")
+    model = DreamerModel(cfg, seed=3)
+    x = rand_x(np.random.default_rng(3), 2, 6, cfg.hidden_size)
+    model.ea_forward(x, 0)
+    used = int(np.flatnonzero(model.routers["layer.ea"].counts)[0])
+    model.params["layer.ea.experts.down"].data[used, 0, 0] = np.inf
+    out = model.ea_forward(x, 0)
+    loss = (out * out).sum()
+    with pytest.raises(NumericError, match="input 'layer.ea.experts.down'"):
+        T.eval(loss, learnable(model.params))
+    with pytest.raises(NumericError, match="op 'leaf'"):
+        T.eval(loss)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+import dreamer
 from dreamer import DreamerModel, desk_config
 from dreamer import tensor as T
 
@@ -61,3 +62,35 @@ def test_routing_counters_see_one_dr_da_forward(monkeypatch):
             while parent >= 0 and spans[parent][0] not in ("model.sa", "model.da"):
                 parent = spans[parent][3]
             assert parent >= 0
+
+
+def test_tape_counters_read_the_tape_before_backward_consumes_it(monkeypatch):
+    # `tensor.tape_nodes` and `tensor.tape_mib` are counted at `eval`, so
+    # the backward that frees the tape as it walks does not blind them:
+    # one tiny DR_DA train step, against the tape seen just before backward
+    cfg = desk_config("DR_DA", 2, hidden_size=16, vocab_size=16, context_length=16,
+                      ea_num_experts=4, ea_active_experts=2, ea_intermediate_size=8,
+                      batch_size=2)
+    before = []
+    real_backward = T.backward
+
+    def measuring_backward(loss, inputs):
+        tape = T._topo(loss)
+        before.append((len(tape), sum(node.data.nbytes for node in tape)))
+        del tape
+        grads = real_backward(loss, inputs)
+        assert len(T._topo(loss)) == 1  # consumed: the loss has no parents left
+        return grads
+
+    monkeypatch.setattr(T, "backward", measuring_backward)
+    tracer = install(monkeypatch)
+    try:
+        tracer.begin_op(0)
+        dreamer.train(cfg, dreamer.TaskSpec("copy", 9, 16), 1)
+        tracer.end_op()
+    finally:
+        tracer.unhook()
+    counts = tracer.counts[0]
+    assert counts["tape_evals"] == len(before) == 1
+    assert (counts["tape_nodes"], counts["tape_bytes"]) == before[0]
+    assert before[0][0] > 100

@@ -15,7 +15,7 @@ from dreamer.routing import (RouterState, RoutingPlan, bank_apply, depth_router_
                              gated_experts, linear_expert, select_topk, update_balance)
 from dreamer.errors import ConfigError, ContractError, ShapeError
 from dreamer.tensor import Tensor
-from reference import (ea_select, expert_node, fold_shared, folded_bank_apply,
+from reference import (bank_apply_chain, ea_select, expert_node, fold_shared, folded_bank_apply,
                        gated_experts_loop, grad_check, moe_linear_forward, simulate_balancing)
 from reference import router_logits_chain, select_topk_chain
 from reference import sigmoid as sigmoid_node
@@ -535,6 +535,67 @@ def test_bank_gradcheck():
         "x": Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True),
     }
     assert grad_check(fn, inputs).passed
+
+
+def test_bank_shared_path_gradcheck():
+    # the fused bank node's shared path in float64: with the gates held
+    # constant, the stopped gate scales the shared product as a plain
+    # factor, so x, the experts and a nonzero shared matrix all check
+    rng = np.random.default_rng(12)
+    idx = np.array([[2], [0], [2], [1]])
+    gates = Tensor(rng.uniform(0.1, 1.0, 4))
+    c = Tensor(rng.uniform(-1, 1, (4, 5)))
+
+    def fn(inp):
+        out = bank_apply(inp["x"], RoutingPlan(idx), gates, inp["experts"], inp["shared"])
+        return (out * c).sum()
+
+    experts, shared = rand_bank(rng)
+    inputs = {"x": Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True),
+              "experts": experts, "shared": shared}
+    report = grad_check(fn, inputs)
+    assert report.passed, str(report)
+
+
+def test_bank_is_one_node_over_the_shared_product():
+    # the routed term, the gated shared term and their sum are one
+    # `gated_experts` node; the shared product is an engine matmul and the
+    # node's last parent
+    rng = np.random.default_rng(13)
+    experts, shared = rand_bank(rng)
+    x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+    gates = Tensor(rng.uniform(0.1, 1.0, 3), requires_grad=True)
+    out = bank_apply(x, RoutingPlan([[2], [0], [2]]), gates, experts, shared)
+    assert out.op == "gated_experts"
+    assert Counter(node.op for node in T._topo(out)) == {
+        "leaf": 4, "matmul": 1, "take_rows": 1, "reshape": 1, "gated_experts": 1}
+    product = out.parents[-1]
+    assert product.op == "matmul" and product.parents == (x, shared)
+    with pytest.raises(ContractError, match="top-1"):
+        gated_experts(x, RoutingPlan([[2, 0], [0, 1], [2, 1]]), Tensor(np.ones((3, 2))),
+                      (experts,), linear_expert, product)
+
+
+@pytest.mark.parametrize("frozen", [(), ("x",), ("experts", "shared"), ("gates",)])
+def test_bank_node_equals_the_chain_bitwise(frozen):
+    # forward and every gradient of the fused bank against the engine-op
+    # chain it replaced, in float32, with the gates behind a router product
+    rng = np.random.default_rng(14)
+    idx = np.array([2, 0, 2, 1, 1, 0])
+    leaves = {"x": rng.normal(0, 1, (6, 4)), "router": rng.normal(0, 1, (4, 3)),
+              "experts": rng.normal(0, 1, (3, 4, 5)), "shared": rng.normal(0, 1, (4, 5))}
+    runs = []
+    for bank in (bank_apply, bank_apply_chain):
+        inp = {name: Tensor(a.astype(np.float32), requires_grad=name not in frozen)
+               for name, a in leaves.items()}
+        if "gates" in frozen:
+            inp["router"].requires_grad = False
+        logits = T.matmul(inp["x"], inp["router"])
+        gates = sigmoid_node(T.take_rows(logits.reshape(18), np.arange(6) * 3 + idx))
+        out = bank(inp["x"], RoutingPlan(idx[:, None]), gates, inp["experts"], inp["shared"])
+        grads = T.backward((out * out).sum(), inp)
+        runs.append([out.data.tobytes()] + [grads[k].tobytes() for k in sorted(grads)])
+    assert runs[0] == runs[1]
 
 
 def test_depth_router_logits_scale_and_static_keys():

@@ -13,7 +13,7 @@ from dreamer.config import desk_config
 from dreamer.errors import ContractError, NumericError, ShapeError
 from dreamer.training import TaskSpec, clip_grad_norm, train
 from reference import (grad_check, mean, neg, power, scatter_last, sigmoid, silu, softmax, stack,
-                       take_rows_add_at)
+                       stop_gradient, take_rows_add_at)
 
 
 def t64(x, req=True):
@@ -251,8 +251,24 @@ def test_graph_nodes_expose_topological_order():
 def test_stop_gradient_blocks_backward():
     x = t64(np.array([0.5, -0.25]))
     # value path: x * sg(x) == x**2, but only the left factor carries grad
-    grad = T.backward((x * T.stop_gradient(x)).sum(), {"x": x})["x"]
+    grad = T.backward((x * stop_gradient(x)).sum(), {"x": x})["x"]
     np.testing.assert_allclose(grad, x.data)
+
+
+def test_backward_consumes_the_tape():
+    # each node the walk passes drops its vjp and parents; a walk that
+    # reaches a consumed node with a gradient raises instead of returning
+    # zeros, and the leaves stay usable for a new forward
+    x = t64(np.array([0.5, -0.25]))
+    h = x * x
+    loss = h.sum()
+    first = T.backward(loss, {"x": x})["x"]
+    assert loss.parents == () and h.parents == ()
+    with pytest.raises(ContractError, match="consumed"):
+        T.backward(loss, {"x": x})
+    with pytest.raises(ContractError, match="consumed"):
+        T.backward((h * 3.0).sum(), {"x": x})
+    assert T.backward((x * x).sum(), {"x": x})["x"].tobytes() == first.tobytes()
 
 
 def test_no_grad_suppresses_tape():

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import dreamer.training
 from dreamer.config import desk_config
 from dreamer.errors import ConfigError, InputError, NumericError
 from dreamer.params import init_parameters, learnable, load_checkpoint
@@ -350,6 +351,26 @@ def test_train_aborts_on_nonfinite_loss(tmp_path):
     assert "abort" in lines[-1]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_train_names_a_nonfinite_parameter(tmp_path, monkeypatch):
+    # `train` hands `eval` its learnable parameters, so an inf in one is
+    # reported by name: here in an embedding row no input token reads, which
+    # reaches the loss only through the tied output head
+    cfg = tiny_config(vocab_size=32)
+    real_init = dreamer.training.init_parameters
+
+    def poisoned(*args, **kwargs):
+        params = real_init(*args, **kwargs)
+        params["embed.weight"].data[31, 0] = np.inf
+        return params
+
+    monkeypatch.setattr(dreamer.training, "init_parameters", poisoned)
+    with pytest.raises(NumericError, match="step 0: non-finite values in input 'embed.weight'"):
+        train(cfg, TaskSpec("copy", seq_len=9, vocab_size=16), steps=1, run_dir=tmp_path)
+    abort = json.loads((tmp_path / "metrics.jsonl").read_text().splitlines()[-1])["abort"]
+    assert abort["reason"] == "non-finite values in input 'embed.weight'"
+
+
 def test_metrics_stream_survives_an_exception_mid_run(tmp_path):
     cfg = tiny_config()
     spec = TaskSpec("copy", seq_len=9, vocab_size=16, seed=0)
@@ -373,9 +394,9 @@ def test_step_tape_is_freed_before_stop_when(monkeypatch):
     refs = []
     real_eval = T.eval
 
-    def recording_eval(loss):
+    def recording_eval(loss, inputs=None):
         refs.append(weakref.ref(loss.data))
-        return real_eval(loss)
+        return real_eval(loss, inputs)
 
     monkeypatch.setattr(T, "eval", recording_eval)
     alive = []
