@@ -17,17 +17,19 @@ parents, so what the node saved dies as the walk goes on, and a second
 Fused ops: the model's hot composites (RMSNorm, RoPE and the attention
 core from its score product to its value product in `attention`; the
 router logits, the gates and the routed mixture after its input gather
-in `routing`, a bank's shared term included) compute their forward in
-numpy and record a single node through `node(data, parents, vjp, op)`,
-with a closed-form vjp. The vjp closes over only what the backward
-reads: the parents' arrays, which the tape keeps alive anyway, plus
-angle tables or arrays of the forward (RMSNorm's per-row `inv`, the
-attention weights, the rotated router queries, the sigmoid of the
-selected logits, the mixture's expert inputs, the SwiGLU experts' two
-input products, from which their vjp recomputes the sigmoid and the
-hidden activations, and gathered outputs). The raw, scaled, masked or
-squared copies, concats and product outputs an op-by-op form would
-leave on the tape do not exist.
+in `routing`, a bank's shared term included; the masked cross entropy
+in `training`) compute their forward in numpy and record a single node
+through `node(data, parents, vjp, op)`, with a closed-form vjp. The vjp
+closes over only what the backward reads: the parents' arrays, which
+the tape keeps alive anyway, plus angle tables or arrays of the forward
+(RMSNorm's per-row `inv`, the attention weights, the rotated router
+queries, the sigmoid of the selected logits, the mixture's expert
+inputs, the SwiGLU experts' two input products, from which their vjp
+recomputes the sigmoid and the hidden activations, gathered outputs,
+and the loss's softmax). The raw, scaled, masked or squared copies,
+concats and product outputs an op-by-op form would leave on the tape do
+not exist. The engine itself keeps only the ops the model calls: `add`,
+`matmul`, `reshape`, `transpose`, `getitem`, `concat` and `take_rows`.
 
 Numerics contract:
   * forward values are a pure function of the inputs, bit-identical across
@@ -45,9 +47,8 @@ Accumulation contract (what `backward` relies on):
     repeated index first sums that row's copies in index order, from zero
     (the sum `np.add.at` into zeros gives), one vectorised add per
     occurrence rank; `np.add.reduceat` would reorder the sum,
-  * the binary ops (add, sub, mul, div, matmul) and the fused ops return
-    None for an operand with requires_grad False, so constants cost no
-    gradient work,
+  * `add`, `matmul` and the fused ops return None for an operand with
+    requires_grad False, so constants cost no gradient work,
   * only an indexed record is added in place, and only into an accumulator
     the walk allocated itself ("owned"); an array a vjp handed over may be
     shared (`add` gives the same g to both parents, `reshape` a view) and
@@ -142,20 +143,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -228,38 +217,6 @@ def add(a, b) -> Tensor:
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return node(out, (a, b), vjp, "add")
-
-
-def sub(a, b) -> Tensor:
-    a, b, out = _binary(a, b, "sub", np.subtract)
-
-    def vjp(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
-
-    return node(out, (a, b), vjp, "sub")
-
-
-def mul(a, b) -> Tensor:
-    a, b, out = _binary(a, b, "mul", np.multiply)
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return (_unbroadcast(g * bd, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * ad, b.shape) if b.requires_grad else None)
-
-    return node(out, (a, b), vjp, "mul")
-
-
-def div(a, b) -> Tensor:
-    a, b, out = _binary(a, b, "div", np.true_divide)
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return (_unbroadcast(g / bd, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
-
-    return node(out, (a, b), vjp, "div")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -360,43 +317,6 @@ def concat(tensors, axis: int) -> Tensor:
         return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return node(out, tuple(tensors), vjp, "concat")
-
-
-# -- reductions ---------------------------------------------------------------
-
-def _norm_axis(axis):
-    if axis is None or isinstance(axis, tuple):
-        return axis
-    return (axis,)
-
-
-def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    axis = _norm_axis(axis)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    shape = a.shape
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return node(out, (a,), vjp, "sum")
-
-
-# -- nonlinearities ------------------------------------------------------------
-
-def logsumexp(a: Tensor) -> Tensor:
-    """log(sum(exp(x))) over the last axis, stable against overflow."""
-    m = a.data.max(axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=-1, keepdims=True)
-    out = (np.log(s) + m).squeeze(-1)
-    soft = e / s
-
-    def vjp(g):
-        return (np.expand_dims(g, -1) * soft,)
-
-    return node(out, (a,), vjp, "logsumexp")
 
 
 # -- gather / scatter -----------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, ShapeError
 from .model import DreamerModel
 from .params import init_parameters, learnable, save_checkpoint
 from .tensor import Tensor
@@ -250,17 +250,48 @@ def make_batch(spec: TaskSpec, step: int, batch_size: int):
 
 
 def masked_cross_entropy(logits: T.Tensor, targets: np.ndarray) -> T.Tensor:
-    """Mean next-token cross entropy over positions not marked IGNORE_TARGET."""
+    """Mean next-token cross entropy over positions not marked IGNORE_TARGET.
+
+    `logits` [b, s, vocab] and `targets` [b, s], each target an id in
+    [0, vocab) or IGNORE_TARGET. One tape node, `cross_entropy`: per
+    position, logsumexp minus the target's logit, masked to the live
+    positions, summed and divided by their count. It keeps the softmax for
+    its vjp, which replays the vjps of that chain of ops, the target
+    logits' gradient added onto zeros before the softmax term joins it, so
+    loss and gradient are bitwise the chain's.
+    """
+    targets = np.asarray(targets)
+    if logits.ndim != 3 or targets.shape != logits.shape[:2]:
+        raise ShapeError(
+            f"cross entropy: targets {targets.shape} do not match logits {logits.shape}")
     b, s, vocab = logits.shape
-    flat = logits.reshape(b * s, vocab)
     tgt = targets.reshape(-1)
     live = tgt != IGNORE_TARGET
+    bad = live & ((tgt < 0) | (tgt >= vocab))
+    if np.any(bad):
+        raise InputError(f"target id {tgt[bad][0]} is outside [0, {vocab})")
     if not np.any(live):
         raise InputError("no live target positions in batch")
-    safe = np.where(live, tgt, 0)
-    picked = T.take_rows(flat.reshape(-1), np.arange(b * s) * vocab + safe)
-    losses = T.logsumexp(flat) - picked
-    return (losses * live.astype(logits.dtype)).sum() / float(live.sum())
+    dt = logits.dtype
+    live_f = live.astype(dt)
+    count = np.asarray(float(live.sum()), dtype=dt)
+    idx = np.arange(b * s) * vocab + np.where(live, tgt, 0)
+    flat = logits.data.reshape(b * s, vocab)
+    m = flat.max(axis=-1, keepdims=True)
+    e = np.exp(flat - m)
+    total = e.sum(axis=-1, keepdims=True)
+    lse = (np.log(total) + m).squeeze(-1)
+    soft = e / total
+    out = ((lse - flat.reshape(-1)[idx]) * live_f).sum() / count
+
+    def vjp(g):
+        g_rows = g / count * live_f
+        picked = np.zeros(b * s * vocab, dtype=dt)
+        picked[idx] += -g_rows
+        return ((np.expand_dims(g_rows, -1) * soft + picked.reshape(b * s, vocab))
+                .reshape(b, s, vocab),)
+
+    return T.node(out, (logits,), vjp, "cross_entropy")
 
 
 # -- the loop ---------------------------------------------------------------------

@@ -12,13 +12,103 @@ import numpy as np
 
 from dreamer import tensor as T
 from dreamer.attention import causal_mask, rope_depth_apply
-from dreamer.errors import ConfigError, ContractError, ShapeError
+from dreamer.errors import ConfigError, ContractError, InputError, ShapeError
 from dreamer.routing import (RouterState, RoutingPlan, bank_apply, gated_experts, linear_expert,
                              select_topk, update_balance)
 from dreamer.tensor import Tensor
+from dreamer.training import IGNORE_TARGET
 
 
 # -- engine ops ------------------------------------------------------------------
+
+def sub(a, b) -> Tensor:
+    a, b, out = T._binary(a, b, "sub", np.subtract)
+
+    def vjp(g):
+        return (T._unbroadcast(g, a.shape) if a.requires_grad else None,
+                T._unbroadcast(-g, b.shape) if b.requires_grad else None)
+
+    return T.node(out, (a, b), vjp, "sub")
+
+
+def mul(a, b) -> Tensor:
+    a, b, out = T._binary(a, b, "mul", np.multiply)
+    ad, bd = a.data, b.data
+
+    def vjp(g):
+        return (T._unbroadcast(g * bd, a.shape) if a.requires_grad else None,
+                T._unbroadcast(g * ad, b.shape) if b.requires_grad else None)
+
+    return T.node(out, (a, b), vjp, "mul")
+
+
+def div(a, b) -> Tensor:
+    a, b, out = T._binary(a, b, "div", np.true_divide)
+    ad, bd = a.data, b.data
+
+    def vjp(g):
+        return (T._unbroadcast(g / bd, a.shape) if a.requires_grad else None,
+                T._unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
+
+    return T.node(out, (a, b), vjp, "div")
+
+
+def _norm_axis(axis):
+    if axis is None or isinstance(axis, tuple):
+        return axis
+    return (axis,)
+
+
+def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    axis = _norm_axis(axis)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
+
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
+
+    return T.node(out, (a,), vjp, "sum")
+
+
+def probe_loss(out: Tensor, weights) -> Tensor:
+    """sum(out * weights): a scalar whose gradient at `out` is `weights`
+    (a Tensor, an array or a number), or 2 * out when `weights` is `out`."""
+    return reduce_sum(mul(out, weights))
+
+
+def logsumexp(a: Tensor) -> Tensor:
+    """log(sum(exp(x))) over the last axis, stable against overflow."""
+    m = a.data.max(axis=-1, keepdims=True)
+    e = np.exp(a.data - m)
+    s = e.sum(axis=-1, keepdims=True)
+    out = (np.log(s) + m).squeeze(-1)
+    soft = e / s
+
+    def vjp(g):
+        return (np.expand_dims(g, -1) * soft,)
+
+    return T.node(out, (a,), vjp, "logsumexp")
+
+
+def masked_cross_entropy_chain(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """`masked_cross_entropy` as engine ops: two reshapes, the target
+    gather, logsumexp, the subtraction, the mask, the sum and the division.
+    The fused `cross_entropy` node must equal this bitwise, forward and
+    backward.
+    """
+    b, s, vocab = logits.shape
+    flat = logits.reshape(b * s, vocab)
+    tgt = targets.reshape(-1)
+    live = tgt != IGNORE_TARGET
+    if not np.any(live):
+        raise InputError("no live target positions in batch")
+    safe = np.where(live, tgt, 0)
+    picked = T.take_rows(flat.reshape(-1), np.arange(b * s) * vocab + safe)
+    losses = sub(logsumexp(flat), picked)
+    return div(reduce_sum(mul(losses, live.astype(logits.dtype))), float(live.sum()))
+
 
 def stack(tensors, axis: int = 0) -> Tensor:
     out = np.stack([t.data for t in tensors], axis=axis)
@@ -241,7 +331,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, *, causal: bool = True,
         raise ShapeError(f"attention: k rows {k.shape[-2]} != v rows {v.shape[-2]}")
     scale = 1.0 / np.sqrt(q.shape[-1])
     swap = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
-    scores = T.matmul(q, T.transpose(k, swap)) * scale
+    scores = mul(T.matmul(q, T.transpose(k, swap)), scale)
     if causal:
         mask = causal_mask(q.shape[-2], k.shape[-2], pos_offset, q.dtype)
         scores = scores + Tensor(mask)
@@ -345,7 +435,7 @@ def select_topk_chain(logits: Tensor, state: RouterState):
     flat_idx = np.arange(len(idx))[:, None] * state.num_experts + idx
     gates = sigmoid(T.take_rows(logits.reshape(-1), flat_idx))
     if state.normalize:
-        gates = gates / gates.sum(axis=-1, keepdims=True)
+        gates = div(gates, reduce_sum(gates, axis=-1, keepdims=True))
     return idx, gates
 
 
@@ -357,7 +447,7 @@ def router_logits_chain(x: Tensor, query_weight: Tensor, keys: Tensor, depth: in
     """
     q = rope_depth_apply(T.matmul(x, query_weight), depth, depths, base)
     scale = 1.0 / np.sqrt(q.shape[-1])
-    return T.matmul(q, T.transpose(keys, (1, 0))) * scale
+    return mul(T.matmul(q, T.transpose(keys, (1, 0))), scale)
 
 
 def ea_select(logits: Tensor, state: RouterState) -> Tensor:
@@ -409,7 +499,7 @@ def bank_apply_chain(x: Tensor, plan: RoutingPlan, gates: Tensor, experts: Tenso
     """
     gcol = gates.reshape(x.shape[0], 1)
     out = gated_experts(x, plan, gcol, (experts,), linear_expert)
-    return out + stop_gradient(gcol) * T.matmul(x, shared)
+    return out + mul(stop_gradient(gcol), T.matmul(x, shared))
 
 
 def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, expert,
@@ -447,11 +537,11 @@ def gated_experts_loop(x: Tensor, idx: np.ndarray, gates: Tensor, weights, exper
         run = (w[e:e + 1] for w in weights)
         parts.append(expert_node(expert, u, *run).reshape(size, -1))
     y = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
-    y = y * take_rows_add_at(gates.reshape(n * top_k, 1), pairs)
+    y = mul(y, take_rows_add_at(gates.reshape(n * top_k, 1), pairs))
     out = take_rows_add_at(y, np.sort(pos.reshape(n, top_k), axis=1).reshape(-1))
     if shared is not None:
-        return out + stop_gradient(gates) * shared
-    return out if top_k == 1 else out.reshape(n, top_k, -1).sum(axis=1)
+        return out + mul(stop_gradient(gates), shared)
+    return out if top_k == 1 else reduce_sum(out.reshape(n, top_k, -1), axis=1)
 
 
 def simulate_balancing(num_experts: int, top_k: int, update_rate: float,

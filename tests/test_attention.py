@@ -16,7 +16,7 @@ from dreamer.errors import ContractError, NumericError, ShapeError
 from dreamer.model import swiglu_expert
 from dreamer.tensor import Tensor
 from reference import (attention, attention_chain, depth_rope_oracle, expert_node, grad_check,
-                       rope_oracle, sigmoid)
+                       probe_loss, rope_oracle, sigmoid)
 
 
 def rope(x: Tensor, positions, base: float) -> Tensor:
@@ -306,7 +306,7 @@ def test_rms_norm_is_the_mean_formula_bitwise(dtype, width):
     # d(sum(out * c))/dx reaches the vjp as exactly c
     gg = c * gd
     want = gg * inv - xd * inv ** 3 * (gg * xd).mean(axis=-1, keepdims=True)
-    assert T.backward((out * Tensor(c)).sum(), {"x": x})["x"].tobytes() == want.tobytes()
+    assert T.backward(probe_loss(out, Tensor(c)), {"x": x})["x"].tobytes() == want.tobytes()
 
 
 def test_rms_norm_overflow_raises_under_grad():
@@ -325,7 +325,7 @@ def test_rms_norm_gradcheck():
     rng = np.random.default_rng(9)
 
     def fn(inp):
-        return (rms_norm(inp["x"], inp["g"]) * sigmoid(inp["x"])).sum()
+        return probe_loss(rms_norm(inp["x"], inp["g"]), sigmoid(inp["x"]))
 
     inputs = {"x": Tensor(rng.uniform(-1, 1, (2, 6)), requires_grad=True),
               "g": Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True)}
@@ -337,7 +337,7 @@ def test_attention_gradcheck():
 
     def fn(inp):
         out = attention(inp["q"], inp["k"], inp["v"], causal=True)
-        return (out * out).sum()
+        return probe_loss(out, out)
 
     inputs = {k: Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
               for k in ("q", "k", "v")}
@@ -364,7 +364,7 @@ def test_gqa_gradcheck_grouped_with_offset():
     def fn(inp):
         out, _ = grouped_query_attention(inp["q"], inp["k"], inp["v"],
                                          causal_mask(2, 5, 3, np.float64))
-        return (out * out).sum()
+        return probe_loss(out, out)
 
     report = grad_check(fn, inputs)
     assert report.passed, str(report)
@@ -375,7 +375,7 @@ def test_rope_apply_gradcheck():
     c = rng.uniform(-1, 1, (2, 3, 4, 8))
     inputs = {"x": param(rng, (2, 3, 4, 8))}
     report = grad_check(
-        lambda inp: (rope(inp["x"], [0, 1, 5, 9], 100.0) * Tensor(c)).sum(),
+        lambda inp: probe_loss(rope(inp["x"], [0, 1, 5, 9], 100.0), Tensor(c)),
         inputs)
     assert report.passed, str(report)
 
@@ -385,7 +385,7 @@ def test_rope_depth_apply_gradcheck():
     c = rng.uniform(-1, 1, (3, 2, 8))
     inputs = {"x": param(rng, (3, 2, 8))}
     report = grad_check(
-        lambda inp: (rope_depth_apply(inp["x"], 1, 3, 500.0) * Tensor(c)).sum(), inputs)
+        lambda inp: probe_loss(rope_depth_apply(inp["x"], 1, 3, 500.0), Tensor(c)), inputs)
     assert report.passed, str(report)
 
 
@@ -395,7 +395,7 @@ def test_rms_norm_gradcheck_3d_with_gain(x_grad):
     c = rng.uniform(-1, 1, (2, 3, 6))
     inputs = {"x": Tensor(rng.uniform(-1, 1, (2, 3, 6)), requires_grad=x_grad),
               "g": param(rng, 6)}
-    report = grad_check(lambda inp: (rms_norm(inp["x"], inp["g"]) * Tensor(c)).sum(), inputs)
+    report = grad_check(lambda inp: probe_loss(rms_norm(inp["x"], inp["g"]), Tensor(c)), inputs)
     assert report.passed, str(report)
 
 
@@ -410,7 +410,7 @@ def test_swiglu_gradcheck():
 
     def fn(inp):
         out = expert_node(swiglu_expert, *(inp[k] for k in ("u", "gate", "up", "down")))
-        return (out * Tensor(c)).sum()
+        return probe_loss(out, Tensor(c))
 
     report = grad_check(fn, inputs)
     assert report.passed, str(report)
@@ -502,7 +502,7 @@ def test_attention_node_gradcheck(masked, group):
 
     def fn(inp):
         out, _ = grouped_query_attention(inp["q"], inp["k"], inp["v"], mask)
-        return (out * Tensor(c)).sum()
+        return probe_loss(out, Tensor(c))
 
     report = grad_check(fn, inputs)
     assert report.passed, str(report)
@@ -523,7 +523,7 @@ def test_attention_node_equals_the_chain_bitwise(dtype, trained):
             inputs = {name: Tensor(a.copy(), requires_grad=name in trained)
                       for name, a in zip("qkv", data)}
             out, weights = gqa(inputs["q"], inputs["k"], inputs["v"], mask)
-            grads = T.backward((out * c).sum(), inputs)
+            grads = T.backward(probe_loss(out, c), inputs)
             results.append([out.data.tobytes(), weights.tobytes()]
                            + [grads[name].tobytes() for name in sorted(grads)])
         assert results[0] == results[1]

@@ -9,6 +9,7 @@ import pytest
 
 import dreamer.model
 import dreamer.routing
+import dreamer.training
 from dreamer import tensor as T
 from dreamer.config import desk_config
 from dreamer.errors import ContractError, InputError, NumericError
@@ -19,7 +20,8 @@ from dreamer.tensor import Tensor
 from dreamer.telemetry import TelemetryLog
 from dreamer.training import TaskSpec, make_batch, masked_cross_entropy
 from reference import (attention_chain, bank_apply_chain, dense_backward, ea_select, gated_experts_loop, grad_check,
-                       mean, router_logits_chain, select_topk_chain)
+                       logsumexp, masked_cross_entropy_chain, mean, probe_loss, router_logits_chain,
+                       select_topk_chain, sub)
 
 VARIANTS = ("LA", "DR", "DR_DA")
 
@@ -307,10 +309,10 @@ def test_step_gradient_check_tiny():
     def fn(_inputs):
         logits = model.model_forward(tokens)
         flat = logits.reshape(3, cfg.vocab_size)
-        lse = T.logsumexp(flat)
+        lse = logsumexp(flat)
         picked = T.take_rows(flat.reshape(3 * cfg.vocab_size),
                              np.arange(3) * cfg.vocab_size + targets)
-        return mean(lse - picked)
+        return mean(sub(lse, picked))
 
     subset = ["embed.weight", "layer.stream_norm.gain", "layer.sa.qkv_bank.experts",
               "layer.sa.router.query.weight", "layer.da.out_bank.shared",
@@ -524,7 +526,7 @@ def model_digest(cfg, dtype, tokens, targets) -> str:
     """A hash of the loss, every gradient, a greedy decode and no_grad logits."""
     model = DreamerModel(cfg, init_parameters(cfg, seed=5, dtype=dtype))
     inputs = learnable(model.params)
-    loss = T.eval(masked_cross_entropy(model.model_forward(tokens), targets))
+    loss = T.eval(dreamer.training.masked_cross_entropy(model.model_forward(tokens), targets))
     grads = T.backward(loss, inputs)
     h = hashlib.sha256(loss.data.tobytes())
     for name in sorted(grads):
@@ -561,11 +563,11 @@ def test_model_equals_the_per_expert_loop_bitwise(variant, dtype, monkeypatch):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_model_equals_the_engine_op_chains_bitwise(variant, dtype, monkeypatch):
-    # The fused attention core, router logits, gates and bank against the
-    # chains of engine ops they replaced, swapped in for every SA, DA, router
-    # and bank call: loss, every gradient, a greedy decode and no_grad logits
-    # hash equal. Masked SA, unmasked decode steps and DA, grouped query
-    # heads, top-1 and top-3 gates, normalized and not.
+    # The fused attention core, router logits, gates, bank and loss against
+    # the chains of engine ops they replaced, swapped in for every SA, DA,
+    # router, bank and loss call: loss, every gradient, a greedy decode and
+    # no_grad logits hash equal. Masked SA, unmasked decode steps and DA,
+    # grouped query heads, top-1 and top-3 gates, normalized and not.
     cfg = tiny_config(variant, 3, hidden_size=32, ea_num_experts=8, ea_active_experts=3)
     tokens, targets = make_batch(TaskSpec("copy", 12, 16), 0, 2)
     fused = model_digest(cfg, dtype, tokens, targets)
@@ -582,7 +584,10 @@ def test_model_equals_the_engine_op_chains_bitwise(variant, dtype, monkeypatch):
                         ("select_topk", select_topk_chain),
                         ("bank_apply", bank_apply_chain)]:
         monkeypatch.setattr(dreamer.model, name, counted(name, chain))
+    monkeypatch.setattr(dreamer.training, "masked_cross_entropy",
+                        counted("masked_cross_entropy", masked_cross_entropy_chain))
     assert model_digest(cfg, dtype, tokens, targets) == fused
+    assert calls["masked_cross_entropy"] == 1
     assert calls["grouped_query_attention"] > 0
     assert calls["depth_router_logits"] == calls["select_topk"] > 0
     assert (calls["bank_apply"] > 0) == (variant != "LA")
@@ -696,15 +701,15 @@ def test_decode_step_engine_op_ceiling(monkeypatch):
 
 def test_train_tape_node_ceiling():
     # the routed mixtures with a bank's gated shared term, attention cores,
-    # router logits and gates are one node each, so a desk DR_DA-4 training
-    # forward at the benchmark's 8 x 64 records fewer than 290 tape nodes
-    # (287 when this was written; 319 with a bank's shared term op by op,
-    # 419 with the attention cores and routers op by op too, about 1,700
-    # with the mixtures op by op as well)
+    # router logits, gates and the loss are one node each, so a desk DR_DA-4
+    # training forward at the benchmark's 8 x 64 records fewer than 282 tape
+    # nodes (280 when this was written; 287 with the loss op by op, 319 with
+    # a bank's shared term op by op too, 419 with the attention cores and
+    # routers op by op as well, about 1,700 with the mixtures op by op)
     model = DreamerModel(desk_config("DR_DA", 4), seed=0)
     tokens, targets = make_batch(TaskSpec("copy", 64, 16), 0, 8)
     loss = masked_cross_entropy(model.model_forward(tokens), targets)
-    assert len(T._topo(loss)) < 290, len(T._topo(loss))
+    assert len(T._topo(loss)) < 282, len(T._topo(loss))
 
 
 def test_train_step_peak_memory():
@@ -764,7 +769,7 @@ def test_nonfinite_expert_weight_names_gated_experts():
     down.data[used, 0, 0] = np.inf
     out = model.ea_forward(x, 0)
     with pytest.raises(NumericError, match="'gated_experts'"):
-        T.eval((out * out).sum())
+        T.eval(probe_loss(out, out))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -779,7 +784,7 @@ def test_nonfinite_trainable_expert_weight_is_named():
     used = int(np.flatnonzero(model.routers["layer.ea"].counts)[0])
     model.params["layer.ea.experts.down"].data[used, 0, 0] = np.inf
     out = model.ea_forward(x, 0)
-    loss = (out * out).sum()
+    loss = probe_loss(out, out)
     with pytest.raises(NumericError, match="input 'layer.ea.experts.down'"):
         T.eval(loss, learnable(model.params))
     with pytest.raises(NumericError, match="op 'leaf'"):

@@ -17,7 +17,7 @@ from dreamer.errors import ConfigError, ContractError, ShapeError
 from dreamer.tensor import Tensor
 from reference import (bank_apply_chain, ea_select, expert_node, fold_shared, folded_bank_apply,
                        gated_experts_loop, grad_check, moe_linear_forward, simulate_balancing)
-from reference import router_logits_chain, select_topk_chain
+from reference import mul, probe_loss, reduce_sum, router_logits_chain, select_topk_chain
 from reference import sigmoid as sigmoid_node
 
 
@@ -90,7 +90,7 @@ def test_gates_renormalize_to_one_and_grad_flows_through_sigmoid_only():
     st_ = state(4, 2)
     gates = ea_select(x, st_)
     assert abs(gates.data.sum() - 1.0) < 1e-12
-    grad = T.backward((gates * Tensor(np.arange(4.0))).sum(), {"x": x})["x"]
+    grad = T.backward(probe_loss(gates, Tensor(np.arange(4.0))), {"x": x})["x"]
     # unselected logits get zero gradient; bias never enters the graph
     sel = set(np.nonzero(gates.data)[0])
     for e in range(4):
@@ -208,7 +208,7 @@ def test_shared_term_gate_gradient_is_exactly_zero():
     x = Tensor(rng.normal(0, 1, (2, 4)))
     gate = Tensor(np.array([0.6, 0.3]), requires_grad=True)
     out = bank_apply(x, RoutingPlan([[1], [0]]), gate, experts, shared)
-    grad = T.backward((out * out).sum(), {"gate": gate})["gate"]
+    grad = T.backward(probe_loss(out, out), {"gate": gate})["gate"]
     assert grad is not None
     np.testing.assert_array_equal(grad, np.zeros(2))
 
@@ -220,7 +220,7 @@ def test_routable_term_gate_gradient_is_nonzero():
     x = Tensor(rng.normal(0, 1, (2, 4)))
     gate = Tensor(np.array([0.6, 0.3]), requires_grad=True)
     out = bank_apply(x, RoutingPlan([[1], [0]]), gate, experts, shared)
-    grad = T.backward((out * out).sum(), {"gate": gate})["gate"]
+    grad = T.backward(probe_loss(out, out), {"gate": gate})["gate"]
     assert np.all(np.abs(grad) > 1e-8)
 
 
@@ -368,7 +368,7 @@ def test_gated_experts_equals_the_per_expert_loop_bitwise(dtype, k):
         for mix, route in ((gated_experts, RoutingPlan(idx)), (gated_experts_loop, idx)):
             out = mix(x, route, gates, [weights[w] for w in ("gate", "up", "down")], expert)
             assert out.dtype == dtype
-            grads = T.backward((out * c).sum(), inputs)
+            grads = T.backward(probe_loss(out, c), inputs)
             results.append([out.data.tobytes()] + [grads[w].tobytes() for w in sorted(grads)])
         assert results[0] == results[1], idx.tolist()
     # the batched calls above include runs of several experts, whose weights
@@ -420,7 +420,7 @@ def test_gated_experts_gradcheck_singleton_and_unused_expert():
 
     def fn(inp):
         out = gated_experts(inp["x"], RoutingPlan(idx), inp["gates"], [inp["w"]], expert)
-        return (out * out).sum()
+        return probe_loss(out, out)
 
     inputs = {
         "x": Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True),
@@ -478,7 +478,7 @@ def test_gated_experts_gradcheck_runs(k):
 
     def fn(inp):
         weights = [inp[w] for w in ("gate", "up", "down")]
-        return (gated_experts(inp["x"], plan, inp["gates"], weights, swiglu_expert) * c).sum()
+        return probe_loss(gated_experts(inp["x"], plan, inp["gates"], weights, swiglu_expert), c)
 
     inputs = {"x": Tensor(rng.uniform(-1, 1, (n, 3)), requires_grad=True),
               "gates": Tensor(rng.uniform(0.1, 1.0, (n, k)), requires_grad=True),
@@ -497,7 +497,7 @@ def test_linear_expert_gradcheck():
               "w": Tensor(rng.uniform(-1, 1, (2, 3, 5)), requires_grad=True)}
     c = Tensor(rng.uniform(-1, 1, (2, 4, 5)))
     report = grad_check(
-        lambda inp: (expert_node(linear_expert, inp["u"], inp["w"]) * c).sum(), inputs)
+        lambda inp: probe_loss(expert_node(linear_expert, inp["u"], inp["w"]), c), inputs)
     assert report.passed, str(report)
 
 
@@ -526,7 +526,7 @@ def test_bank_gradcheck():
         gates = sigmoid_node(T.take_rows(logits.reshape(9), np.arange(3) * 3 + idx))
         out = bank_apply(inp["x"], RoutingPlan(idx[:, None]), gates, inp["experts"],
                          inp["shared"])
-        return (out * out).sum()
+        return probe_loss(out, out)
 
     inputs = {
         "experts": Tensor(rng.uniform(-1, 1, (3, 4, 2)), requires_grad=True),
@@ -548,7 +548,7 @@ def test_bank_shared_path_gradcheck():
 
     def fn(inp):
         out = bank_apply(inp["x"], RoutingPlan(idx), gates, inp["experts"], inp["shared"])
-        return (out * c).sum()
+        return probe_loss(out, c)
 
     experts, shared = rand_bank(rng)
     inputs = {"x": Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True),
@@ -593,7 +593,7 @@ def test_bank_node_equals_the_chain_bitwise(frozen):
         logits = T.matmul(inp["x"], inp["router"])
         gates = sigmoid_node(T.take_rows(logits.reshape(18), np.arange(6) * 3 + idx))
         out = bank(inp["x"], RoutingPlan(idx[:, None]), gates, inp["experts"], inp["shared"])
-        grads = T.backward((out * out).sum(), inp)
+        grads = T.backward(probe_loss(out, out), inp)
         runs.append([out.data.tobytes()] + [grads[k].tobytes() for k in sorted(grads)])
     assert runs[0] == runs[1]
 
@@ -630,7 +630,7 @@ def test_router_logits_gradcheck():
 
     def fn(inp):
         logits = depth_router_logits(inp["x"], inp["wq"], inp["keys"], 1, 3, 500.0)
-        return (logits * Tensor(c)).sum()
+        return probe_loss(logits, Tensor(c))
 
     report = grad_check(fn, inputs)
     assert report.passed, str(report)
@@ -646,7 +646,7 @@ def test_gates_gradcheck(k, normalize):
 
     def fn(inp):
         _, gates = select_topk(inp["logits"], state(6, k, normalize=normalize))
-        return (gates * Tensor(c)).sum()
+        return probe_loss(gates, Tensor(c))
 
     report = grad_check(fn, inputs)
     assert report.passed, str(report)
@@ -667,8 +667,8 @@ def test_router_nodes_equal_the_chains_bitwise(dtype):
                           for name, a in zip(("x", "wq", "keys"), data)}
                 logits = logits_fn(*inputs.values(), 2, 3, 500.0)
                 idx, gates = select(logits, state(5, k, normalize=normalize))
-                loss = (gates * Tensor(np.linspace(-1, 1, 7 * k).reshape(7, k).astype(dtype))
-                        + logits.sum()).sum()
+                c = np.linspace(-1, 1, 7 * k).reshape(7, k).astype(dtype)
+                loss = reduce_sum(mul(gates, Tensor(c)) + reduce_sum(logits))
                 grads = T.backward(loss, inputs)
                 results.append([logits.data.tobytes(), idx.tobytes(), gates.data.tobytes()]
                                + [grads[name].tobytes() for name in sorted(grads)])

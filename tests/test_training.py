@@ -8,7 +8,7 @@ import pytest
 
 import dreamer.training
 from dreamer.config import desk_config
-from dreamer.errors import ConfigError, InputError, NumericError
+from dreamer.errors import ConfigError, InputError, NumericError, ShapeError
 from dreamer.params import init_parameters, learnable, load_checkpoint
 from dreamer.training import (IGNORE_TARGET, SEPARATOR_TOKEN, OptimizerState,
                               TaskSpec, adamw_step, clip_grad_norm,
@@ -16,6 +16,7 @@ from dreamer.training import (IGNORE_TARGET, SEPARATOR_TOKEN, OptimizerState,
                               masked_cross_entropy, running_modular_sums,
                               save_token_file, synthetic_answer, train)
 from dreamer import tensor as T
+from reference import grad_check, masked_cross_entropy_chain, mul
 
 
 def tiny_config(variant="DR", **overrides):
@@ -245,6 +246,47 @@ def test_masked_cross_entropy_matches_hand_case():
     assert float(loss.data) == pytest.approx(np.log(4.0))
     with pytest.raises(InputError, match="live"):
         masked_cross_entropy(logits, np.full((1, 3), IGNORE_TARGET))
+
+
+@pytest.mark.parametrize("targets, error", [
+    ([[5, IGNORE_TARGET, 1]], InputError),  # the flat index reads the next row's logit
+    ([[4, IGNORE_TARGET, 1]], InputError),
+    ([[-2, IGNORE_TARGET, 1]], InputError),  # the flat index wraps to the array's end
+    ([2, IGNORE_TARGET, 1], ShapeError),
+    ([[2], [IGNORE_TARGET], [1]], ShapeError),
+], ids=["past_vocab", "at_vocab", "negative", "flat", "column"])
+def test_masked_cross_entropy_rejects_targets_it_would_misread(targets, error):
+    logits = T.Tensor(np.random.default_rng(0).normal(0.0, 1.0, (1, 3, 4)))
+    with pytest.raises(error):
+        masked_cross_entropy(logits, np.array(targets))
+
+
+# two positions ignored, target 2 in three rows
+CE_TARGETS = np.array([[2, IGNORE_TARGET, 2, 0], [IGNORE_TARGET, 4, 2, 1]])
+
+
+def test_cross_entropy_node_gradcheck():
+    inputs = {"logits": T.Tensor(np.random.default_rng(3).normal(0.0, 2.0, (2, 4, 5)),
+                                 requires_grad=True)}
+    report = grad_check(lambda inp: masked_cross_entropy(inp["logits"], CE_TARGETS), inputs)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [1.0, -3.0], ids=["plain", "negated"])
+def test_cross_entropy_node_equals_the_chain_bitwise(dtype, scale):
+    # one node against the chain of engine ops it replaced, loss and
+    # gradient; a negative upstream gradient gives the ignored rows signed
+    # zeros, which the chain's zero-based indexed sum turns positive
+    data = np.random.default_rng(4).normal(0.0, 3.0, (2, 4, 5)).astype(dtype)
+    results = []
+    for loss_fn in (masked_cross_entropy, masked_cross_entropy_chain):
+        x = T.Tensor(data.copy(), requires_grad=True)
+        loss = loss_fn(x, CE_TARGETS)
+        results.append((len(T._topo(loss)), loss.data.tobytes(),
+                        T.backward(mul(loss, scale), {"x": x})["x"].tobytes()))
+    assert results[0][0] == 2  # the leaf and the node
+    assert results[0][1:] == results[1][1:]
 
 
 # -- the loop ---------------------------------------------------------------------
