@@ -48,13 +48,18 @@ def _pair_freqs(dim: int, base: float) -> np.ndarray:
     return freqs
 
 
+def _read_only_tables(angles: np.ndarray, dtype) -> tuple:
+    """(cos, sin) of float64 `angles` in `dtype`, read-only: every caller shares them."""
+    tables = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def rope_tables(positions: np.ndarray, dim: int, base: float, dtype) -> tuple:
     """Read-only (cos, sin) [m, dim/2] in `dtype` of the angles positions * theta_i."""
     angles = np.asarray(positions, dtype=np.float64)[:, None] * _pair_freqs(dim, base)[None, :]
-    tables = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-    for table in tables:
-        table.flags.writeable = False  # shared by the caller's rotations
-    return tables
+    return _read_only_tables(angles, dtype)
 
 
 def rope_apply(x: Tensor, tables: tuple) -> Tensor:
@@ -105,11 +110,7 @@ def _depth_rope_tables(depth: int, depths: int, dim: int, base: float, dtype) ->
     pos = np.empty(dim // 2, dtype=np.float64)
     pos[:quarter] = float(depth)
     pos[quarter:] = float(depths - 1 - depth)
-    angles = pos * _pair_freqs(dim, base)
-    tables = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-    for table in tables:
-        table.flags.writeable = False  # shared by every caller
-    return tables
+    return _read_only_tables(pos * _pair_freqs(dim, base), dtype)
 
 
 def rope_depth_apply(x: Tensor, depth: int, depths: int, base: float) -> Tensor:

@@ -17,6 +17,9 @@ keys. They and the gates are one fused tape node each (`router_logits`,
 (`gated_experts`), in a bank with the gated shared term; each vjp replays
 the vjps of the engine-op chain it replaced, with the same numpy calls, so
 gradients are bitwise that chain's.
+
+Top-1 routing is top-k routing with k = 1: plans, gates and mixtures
+take one path for every k and every shape of the plan's runs.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def select_topk(logits: Tensor, state: RouterState):
     flat_idx = np.arange(len(idx))[:, None] * state.num_experts + idx
     with np.errstate(over="ignore"):
         sig = 1.0 / (1.0 + np.exp(-logits.data.reshape(-1)[flat_idx]))
-    normalize, top_k = state.normalize, state.top_k
+    normalize = state.normalize
     if normalize:
         total = sig.sum(axis=-1, keepdims=True)
         gates = sig / total
@@ -91,9 +94,7 @@ def select_topk(logits: Tensor, state: RouterState):
     def vjp(g):
         if normalize:
             # the division's vjp for both operands, then the sum's
-            gtotal = -g * sig / (total * total)
-            if top_k > 1:
-                gtotal = gtotal.sum(axis=1, keepdims=True)
+            gtotal = (-g * sig / (total * total)).sum(axis=1, keepdims=True)
             g = g / total + np.broadcast_to(gtotal, sig.shape).copy()
         dlogits = np.zeros(logits.shape, dtype=logits.dtype)
         dlogits.reshape(-1)[flat_idx] += g * sig * (1.0 - sig)
@@ -173,11 +174,12 @@ class RoutingPlan:
       out        [n * k] each (row, slot)'s grouped pair, a row's slots in
                  ascending expert id
       gate_rows  [n * k] the flat (row, slot) gate of each entry of `out`;
-                 None for top-1, where it is the row itself
+                 a permutation, `arange(n)` for top-1
       experts    the ids present, ascending
       runs       (B, m, start, experts) per run of B adjacent groups of m
-                 pairs from pair `start` on; `experts` is a slice of the
-                 stacked weights for consecutive ids, else the id array
+                 pairs from pair `start` on; the runs tile [0, P) in order.
+                 `experts` is a slice of the stacked weights for
+                 consecutive ids, else the id array
     `np.asarray(plan)` is `idx`.
     """
 
@@ -185,8 +187,9 @@ class RoutingPlan:
 
     def __init__(self, idx: np.ndarray):
         idx = np.asarray(idx)
-        if idx.ndim != 2:
-            raise ContractError(f"routing plan: idx must be [n, k], got shape {idx.shape}")
+        if idx.ndim != 2 or idx.size == 0:
+            raise ContractError(
+                f"routing plan: idx must be a nonempty [n, k], got shape {idx.shape}")
         n, top_k = idx.shape
         order, experts, counts = T.group_ids(idx.reshape(-1))
         sizes = np.maximum(counts, 2)
@@ -196,14 +199,10 @@ class RoutingPlan:
         pos[order] = np.cumsum(reps) - reps         # where each pair's output lands
         self.idx = idx
         self.rows = pairs // top_k
-        if top_k == 1:
-            self.out, self.gate_rows = pos, None
-        else:
-            # sorted positions put each row's slots in ascending expert id, so
-            # the summation order depends on which experts a row picked, not
-            # their rank
-            self.out = np.sort(pos.reshape(n, top_k), axis=1).reshape(-1)
-            self.gate_rows = pairs[self.out]
+        # sorted positions put each row's slots in ascending expert id, so the
+        # summation order depends on which experts a row picked, not their rank
+        pos.reshape(n, top_k).sort(axis=1)   # in place, through a view
+        self.out, self.gate_rows = pos, pairs[pos]
         self.experts = experts
         ids = experts.tolist()
         runs, first, start = [], 0, 0
@@ -246,19 +245,22 @@ def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert,
     op; everything after it is one tape node, `gated_experts`, with a
     closed-form vjp (the grouped operation of MegaBlocks, dropless). Each
     of the plan's runs is one batched numpy call `expert(u, *run) -> (out,
-    vjp)`: u is [B, m, din], a view of the gather, and `run` holds each
-    weight's [B, ...] for the run's B experts in ascending id, a view
-    `w[a:b]` when the ids are consecutive and a gather otherwise; out is
-    [B, m, dout] and vjp(g) returns the gradients of u and of each run
-    weight (the expert returns no vjp under no_grad). Groups are never
-    padded to a common size: a padded product costs work and memory, and
-    BLAS may round a group's real rows differently once padding changes
-    the product's shape. The gates scale the outputs after they are
-    gathered back into row order. The vjp runs the vjps of the equivalent
-    chain of engine ops in reverse, with the same numpy calls, so every
-    gradient is bitwise that chain's (the tests hold it to the per-expert
-    chain `gated_experts_loop`); each weight's gradient is one indexed
-    record over the plan's experts.
+    vjp)`: u is [B, m, din], a view of the run's pairs in the [P, din]
+    gather, and `run` holds each weight's [B, ...] for the run's B experts
+    in ascending id, a view `w[a:b]` when the ids are consecutive and a
+    gather otherwise; out is [B, m, dout] and vjp(g) returns the gradients
+    of u and of each run weight (the expert returns no vjp under no_grad).
+    Groups are never padded to a common size: a padded product costs work
+    and memory, and BLAS may round a group's real rows differently once
+    padding changes the product's shape. The outputs are gathered back
+    into (row, slot) order, scaled by the gates gathered to match, and
+    each row's k slots summed; top-1 takes the same path with k = 1. The
+    runs tile the pairs in order, so the vjp concatenates their input and
+    weight gradients. It runs the vjps of the equivalent chain of engine
+    ops in reverse, with the same numpy calls, so every gradient is
+    bitwise that chain's (the tests hold it to the per-expert chain
+    `gated_experts_loop`); each weight's gradient is one indexed record
+    over the plan's experts.
 
     No product ever has one row. BLAS computes a 1-row product on its gemv
     path, which can round differently from the same row inside a larger
@@ -277,50 +279,44 @@ def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert,
     n, top_k = plan.idx.shape
     if shared is not None and top_k != 1:
         raise ContractError(f"gated_experts: a shared term needs a top-1 plan, got top-{top_k}")
-    u = T.take_rows(x, plan.rows[None, :])   # [1, pairs, din], expert-major
+    u = T.take_rows(x, plan.rows)   # [pairs, din], expert-major
     parents = (u, *weights, gates) + (() if shared is None else (shared,))
     record = T.grad_enabled() and any(p.requires_grad for p in parents)
-    ud, runs = u.data, plan.runs
+    ud = u.data
     parts, vjps = [], []
-    for b, m, start, key in runs:
-        rows = ud if len(runs) == 1 else ud[:, start:start + b * m]
-        part, vjp = expert(rows if b == 1 else rows.reshape(b, m, -1),
+    for b, m, start, key in plan.runs:
+        part, vjp = expert(ud[start:start + b * m].reshape(b, m, -1),
                            *(w.data[key] for w in weights))
-        parts.append(part if b == 1 else part.reshape(1, b * m, -1))
+        parts.append(part.reshape(b * m, -1))
         vjps.append(vjp)
     # Without a tape the gathered rows die here, before the concat, the
     # parts right after it and the ungated outputs before the slot sum:
     # fewer live buffers and pages.
-    del rows, part
+    del part
     if not record:
         del u, ud, vjps
         parents = ()
-    y = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    y = np.concatenate(parts)
     del parts
+    y = y[plan.out]   # [n * k, dout] in (row, slot) order
     dout = y.shape[-1]
-    y = y.reshape(plan.rows.size, dout)[plan.out]
-    scale = (gates.data.reshape(n, 1) if top_k == 1
-             else gates.data.reshape(n * top_k, 1)[plan.gate_rows])
+    scale = gates.data.reshape(n * top_k, 1)[plan.gate_rows]
     out = y * scale
     if not record:
         del y
     if shared is not None:
         out += scale * shared.data
-    if top_k > 1:
-        out = out.reshape(n, top_k, dout).sum(axis=1)
+    out = out.reshape(n, top_k, dout).sum(axis=1)
 
     def grouped_vjp(g):
-        if top_k > 1:   # the slot sum's and its reshape's vjp
-            g = np.broadcast_to(g[:, None, :], (n, top_k, dout)).copy().reshape(-1, dout)
+        # the slot sum's and its reshape's vjp
+        g = np.broadcast_to(g[:, None, :], (n, top_k, dout)).copy().reshape(-1, dout)
         # the gathers' gradients are added into zeros, as the engine adds
         # their indexed records, so a -0.0 turns +0.0 there as well
         dgates = None
         if gates.requires_grad:
-            dgates = (g * y).sum(axis=1, keepdims=True)
-            if top_k > 1:
-                acc = np.zeros_like(dgates)
-                acc[plan.gate_rows] += dgates
-                dgates = acc
+            dgates = np.zeros((n * top_k, 1), dtype=y.dtype)
+            dgates[plan.gate_rows] += (g * y).sum(axis=1, keepdims=True)
             dgates = dgates.reshape(gates.shape)
         gscaled = g * scale
         del g   # g and its scaled copy die before the expert vjps run
@@ -328,20 +324,13 @@ def gated_experts(x: Tensor, plan: RoutingPlan, gates: Tensor, weights, expert,
         dy[plan.out] += gscaled
         dshared = gscaled if shared is not None and shared.requires_grad else None
         del gscaled
-        du = np.zeros_like(ud) if len(runs) > 1 else None
-        dws = [[] for _ in weights]
-        for (b, m, start, _), vjp in zip(runs, vjps):
-            span = slice(start, start + b * m)
-            drows, *dw = vjp(dy[span].reshape(b, m, dout))
-            if du is None:
-                du = drows.reshape(ud.shape)
-            else:
-                du[:, span] += drows.reshape(1, b * m, -1)
-            for grads, d in zip(dws, dw):
-                grads.append(d)
-        dws = [T._Scatter(plan.experts, d[0] if len(d) == 1 else np.concatenate(d),
-                          w.shape, w.dtype) if w.requires_grad else None
-               for w, d in zip(weights, dws)]
+        # the runs tile the pairs in order, so their gradients concatenate
+        drows, *dws = zip(*(vjp(dy[start:start + b * m].reshape(b, m, dout))
+                            for (b, m, start, _), vjp in zip(plan.runs, vjps)))
+        del dy
+        du = np.concatenate([d.reshape(-1, d.shape[-1]) for d in drows])
+        dws = [T._Scatter(plan.experts, np.concatenate(d), w.shape, w.dtype)
+               if w.requires_grad else None for w, d in zip(weights, dws)]
         return (du, *dws, dgates) + (() if shared is None else (dshared,))
 
     return T.node(out, parents, grouped_vjp, "gated_experts")

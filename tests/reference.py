@@ -5,14 +5,18 @@ the batched, sparse code in `src/` against them. None of this is part of
 the package.
 """
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+import dreamer.training
 from dreamer import tensor as T
 from dreamer.attention import causal_mask, rope_depth_apply
 from dreamer.errors import ConfigError, ContractError, InputError, ShapeError
+from dreamer.model import DreamerModel
+from dreamer.params import init_parameters, learnable
 from dreamer.routing import (RouterState, RoutingPlan, bank_apply, gated_experts, linear_expert,
                              select_topk, update_balance)
 from dreamer.tensor import Tensor
@@ -257,6 +261,25 @@ def dense_backward(loss: Tensor) -> dict:
             pid = parent.node_id
             grads[pid] = grads[pid] + pg if pid in grads else pg
     return leaves
+
+
+def model_digest(cfg, dtype, tokens, targets) -> str:
+    """A hash of the loss, every gradient, a greedy decode and no_grad logits.
+
+    The loss is `dreamer.training.masked_cross_entropy`, looked up when
+    called, so a test that swaps it in the module reaches it here.
+    """
+    model = DreamerModel(cfg, init_parameters(cfg, seed=5, dtype=dtype))
+    inputs = learnable(model.params)
+    loss = T.eval(dreamer.training.masked_cross_entropy(model.model_forward(tokens), targets))
+    grads = T.backward(loss, inputs)
+    h = hashlib.sha256(loss.data.tobytes())
+    for name in sorted(grads):
+        h.update(grads[name].tobytes())
+    h.update(model.decode(tokens[:1, :5], 6).tobytes())
+    with T.no_grad():
+        h.update(model.model_forward(tokens).data.tobytes())
+    return h.hexdigest()
 
 
 @dataclass

@@ -1,6 +1,5 @@
 """Layer composition, caching, recurrence, decoding, and model-level causality."""
 
-import hashlib
 import tracemalloc
 from collections import Counter
 
@@ -20,8 +19,8 @@ from dreamer.tensor import Tensor
 from dreamer.telemetry import TelemetryLog
 from dreamer.training import TaskSpec, make_batch, masked_cross_entropy
 from reference import (attention_chain, bank_apply_chain, dense_backward, ea_select, gated_experts_loop, grad_check,
-                       logsumexp, masked_cross_entropy_chain, mean, probe_loss, router_logits_chain,
-                       select_topk_chain, sub)
+                       logsumexp, masked_cross_entropy_chain, mean, model_digest, probe_loss,
+                       router_logits_chain, select_topk_chain, sub)
 
 VARIANTS = ("LA", "DR", "DR_DA")
 
@@ -522,21 +521,6 @@ def test_parameter_gradients_equal_dense_accumulation_bitwise(variant, depth, se
         assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name
 
 
-def model_digest(cfg, dtype, tokens, targets) -> str:
-    """A hash of the loss, every gradient, a greedy decode and no_grad logits."""
-    model = DreamerModel(cfg, init_parameters(cfg, seed=5, dtype=dtype))
-    inputs = learnable(model.params)
-    loss = T.eval(dreamer.training.masked_cross_entropy(model.model_forward(tokens), targets))
-    grads = T.backward(loss, inputs)
-    h = hashlib.sha256(loss.data.tobytes())
-    for name in sorted(grads):
-        h.update(grads[name].tobytes())
-    h.update(model.decode(tokens[:1, :5], 6).tobytes())
-    with T.no_grad():
-        h.update(model.model_forward(tokens).data.tobytes())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_model_equals_the_per_expert_loop_bitwise(variant, dtype, monkeypatch):
@@ -591,6 +575,15 @@ def test_model_equals_the_engine_op_chains_bitwise(variant, dtype, monkeypatch):
     assert calls["grouped_query_attention"] > 0
     assert calls["depth_router_logits"] == calls["select_topk"] > 0
     assert (calls["bank_apply"] > 0) == (variant != "LA")
+
+
+def test_ea_forward_over_zero_rows_is_a_contract_error():
+    # an empty selection is refused by its routing plan, not met by the
+    # mixture's run loop
+    model = DreamerModel(desk_config("DR_DA", 2, vocab_size=32, context_length=16), seed=0)
+    x = Tensor(np.zeros((1, 0, model.cfg.hidden_size), np.float32))
+    with T.no_grad(), pytest.raises(ContractError):
+        model.ea_forward(x, 0)
 
 
 # -- decode bookkeeping ------------------------------------------------------------

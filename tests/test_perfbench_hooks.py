@@ -3,15 +3,18 @@
 `perfbench/tracing.py` wraps library callables by name; a renamed or
 deleted target would turn its layer metrics into `missing` in a benchmark
 run. This catches that in the test suite instead, and checks that the
-counters read from hooked arguments see what the model passes.
+counters read from hooked arguments see what the model passes, and that
+the benchmark's run information reads BLAS as the library's manifest does.
 """
 
 import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dreamer
+import dreamer.cli
 from dreamer import DreamerModel, desk_config
 from dreamer import tensor as T
 
@@ -94,3 +97,15 @@ def test_tape_counters_read_the_tape_before_backward_consumes_it(monkeypatch):
     assert counts["tape_evals"] == len(before) == 1
     assert (counts["tape_nodes"], counts["tape_bytes"]) == before[0]
     assert before[0][0] > 100
+
+
+def test_benchmark_and_manifest_read_the_same_blas(monkeypatch):
+    # `run._openblas` and `cli._blas_info` each hold a ctypes reader of
+    # numpy's bundled OpenBLAS; a fix to one alone would split them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    config, threads = importlib.import_module("run")._openblas()
+    if threads is None:
+        pytest.skip("numpy has no bundled OpenBLAS to read")
+    info = dreamer.cli._blas_info()
+    assert [info["blas_name"], info["blas_version"]] == config.split()[:2]
+    assert info["blas_threads"] == threads

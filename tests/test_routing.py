@@ -253,7 +253,7 @@ def test_routing_plan_groups_once_for_every_consumer():
     assert np.asarray(plan) is idx  # what the benchmark's bank counter reads
     assert plan.rows.tolist() == [0, 3, 4, 1, 2, 5, 5]
     assert plan.out.tolist() == [0, 3, 4, 1, 2, 5]
-    assert plan.gate_rows is None  # top-1 gates need no gather
+    assert plan.gate_rows.tolist() == list(range(6))  # top-1: each row's own gate
     assert plan.runs == ((1, 3, 0, slice(1, 2)), (2, 2, 3, slice(2, 4)))
     assert plan.experts.tolist() == [1, 2, 3]  # whose weights get a gradient
     # top-2: each row's slots in ascending id, gates gathered to match
@@ -264,6 +264,43 @@ def test_routing_plan_groups_once_for_every_consumer():
     assert (b, m, start, ids.tolist()) == (3, 2, 0, [0, 2, 3])
     with pytest.raises(ContractError):
         RoutingPlan(np.array([1, 2]))
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (0, 3), (4, 0)])
+def test_routing_plan_rejects_an_empty_selection(shape):
+    # a mixture over no (row, slot) pair has no run to take its shape from
+    with pytest.raises(ContractError):
+        RoutingPlan(np.zeros(shape, dtype=np.int64))
+
+
+@st.composite
+def selections(draw):
+    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        ids = list(range(draw(st.integers(k, 8))))
+    else:
+        ids = draw(st.lists(st.integers(0, 63), min_size=k, max_size=12, unique=True))
+    return np.array([draw(st.permutations(ids))[:k] for _ in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(selections())
+def test_routing_plan_invariants(idx):
+    # what the one path of `gated_experts` relies on, for every k and run shape
+    n, k = idx.shape
+    plan = RoutingPlan(idx)
+    start = 0
+    for b, m, run_start, _ in plan.runs:  # the runs tile the pairs in order
+        assert run_start == start and b >= 1 and m >= 2
+        start += b * m
+    assert start == plan.rows.size
+    ids = np.concatenate([np.arange(64)[key] for *_, key in plan.runs])
+    assert ids.tolist() == plan.experts.tolist() == sorted(set(idx.reshape(-1).tolist()))
+    assert sorted(plan.gate_rows.tolist()) == list(range(n * k))
+    assert np.all(np.diff(plan.out.reshape(n, k), axis=1) > 0)
+    assert np.array_equal(plan.rows[plan.out], plan.gate_rows // k)
+    if k == 1:
+        assert np.array_equal(plan.gate_rows, np.arange(n))
 
 
 @pytest.mark.parametrize("k", [1, 2])
