@@ -1,4 +1,4 @@
-"""Attention primitives: scaled dot-product, grouped queries, RoPE, RMSNorm.
+"""Attention primitives: scaled dot-product, grouped queries, heads, RoPE, RMSNorm.
 
 All functions take and return engine Tensors and are dtype-agnostic
 (float32 for training, float64 for gradient checks). Rotary embeddings use
@@ -7,14 +7,19 @@ the split-half pair layout: channel pair i is (x[i], x[i + dim/2]).
 Head counts and widths are read from the arrays; the scalars (rotary
 base, depth count) come from the model config, which validates them.
 
-RMSNorm, the RoPE rotation and the attention core (both products and,
-between them, the scale, mask and softmax, done in place on the score
-product) are fused: each records one tape node with a closed-form
-backward via `tensor.node`. RMSNorm keeps its input and per-row `inv =
-1/rms`; the rotation keeps its angle tables; the attention core keeps
-only the softmax weights, and no raw or scaled score array exists beside
-them. `rotate_pairs` is the rotation formula in numpy, shared with the
-router logits of `routing`.
+RMSNorm, the head split, the RoPE rotation and the attention core are
+fused: each records one tape node with a closed-form backward via
+`tensor.node`. RMSNorm keeps its input and per-row `inv = 1/rms`. The
+head split (`split_heads`) takes a fused qkv projection to a [batch,
+heads, seq, d] buffer with the q and k heads RMS-normalised and keeps
+their `inv`s. The rotation keeps its angle tables, and an attention
+module rotates its q and k heads in one call. The attention core (both
+products and, between them, the scale, mask and softmax, done in place
+on the score product) keeps only the softmax weights, so no raw or
+scaled score array exists beside them, and returns its output as merged
+rows for the output projection. `rms_rows` is the RMSNorm formula in
+numpy, shared by `rms_norm` and `split_heads`; `rotate_pairs` is the
+rotation formula, shared with the router logits of `routing`.
 
 The rotary pair frequencies and the depth cos/sin tables are memoized on
 first use and read-only. Callers build the sequence RoPE tables
@@ -118,39 +123,111 @@ def rope_depth_apply(x: Tensor, depth: int, depths: int, base: float) -> Tensor:
     return rope_apply(x, _depth_rope_tables(depth, depths, x.shape[-1], base, x.dtype))
 
 
+def rms_rows(x: np.ndarray, eps: float, op: str, out: np.ndarray | None = None) -> tuple:
+    """RMSNorm without its gain, in numpy: (x / rms(x) over the last axis,
+    written into `out` if given, and inv = 1/rms [..., 1]).
+
+    The one home of the formula, for `rms_norm` and `split_heads`, which
+    multiply the result by their gains in place. A non-finite row raises a
+    NumericError naming the caller's node `op`: the squares are no tape
+    node, so `eval` would miss them, and inference has no `eval`.
+    """
+    # np.add.reduce and an in-place divide are bitwise `.mean()` without its
+    # Python-level dispatch
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True)
+    ms /= x.shape[-1]
+    if not np.isfinite(ms).all():
+        raise NumericError(f"non-finite values produced by op '{op}'")
+    inv = (ms + np.asarray(eps, dtype=x.dtype)) ** -0.5
+    return np.multiply(x, inv, out=out), inv
+
+
+def rms_rows_vjp(g: np.ndarray, x: np.ndarray, gain: np.ndarray, inv: np.ndarray,
+                 x_grad: bool, gain_grad: bool) -> tuple:
+    """(dx or None, dgain or None) of RMSNorm, `rms_rows(x, ...)` times `gain`,
+    at its output gradient `g`."""
+    gx = ggain = None
+    if x_grad:
+        gg = g * gain
+        mean = np.add.reduce(gg * x, axis=-1, keepdims=True)
+        mean /= x.shape[-1]
+        gx = gg * inv - x * inv ** 3 * mean
+    if gain_grad:
+        # in place, so the sum runs in x's memory order: a strided x, such
+        # as one head group of a [b, s, heads, d] buffer seen as [b, heads,
+        # s, d], sums its rows as the contiguous [b, s, heads, d] would
+        ggain = x * inv
+        ggain *= g
+        ggain = ggain.sum(axis=tuple(range(g.ndim - 1)))
+    return gx, ggain
+
+
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """x / rms(x) * gain over the last axis; one tape node keeping x and inv."""
     if gain.shape != x.shape[-1:]:
         raise ShapeError(f"rms_norm: gain shape {gain.shape} != feature dim {x.shape[-1:]}")
     xd, gd = x.data, gain.data
-    n = xd.shape[-1]
-    # np.add.reduce and an in-place divide are bitwise `.mean()` without its
-    # Python-level dispatch
-    ms = np.add.reduce(xd * xd, axis=-1, keepdims=True)
-    ms /= n
-    if not np.isfinite(ms).all():
-        # the squares are no tape node, so `eval` would miss this; inference too
-        raise NumericError("non-finite values produced by op 'rms_norm'")
-    inv = (ms + np.asarray(eps, dtype=xd.dtype)) ** -0.5
-    out = xd * inv * gd
+    out, inv = rms_rows(xd, eps, "rms_norm")
+    out *= gd
+    return T.node(out, (x, gain),
+                  lambda g: rms_rows_vjp(g, xd, gd, inv, x.requires_grad, gain.requires_grad),
+                  "rms_norm")
+
+
+def split_heads(qkv: Tensor, batch: int, seq: int, query_heads: int, kv_heads: int,
+                q_gain: Tensor, k_gain: Tensor, eps: float) -> Tensor:
+    """The heads of a fused projection, q and k RMS-normalised: one tape node.
+
+    `qkv` [batch * seq, (query_heads + 2 * kv_heads) * d] holds each row's
+    q, k and v heads side by side. Returns a new [batch, query_heads + 2 *
+    kv_heads, seq, d] buffer: the q heads normalised with `q_gain` [d], the
+    k heads with `k_gain` [d], the v heads raw. The rows are normalised on
+    their strided view of `qkv`, each group's gain gradient is summed on
+    its own view, and the vjp adds each group's gradient into a zero
+    buffer, so values and gradients are bitwise those of the engine chain
+    it replaces: a reshape, a transpose, a slice per group and an
+    `rms_norm` each for q and k.
+    """
+    heads = query_heads + 2 * kv_heads
+    d = qkv.shape[-1] // heads
+    if qkv.shape != (batch * seq, heads * d) or {q_gain.shape, k_gain.shape} != {(d,)}:
+        raise ShapeError(f"split_heads: qkv {qkv.shape} or gains {q_gain.shape}, "
+                         f"{k_gain.shape} do not fit {batch} x {seq} rows of {heads} heads")
+    src = qkv.data.reshape(batch, seq, heads, d).transpose(0, 2, 1, 3)
+    shape = (batch, heads, seq, d)
+    out = np.empty(shape, dtype=qkv.dtype)
+    qk = query_heads + kv_heads
+    _, inv = rms_rows(src[:, :qk], eps, "split_heads", out[:, :qk])
+    groups = ((slice(0, query_heads), q_gain), (slice(query_heads, qk), k_gain))
+    for part, gain in groups:
+        out[:, part] *= gain.data
+    out[:, qk:] = src[:, qk:]
 
     def vjp(g):
-        gx = ggain = None
-        if x.requires_grad:
-            gg = g * gd
-            mean = np.add.reduce(gg * xd, axis=-1, keepdims=True)
-            mean /= n
-            gx = gg * inv - xd * inv ** 3 * mean
-        if gain.requires_grad:
-            # in place, so the sum runs in x's memory order: a strided x, such
-            # as one head group of a [b, s, heads, d] buffer seen as [b, heads,
-            # s, d], sums its rows as the contiguous [b, s, heads, d] would
-            ggain = xd * inv
-            ggain *= g
-            ggain = ggain.sum(axis=tuple(range(g.ndim - 1)))
-        return gx, ggain
+        x_grad = qkv.requires_grad
+        gx = np.zeros(shape, dtype=g.dtype) if x_grad else None
+        ggains = []
+        for part, gain in groups:
+            gpart, ggain = rms_rows_vjp(g[:, part], src[:, part], gain.data, inv[:, part],
+                                        x_grad, gain.requires_grad)
+            if x_grad:
+                gx[:, part] += gpart
+            ggains.append(ggain)
+        if x_grad:
+            gx[:, qk:] += g[:, qk:]
+            gx = gx.transpose(0, 2, 1, 3).reshape(qkv.shape)
+        return gx, *ggains
 
-    return T.node(out, (x, gain), vjp, "rms_norm")
+    return T.node(out, (qkv, q_gain, k_gain), vjp, "split_heads")
+
+
+def attention_heads(qkv: Tensor, batch: int, seq: int, query_heads: int, kv_heads: int,
+                    q_gain: Tensor, k_gain: Tensor, eps: float, encode) -> tuple:
+    """(q, k, v) [batch, heads, seq, d] of a fused projection, as `split_heads` lays
+    them out: `encode(t)` position-encodes the normalised q and k heads in one call."""
+    heads = split_heads(qkv, batch, seq, query_heads, kv_heads, q_gain, k_gain, eps)
+    qk = encode(heads[:, :query_heads + kv_heads])
+    return qk[:, :query_heads], qk[:, query_heads:], heads[:, query_heads + kv_heads:]
 
 
 def causal_mask(m: int, n: int, offset: int, dtype) -> np.ndarray:
@@ -169,18 +246,23 @@ def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | 
     Shapes: q [b, query_heads, m, d], k/v [b, kv_heads, n, d], one dtype.
     `mask` is an additive [m, n] mask in q's dtype, such as `causal_mask(m,
     n, offset, q.dtype)`, added to every query head's scores; None adds
-    none. Returns (out [b, query_heads, m, d], the softmax weights as an
-    array [b, query_heads, m, n]). Equal head counts reduce to plain
-    per-head attention. The group axis is merged into the row axis so each
-    kv head attends all of its query heads in one batched product.
+    none. Returns (out as merged rows [b * m, query_heads * d], row i * m +
+    j holding query j of batch i with its heads side by side, ready for
+    the output projection; the softmax weights as an array [b,
+    query_heads, m, n]). Equal head counts reduce to plain per-head
+    attention. The group axis is merged into the row axis so each kv head
+    attends all of its query heads in one batched product.
 
     The whole core is one tape node, `attention`, over (q, k, v): the
     score product is scaled, masked and softmaxed in place, so no raw or
     scaled score array exists beside the weights, which are all the node
     keeps. Its vjp runs the vjps of the engine-op chain (reshape,
-    transpose, two matmuls around the scaled, masked softmax) in reverse
-    with the same numpy calls, so every gradient is bitwise that chain's.
+    transpose, two matmuls around the scaled, masked softmax, then the
+    merge's transpose and reshape) in reverse with the same numpy calls,
+    so every gradient is bitwise that chain's.
     """
+    if q.ndim != 4:
+        raise ShapeError(f"gqa: q shape {q.shape} is not [b, heads, m, d]")
     b, qh, m, d = q.shape
     if k.shape != v.shape:
         raise ShapeError(f"gqa: k shape {k.shape} != v shape {v.shape}")
@@ -206,10 +288,10 @@ def grouped_query_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | 
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    out = (w @ vd).reshape(b, qh, m, d)
+    out = (w @ vd).reshape(b, qh, m, d).transpose(0, 2, 1, 3).reshape(b * m, qh * d)
 
     def vjp(g):
-        g = g.reshape(b, kv_heads, group * m, d)
+        g = g.reshape(b, m, qh, d).transpose(0, 2, 1, 3).reshape(b, kv_heads, group * m, d)
         gq = gk = gv = None
         if v.requires_grad:
             gv = np.swapaxes(w, -1, -2) @ g

@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import (causal_mask, grouped_query_attention, rms_norm, rope_apply,
-                        rope_depth_apply, rope_tables)
+from .attention import (attention_heads, causal_mask, grouped_query_attention, rms_norm,
+                        rope_apply, rope_depth_apply, rope_tables)
 from .config import ModelConfig
 from .errors import ContractError, InputError
 from .params import init_parameters
@@ -217,38 +217,29 @@ class DreamerModel:
         Heads are laid out [batch, heads, seq, d]: SA passes (b, s) and
         attends along tokens, DA passes (b * s, 1) and attends along the
         depths in its cache. `encode(t)` position-encodes the RMS-normalized
-        q and k. `mask` is SA's causal mask, or None when every query sees
-        every key.
+        q and k heads together, in one call. `mask` is SA's causal mask, or
+        None when every query sees every key.
         """
         cfg = self.cfg
         prefix = f"{cfg.set_name(depth)}.{module}"
-        query_heads, kv_heads, head_dim, _, out_dim = cfg.attention_dims(module)
+        query_heads, kv_heads, *_ = cfg.attention_dims(module)
         b, s, h = x.shape
         normed = rms_norm(x, self.params[f"{prefix}.in_norm.gain"], cfg.rms_eps)
         flat = normed.reshape(b * s, h)
         selection = None if cfg.layered else self._route(flat, prefix, depth)
         qkv = self._project(flat, prefix, "qkv", selection)
 
-        # one split into heads [batch, q + 2 * kv heads, seq, d], sliced on the head axis
-        heads = qkv.reshape(batch, seq, query_heads + 2 * kv_heads, head_dim)
-        heads = heads.transpose((0, 2, 1, 3))
-
-        def normed(first: int, end: int, norm: str) -> Tensor:
-            gain = self.params[f"{prefix}.{norm}.gain"]
-            return encode(rms_norm(heads[:, first:end], gain, cfg.rms_eps))
-
-        q = normed(0, query_heads, "q_norm")
-        k = normed(query_heads, query_heads + kv_heads, "k_norm")
-        v = heads[:, query_heads + kv_heads:]
+        q, k, v = attention_heads(qkv, batch, seq, query_heads, kv_heads,
+                                  self.params[f"{prefix}.q_norm.gain"],
+                                  self.params[f"{prefix}.k_norm.gain"], cfg.rms_eps, encode)
         if cache is not None:
             k, v = cache.append(k, v)
 
-        out, weights = grouped_query_attention(q, k, v, mask)
+        merged, weights = grouped_query_attention(q, k, v, mask)
         if module == "da" and self.telemetry is not None:
             scores = weights.mean(axis=(0, 1, 2)).astype(np.float64)
             self.telemetry.add_depth_scores(depth, batch, scores)
         del weights  # the softmax weights must not outlive the attention core
-        merged = out.transpose((0, 2, 1, 3)).reshape(batch * seq, out_dim)
         y = self._project(merged, prefix, "out", selection)
         return y.reshape(b, s, h)
 

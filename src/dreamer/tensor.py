@@ -14,19 +14,20 @@ tape and returns `loss`, then `backward(loss, inputs)`, which returns
 parents, so what the node saved dies as the walk goes on, and a second
 `backward` over the tape raises ContractError.
 
-Fused ops: the model's hot composites (RMSNorm, RoPE and the attention
-core from its score product to its value product in `attention`; the
-router logits, the gates and the routed mixture after its input gather
-in `routing`, a bank's shared term included; the masked cross entropy
+Fused ops: the model's hot composites (RMSNorm, the split of a qkv
+projection into normalised heads, RoPE and the attention core from its
+score product to its merged output rows in `attention`; the router
+logits, the gates and the routed mixture after its input gather in
+`routing`, a bank's shared term included; the masked cross entropy
 in `training`) compute their forward in numpy and record a single node
 through `node(data, parents, vjp, op)`, with a closed-form vjp. The vjp
 closes over only what the backward reads: the parents' arrays, which
 the tape keeps alive anyway, plus angle tables or arrays of the forward
-(RMSNorm's per-row `inv`, the attention weights, the rotated router
-queries, the sigmoid of the selected logits, the mixture's expert
-inputs, the SwiGLU experts' two input products, from which their vjp
-recomputes the sigmoid and the hidden activations, gathered outputs,
-and the loss's softmax). The raw, scaled, masked or squared copies,
+(RMSNorm's and the head split's per-row `inv`, the attention weights,
+the rotated router queries, the sigmoid of the selected logits, the
+mixture's expert inputs, the SwiGLU experts' two input products, from
+which their vjp recomputes the sigmoid and the hidden activations,
+gathered outputs, and the loss's softmax). The raw, scaled, masked or squared copies,
 concats and product outputs an op-by-op form would leave on the tape do
 not exist. The engine itself keeps only the ops the model calls: `add`,
 `matmul`, `reshape`, `transpose`, `getitem`, `concat` and `take_rows`.
@@ -150,9 +151,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def _as_tensor(x, dtype) -> Tensor:

@@ -9,6 +9,11 @@ greedy decode and the no_grad logits. A change that claims unchanged
 outputs prints the same six digests as its parent. Float results depend
 on the BLAS thread count, so OpenBLAS is pinned to one thread before
 numpy loads.
+
+Then it prints two structural counts of desk DR_DA-4: the engine ops one
+cached decode step records (`reference.decode_step_ops`) and the nodes of
+a training forward's tape at 8 x 64 (`reference.train_tape_nodes`). The
+tests hold both under a ceiling; a change that fuses ops quotes them.
 """
 
 import os
@@ -22,8 +27,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from dreamer.config import desk_config  # noqa: E402
+from dreamer.model import DreamerModel  # noqa: E402
 from dreamer.training import TaskSpec, make_batch  # noqa: E402
-from reference import model_digest  # noqa: E402
+from reference import decode_step_ops, model_digest, train_tape_nodes  # noqa: E402
 
 
 def main():
@@ -33,6 +39,9 @@ def main():
         digests = [model_digest(cfg, dtype, tokens, targets)[:16]
                    for dtype in (np.float32, np.float64)]
         print(f"{variant:6s} float32 {digests[0]}  float64 {digests[1]}")
+    model = DreamerModel(desk_config("DR_DA", 4), seed=0)
+    print(f"DR_DA-4 decode step engine ops {len(decode_step_ops(model))}")
+    print(f"DR_DA-4 train tape nodes at 8 x 64 {train_tape_nodes(model)}")
 
 
 if __name__ == "__main__":

@@ -13,14 +13,14 @@ import numpy as np
 
 import dreamer.training
 from dreamer import tensor as T
-from dreamer.attention import causal_mask, rope_depth_apply
+from dreamer.attention import causal_mask, rms_norm, rope_depth_apply
 from dreamer.errors import ConfigError, ContractError, InputError, ShapeError
 from dreamer.model import DreamerModel
 from dreamer.params import init_parameters, learnable
 from dreamer.routing import (RouterState, RoutingPlan, bank_apply, gated_experts, linear_expert,
                              select_topk, update_balance)
 from dreamer.tensor import Tensor
-from dreamer.training import IGNORE_TARGET
+from dreamer.training import IGNORE_TARGET, TaskSpec, make_batch
 
 
 # -- engine ops ------------------------------------------------------------------
@@ -282,6 +282,45 @@ def model_digest(cfg, dtype, tokens, targets) -> str:
     return h.hexdigest()
 
 
+def prompted_caches(model, seed=0, prompt_len=16):
+    """Caches after a seeded batch-1 prompt, and the greedy next token [1, 1]."""
+    rng = np.random.default_rng(seed)
+    prompt = rng.integers(0, model.cfg.vocab_size, (1, prompt_len))
+    caches = model.new_caches()
+    logits = model.model_forward(prompt, caches)
+    return caches, np.argmax(logits.data[:, -1, :], axis=-1)[:, None]
+
+
+def decode_step_ops(model) -> list:
+    """The op name of every engine op one cached decode step records.
+
+    The step follows a seeded 32-token prompt, under no_grad. Every engine
+    op and fused node is made by `T.node`, so this counts them all.
+    """
+    ops = []
+    original = T.node
+
+    def counting(data, parents, vjp, op):
+        ops.append(op)
+        return original(data, parents, vjp, op)
+
+    with T.no_grad():
+        caches, nxt = prompted_caches(model, prompt_len=32)
+        T.node = counting
+        try:
+            model.model_forward(nxt, caches)
+        finally:
+            T.node = original
+    return ops
+
+
+def train_tape_nodes(model) -> int:
+    """The nodes, leaves included, of one training forward's tape at 8 x 64 copy tokens."""
+    tokens, targets = make_batch(TaskSpec("copy", 64, 16), 0, 8)
+    loss = dreamer.training.masked_cross_entropy(model.model_forward(tokens), targets)
+    return len(T._topo(loss))
+
+
 @dataclass
 class GradCheckReport:
     """Per-input max relative error between backward and central differences."""
@@ -396,8 +435,10 @@ def _masked_softmax(scores: Tensor, scale: float, mask: np.ndarray | None) -> Te
 
 def attention_chain(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None):
     """`grouped_query_attention` as engine ops: two matmuls around the
-    scaled, masked softmax node, the group axis merged by engine reshapes.
-    The fused `attention` node must equal this bitwise, forward and backward.
+    scaled, masked softmax node, the group axis merged by engine reshapes,
+    then the merge of the output into rows [b * m, query_heads * d] by an
+    engine transpose and reshape. The fused `attention` node must equal
+    this bitwise, forward and backward.
     """
     b, qh, m, d = q.shape
     if k.shape != v.shape:
@@ -410,7 +451,24 @@ def attention_chain(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None):
     scores = T.matmul(qg, T.transpose(k, _swap_last(k.ndim)))
     weights = _masked_softmax(scores, 1.0 / np.sqrt(d), mask)
     out = T.matmul(weights, v).reshape(b, qh, m, d)
-    return out, weights.data.reshape(b, qh, m, n)
+    merged = T.transpose(out, (0, 2, 1, 3)).reshape(b * m, qh * d)
+    return merged, weights.data.reshape(b, qh, m, n)
+
+
+def head_chain(qkv: Tensor, batch: int, seq: int, query_heads: int, kv_heads: int,
+               q_gain: Tensor, k_gain: Tensor, eps: float, encode) -> tuple:
+    """`attention_heads` as engine ops: the split of `qkv` into heads [batch,
+    heads, seq, d] by a reshape and a transpose, a slice per group, an
+    `rms_norm` each for q and k and one `encode` each. The `split_heads`
+    node and the one joint rotation must equal this bitwise, forward and
+    backward.
+    """
+    d = qkv.shape[1] // (query_heads + 2 * kv_heads)
+    heads = qkv.reshape(batch, seq, query_heads + 2 * kv_heads, d)
+    heads = T.transpose(heads, (0, 2, 1, 3))
+    q = encode(rms_norm(heads[:, :query_heads], q_gain, eps))
+    k = encode(rms_norm(heads[:, query_heads:query_heads + kv_heads], k_gain, eps))
+    return q, k, heads[:, query_heads + kv_heads:]
 
 
 def _rotate_pairs(x: np.ndarray, angles: np.ndarray) -> np.ndarray:

@@ -9,19 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dreamer import tensor as T
-from dreamer.attention import (_depth_rope_tables, _pair_freqs, causal_mask,
+from dreamer.attention import (_depth_rope_tables, _pair_freqs, attention_heads, causal_mask,
                                grouped_query_attention, rms_norm, rope_apply, rope_depth_apply,
-                               rope_tables)
+                               rope_tables, split_heads)
 from dreamer.errors import ContractError, NumericError, ShapeError
 from dreamer.model import swiglu_expert
 from dreamer.tensor import Tensor
 from reference import (attention, attention_chain, depth_rope_oracle, expert_node, grad_check,
-                       probe_loss, rope_oracle, sigmoid)
+                       head_chain, probe_loss, rope_oracle, sigmoid)
 
 
 def rope(x: Tensor, positions, base: float) -> Tensor:
     """Sequence RoPE at `positions`, its tables built as the model builds them."""
     return rope_apply(x, rope_tables(np.asarray(positions), x.shape[-1], base, x.dtype))
+
+
+def heads_of(out: Tensor, b: int, heads: int) -> np.ndarray:
+    """The attention node's merged rows [b * m, heads * d] as [b, heads, m, d]."""
+    return out.data.reshape(b, -1, heads, out.shape[1] // heads).transpose(0, 2, 1, 3)
 
 
 def np_softmax(x):
@@ -101,7 +106,7 @@ def test_gqa_equal_heads_is_per_head_attention():
     v = rng.uniform(-1, 1, (1, 2, 5, 4))
     mask = causal_mask(5, 5, 0, np.float64)
     out, _ = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v), mask)
-    out = out.data
+    out = heads_of(out, 1, 2)
     for h in range(2):
         ref = attention(Tensor(q[0, h]), Tensor(k[0, h]), Tensor(v[0, h]), causal=True).data
         np.testing.assert_allclose(out[0, h], ref, atol=1e-12)
@@ -115,6 +120,8 @@ def test_gqa_grouping_matches_loop_oracle():
     v = rng.uniform(-1, 1, (b, 2, n, 3))
     out, w = grouped_query_attention(Tensor(q), Tensor(k), Tensor(v),
                                      causal_mask(m, n, 0, np.float64))
+    assert out.shape == (b * m, 4 * 3)  # merged rows: query j of batch i is row i * m + j
+    out = heads_of(out, b, 4)
     mask = np.where(np.tril(np.ones((m, n), bool)), 0.0, -np.inf)
     for bi in range(b):
         for h in range(4):
@@ -122,7 +129,7 @@ def test_gqa_grouping_matches_loop_oracle():
             scores = q[bi, h] @ k[bi, kv].T / np.sqrt(3) + mask
             wref = np_softmax(scores)
             np.testing.assert_allclose(w[bi, h], wref, atol=1e-12)
-            np.testing.assert_allclose(out.data[bi, h], wref @ v[bi, kv], atol=1e-12)
+            np.testing.assert_allclose(out[bi, h], wref @ v[bi, kv], atol=1e-12)
 
 
 @pytest.mark.parametrize("m, n, offset", [(3, 3, 0), (2, 5, 1), (1, 4, 3), (2, 4, 2)])
@@ -153,6 +160,8 @@ def test_gqa_bad_head_counts_rejected():
     with pytest.raises(ShapeError):  # k and v must agree
         grouped_query_attention(Tensor(np.zeros((1, 2, 2, 4))), kv,
                                 Tensor(np.zeros((1, 1, 2, 4))), None)
+    with pytest.raises(ShapeError, match="q shape"):  # q must have a head axis
+        grouped_query_attention(Tensor(np.zeros((2, 4, 16), np.float32)), kv, kv, None)
 
 
 # -- rotary -----------------------------------------------------------------
@@ -416,6 +425,68 @@ def test_swiglu_gradcheck():
     assert report.passed, str(report)
 
 
+@pytest.mark.parametrize("batch, seq, query_heads, kv_heads", [(2, 3, 4, 2), (6, 1, 1, 1)],
+                         ids=["sa", "da"])
+def test_split_heads_gradcheck(batch, seq, query_heads, kv_heads):
+    # SA's grouped heads over tokens and DA's one head over depth rows
+    rng = np.random.default_rng(21)
+    heads, d = query_heads + 2 * kv_heads, 4
+    c = rng.uniform(-1, 1, (batch, heads, seq, d))
+    inputs = {"qkv": param(rng, (batch * seq, heads * d)), "q_gain": param(rng, d),
+              "k_gain": param(rng, d)}
+
+    def fn(inp):
+        out = split_heads(inp["qkv"], batch, seq, query_heads, kv_heads, inp["q_gain"],
+                          inp["k_gain"], 1e-6)
+        return probe_loss(out, Tensor(c))
+
+    report = grad_check(fn, inputs)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("qkv_shape, q_dim, k_dim", [
+    ((6, 32), 8, 8),   # 6 rows are not 2 x 2
+    ((4, 30), 8, 8),   # 30 columns are no whole number of 4 heads
+    ((4, 32), 16, 8),  # a gain for another head width
+    ((4, 32), 8, 4),
+    ((32,), 8, 8),     # no row axis
+])
+def test_split_heads_rejects_what_does_not_fit(qkv_shape, q_dim, k_dim):
+    # 2 x 2 rows of 4 heads (2 q, 1 k, 1 v) of width 8 fit qkv [4, 32]
+    gains = Tensor(np.ones(q_dim)), Tensor(np.ones(k_dim))
+    with pytest.raises(ShapeError, match="split_heads"):
+        split_heads(Tensor(np.ones(qkv_shape)), 2, 2, 2, 1, *gains, 1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("trained", ["qkv q_gain k_gain", "qkv", "q_gain k_gain"])
+def test_attention_heads_equal_the_chain_bitwise(dtype, trained):
+    # the head node and one joint rotation against the engine-op chain they
+    # replaced: SA's grouped heads with sequence RoPE, DA's with depth RoPE,
+    # with the projection or the gains frozen
+    rng = np.random.default_rng(22)
+    d = 8
+    tables = rope_tables(np.arange(3), d, 100.0, dtype)
+    for batch, seq, qh, kvh, encode in [
+            (2, 3, 4, 2, lambda t: rope_apply(t, tables)),
+            (6, 1, 1, 1, lambda t: rope_depth_apply(t, 1, 3, 500.0))]:
+        data = {"qkv": rng.normal(0, 2, (batch * seq, (qh + 2 * kvh) * d)),
+                "q_gain": rng.uniform(0.5, 2.0, d), "k_gain": rng.uniform(0.5, 2.0, d)}
+        probes = [Tensor(rng.normal(0, 1, (batch, h, seq, d)).astype(dtype))
+                  for h in (qh, kvh, kvh)]
+        results = []
+        for heads in (attention_heads, head_chain):
+            inputs = {name: Tensor(a.astype(dtype), requires_grad=name in trained.split())
+                      for name, a in data.items()}
+            q, k, v = heads(inputs["qkv"], batch, seq, qh, kvh, inputs["q_gain"],
+                            inputs["k_gain"], 1e-6, encode)
+            loss = probe_loss(q, probes[0]) + probe_loss(k, probes[1]) + probe_loss(v, probes[2])
+            grads = T.backward(loss, inputs)
+            results.append([t.data.tobytes() for t in (q, k, v)]
+                           + [grads[name].tobytes() for name in sorted(grads)])
+        assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("build, leaves", [
     (lambda x, g: rms_norm(x, g), 2),
     (lambda x, g: rope(x, np.arange(3), 100.0), 1),
@@ -495,7 +566,7 @@ def test_gqa_rejects_operands_the_products_cannot_take():
 def test_attention_node_gradcheck(masked, group):
     rng = np.random.default_rng(19)
     m, n = 3, 5
-    c = rng.uniform(-1, 1, (2, 2 * group, m, 4))
+    c = rng.uniform(-1, 1, (2 * m, 2 * group * 4))  # the merged output rows
     mask = causal_mask(m, n, 1, np.float64) if masked else None
     inputs = {"q": param(rng, (2, 2 * group, m, 4)), "k": param(rng, (2, 2, n, 4)),
               "v": param(rng, (2, 2, n, 4))}
@@ -517,7 +588,7 @@ def test_attention_node_equals_the_chain_bitwise(dtype, trained):
     for qh, mask in [(4, causal_mask(3, 5, 2, dtype)), (2, None)]:
         data = [rng.normal(0, 1, shape).astype(dtype)
                 for shape in ((2, qh, 3, 8), (2, 2, 5, 8), (2, 2, 5, 8))]
-        c = Tensor(rng.normal(0, 1, (2, qh, 3, 8)).astype(dtype))
+        c = Tensor(rng.normal(0, 1, (2 * 3, qh * 8)).astype(dtype))  # merged rows
         results = []
         for gqa in (grouped_query_attention, attention_chain):
             inputs = {name: Tensor(a.copy(), requires_grad=name in trained)

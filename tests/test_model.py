@@ -18,9 +18,11 @@ from dreamer.routing import RouterState
 from dreamer.tensor import Tensor
 from dreamer.telemetry import TelemetryLog
 from dreamer.training import TaskSpec, make_batch, masked_cross_entropy
-from reference import (attention_chain, bank_apply_chain, dense_backward, ea_select, gated_experts_loop, grad_check,
-                       logsumexp, masked_cross_entropy_chain, mean, model_digest, probe_loss,
-                       router_logits_chain, select_topk_chain, sub)
+from reference import (attention_chain, bank_apply_chain, decode_step_ops, dense_backward,
+                       ea_select, gated_experts_loop, grad_check, head_chain, logsumexp,
+                       masked_cross_entropy_chain, mean, model_digest, probe_loss,
+                       prompted_caches, router_logits_chain, select_topk_chain, sub,
+                       train_tape_nodes)
 
 VARIANTS = ("LA", "DR", "DR_DA")
 
@@ -547,11 +549,12 @@ def test_model_equals_the_per_expert_loop_bitwise(variant, dtype, monkeypatch):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_model_equals_the_engine_op_chains_bitwise(variant, dtype, monkeypatch):
-    # The fused attention core, router logits, gates, bank and loss against
-    # the chains of engine ops they replaced, swapped in for every SA, DA,
-    # router, bank and loss call: loss, every gradient, a greedy decode and
-    # no_grad logits hash equal. Masked SA, unmasked decode steps and DA,
-    # grouped query heads, top-1 and top-3 gates, normalized and not.
+    # The fused head node with its one rotation, attention core with its
+    # merged output, router logits, gates, bank and loss against the chains
+    # of engine ops they replaced, swapped in for every SA, DA, router,
+    # bank and loss call: loss, every gradient, a greedy decode and no_grad
+    # logits hash equal. Masked SA, unmasked decode steps and DA, grouped
+    # query heads, top-1 and top-3 gates, normalized and not.
     cfg = tiny_config(variant, 3, hidden_size=32, ea_num_experts=8, ea_active_experts=3)
     tokens, targets = make_batch(TaskSpec("copy", 12, 16), 0, 2)
     fused = model_digest(cfg, dtype, tokens, targets)
@@ -563,7 +566,8 @@ def test_model_equals_the_engine_op_chains_bitwise(variant, dtype, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name, chain in [("grouped_query_attention", attention_chain),
+    for name, chain in [("attention_heads", head_chain),
+                        ("grouped_query_attention", attention_chain),
                         ("depth_router_logits", router_logits_chain),
                         ("select_topk", select_topk_chain),
                         ("bank_apply", bank_apply_chain)]:
@@ -572,7 +576,7 @@ def test_model_equals_the_engine_op_chains_bitwise(variant, dtype, monkeypatch):
                         counted("masked_cross_entropy", masked_cross_entropy_chain))
     assert model_digest(cfg, dtype, tokens, targets) == fused
     assert calls["masked_cross_entropy"] == 1
-    assert calls["grouped_query_attention"] > 0
+    assert calls["attention_heads"] == calls["grouped_query_attention"] > 0
     assert calls["depth_router_logits"] == calls["select_topk"] > 0
     assert (calls["bank_apply"] > 0) == (variant != "LA")
 
@@ -587,15 +591,6 @@ def test_ea_forward_over_zero_rows_is_a_contract_error():
 
 
 # -- decode bookkeeping ------------------------------------------------------------
-
-def prompted_caches(model, seed=0, prompt_len=16):
-    """Caches after a prompt, and the greedy next token [1, 1]."""
-    rng = np.random.default_rng(seed)
-    prompt = rng.integers(0, model.cfg.vocab_size, (1, prompt_len))
-    caches = model.new_caches()
-    logits = model.model_forward(prompt, caches)
-    return caches, np.argmax(logits.data[:, -1, :], axis=-1)[:, None]
-
 
 @pytest.mark.parametrize("variant, plans", [("DR_DA", 12), ("DR", 8), ("LA", 4)])
 def test_each_selection_is_grouped_once(variant, plans, monkeypatch):
@@ -649,8 +644,8 @@ def test_sa_tables_and_mask_are_built_once_per_forward(monkeypatch):
         monkeypatch.setattr(dreamer.model, name, counting(name, getattr(dreamer.model, name)))
     model.model_forward(np.arange(12).reshape(2, 6))
     assert built == {"rope_tables": 1, "causal_mask": 1}
-    # q and k at every depth rotate with one (cos, sin) pair
-    assert len(rotations) == 2 * cfg.depth
+    # q and k rotate together, once per depth, with one (cos, sin) pair
+    assert len(rotations) == cfg.depth
     assert all(t is rotations[0] for t in rotations)
     # SA's causal mask is one object; DA sees all of its depths, unmasked
     sa_masks = [m for m in masks if m is not None]
@@ -670,39 +665,30 @@ def test_sa_tables_and_mask_are_built_once_per_forward(monkeypatch):
     assert built == {"rope_tables": 1}
 
 
-def test_decode_step_engine_op_ceiling(monkeypatch):
-    # A cached desk DR_DA-4 step records at most 260 engine ops, each a
+def test_decode_step_engine_op_ceiling():
+    # A cached desk DR_DA-4 step records at most 220 engine ops, each a
     # fixed Python cost on arrays of a few hundred elements; bookkeeping
     # that creeps back in shows here first. Each routed mixture is two: the
     # gather and the `gated_experts` node, and a bank adds its shared
-    # product; each attention core is one node, and each routing selection
-    # three: the keys' transpose, the logits and the gates.
-    model = DreamerModel(desk_config("DR_DA", 4), seed=0)
-    with T.no_grad():
-        caches, nxt = prompted_caches(model, prompt_len=32)
-        ops = []
-        original = T.node
-
-        def counting(data, parents, vjp, op):
-            ops.append(op)
-            return original(data, parents, vjp, op)
-
-        monkeypatch.setattr(T, "node", counting)
-        model.model_forward(nxt, caches)
-    assert len(ops) <= 260, len(ops)
+    # product; each attention module's heads are one node, its q and k one
+    # rotation and its core one node that merges its output rows; each
+    # routing selection is three: the keys' transpose, the logits and the
+    # gates. (260 with the heads split, normalised and rotated op by op.)
+    ops = decode_step_ops(DreamerModel(desk_config("DR_DA", 4), seed=0))
+    assert len(ops) <= 220, len(ops)
 
 
 def test_train_tape_node_ceiling():
-    # the routed mixtures with a bank's gated shared term, attention cores,
-    # router logits, gates and the loss are one node each, so a desk DR_DA-4
-    # training forward at the benchmark's 8 x 64 records fewer than 282 tape
-    # nodes (280 when this was written; 287 with the loss op by op, 319 with
-    # a bank's shared term op by op too, 419 with the attention cores and
-    # routers op by op as well, about 1,700 with the mixtures op by op)
-    model = DreamerModel(desk_config("DR_DA", 4), seed=0)
-    tokens, targets = make_batch(TaskSpec("copy", 64, 16), 0, 8)
-    loss = masked_cross_entropy(model.model_forward(tokens), targets)
-    assert len(T._topo(loss)) < 282, len(T._topo(loss))
+    # the head split with its q/k norms, routed mixtures with a bank's gated
+    # shared term, attention cores with their output merge, router logits,
+    # gates and the loss are one node each, so a desk DR_DA-4 training
+    # forward at the benchmark's 8 x 64 records fewer than 242 tape nodes
+    # (240 when this was written; 280 with the heads op by op, 287 with the
+    # loss op by op too, 319 with a bank's shared term op by op too, 419
+    # with the attention cores and routers op by op as well, about 1,700
+    # with the mixtures op by op)
+    nodes = train_tape_nodes(DreamerModel(desk_config("DR_DA", 4), seed=0))
+    assert nodes < 242, nodes
 
 
 def test_train_step_peak_memory():
@@ -763,6 +749,24 @@ def test_nonfinite_expert_weight_names_gated_experts():
     out = model.ea_forward(x, 0)
     with pytest.raises(NumericError, match="'gated_experts'"):
         T.eval(probe_loss(out, out))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nonfinite_query_head_names_the_head_node():
+    # An inf in a used qkv expert's first output column reaches q head 0,
+    # whose RMSNorm runs inside the head node: its forward raises and names
+    # that node. The weight is frozen, so it is no tape leaf.
+    cfg = tiny_config("DR")
+    model = DreamerModel(cfg, seed=3)
+    x = rand_x(np.random.default_rng(3), 2, 6, cfg.hidden_size)
+    constants = model.sa_constants(0, 6, x.dtype)
+    model.sa_forward(x, 0, constants)
+    used = int(np.flatnonzero(model.routers["layer.sa"].counts)[0])
+    experts = model.params["layer.sa.qkv_bank.experts"]
+    experts.requires_grad = False
+    experts.data[used, 0, 0] = np.inf
+    with pytest.raises(NumericError, match="'split_heads'"):
+        model.sa_forward(x, 0, constants)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
